@@ -18,12 +18,7 @@ import sys
 import numpy as np
 
 from . import family, grover, linsys, qasm, sim, synth, tomo
-from .errors import (
-    InvalidProbabilityError,
-    QlinsysError,
-    SynthesisNotFoundError,
-    ValidationError,
-)
+from .errors import QlinsysError, SynthesisNotFoundError, ValidationError
 
 #: The eight circuits of the published comparison table, in row order.
 TABLE1_LABELS = (
@@ -97,6 +92,8 @@ def _vector_arg(text: str, expected: int) -> np.ndarray:
             vec = np.array([float(part) for part in text.split(",")], dtype=float)
         except ValueError:
             raise ValidationError(f"could not parse {text!r} as a vector or file path")
+    if not np.all(np.isfinite(vec)):
+        raise ValidationError(f"y must be finite, got {text!r}")
     if vec.size != expected:
         raise ValidationError(f"y has length {vec.size}, expected {expected}")
     return vec
@@ -111,12 +108,6 @@ def _basis_index(vec: np.ndarray) -> int:
             "running a circuit needs a computational-basis y; use 'solve' for general right-hand sides"
         )
     return index
-
-
-def _check_noise(p: float) -> float:
-    if not 0.0 <= p <= 1.0:
-        raise InvalidProbabilityError(f"--noise must lie in [0, 1], got {p}")
-    return p
 
 
 def _fmt_vec(vec) -> str:
@@ -180,14 +171,33 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _sampled_run(matrix: np.ndarray, basis: int, args) -> tuple[synth.SynthesisResult, sim.ShotTable]:
-    result = synth.synthesize(linsys.inverse_operator(matrix), args.max_gates)
+def _sampled_run(
+    matrix: np.ndarray,
+    basis: int,
+    shots: int,
+    seed: int,
+    max_gates: int = synth.DEFAULT_MAX_GATES,
+    noise: float = 0.0,
+) -> sim.ShotTable:
+    """Synthesize the solution circuit, run it on a basis state, and sample it.
+
+    The measured distribution is the diagonal of the depolarized solution
+    state; at noise 0 that is exactly the noiseless one.
+    """
+    result = synth.synthesize(linsys.inverse_operator(matrix), max_gates)
     state = sim.run(result.circuit, basis)
-    probs = sim.probabilities(state)
-    noise = _check_noise(args.noise)
-    if noise > 0.0:
-        probs = (1.0 - noise) * probs + noise / probs.size
-    return result, sim.sample_distribution(probs, args.shots, args.seed)
+    rho = tomo.apply_depolarizing(tomo.density_from_state(state), noise)
+    return sim.sample_distribution(np.real(np.diag(rho)), shots, seed)
+
+
+def _counts_payload(name: str, table: sim.ShotTable) -> dict:
+    return {
+        "label": name,
+        "shots": table.shots,
+        "seed": table.seed,
+        "counts": table.counts,
+        "frequencies": table.frequencies,
+    }
 
 
 def cmd_run(args) -> int:
@@ -196,17 +206,9 @@ def cmd_run(args) -> int:
         basis = _basis_index(_vector_arg(args.y, matrix.shape[0]))
     else:
         basis = args.basis
-    _, table = _sampled_run(matrix, basis, args)
+    table = _sampled_run(matrix, basis, args.shots, args.seed, args.max_gates, args.noise)
     if args.output == "json":
-        _print_json(
-            {
-                "label": name,
-                "shots": table.shots,
-                "seed": table.seed,
-                "counts": table.counts,
-                "frequencies": table.frequencies,
-            }
-        )
+        _print_json(_counts_payload(name, table))
     elif args.output == "csv":
         print("circuit," + ",".join(_padded(b) for b in _OUTCOMES_2Q))
         freq = table.frequencies
@@ -221,23 +223,13 @@ def cmd_run(args) -> int:
 def cmd_table1(args) -> int:
     rows = []
     for offset, name in enumerate(TABLE1_LABELS):
-        label = family.FamilyLabel.parse(name)
-        result = synth.synthesize(linsys.inverse_operator(family.matrix_for(label)))
-        state = sim.run(result.circuit, 0)
+        matrix = family.matrix_for(family.FamilyLabel.parse(name))
         # Per-row seeds stay distinct but reproducible from the single flag.
-        table = sim.sample(state, args.shots, args.seed + offset)
-        rows.append((name, table))
+        rows.append((name, _sampled_run(matrix, 0, args.shots, args.seed + offset)))
     if args.output == "json":
         _print_json(
             [
-                {
-                    "label": name,
-                    "shots": table.shots,
-                    "seed": table.seed,
-                    "counts": table.counts,
-                    "frequencies": table.frequencies,
-                    "reference_percent": list(REFERENCE_PERCENT[name]),
-                }
+                {**_counts_payload(name, table), "reference_percent": list(REFERENCE_PERCENT[name])}
                 for name, table in rows
             ]
         )
@@ -257,10 +249,7 @@ def cmd_tomo(args) -> int:
     y = np.zeros(matrix.shape[0])
     y[0] = 1.0
     x = linsys.solve(matrix, y)
-    rho = tomo.density_from_state(x)
-    noise = _check_noise(args.noise)
-    if noise > 0.0:
-        rho = tomo.apply_depolarizing(rho, noise)
+    rho = tomo.apply_depolarizing(tomo.density_from_state(x), args.noise)
     mode = "analytic" if args.analytic else "sampled"
     table = tomo.pauli_expectations(rho, mode=mode, shots=args.shots, seed=args.seed)
     reconstructed = tomo.reconstruct(table)
@@ -276,7 +265,7 @@ def cmd_tomo(args) -> int:
         payload = {
             "label": name,
             "mode": mode,
-            "noise_p": noise,
+            "noise_p": args.noise,
             "fidelity": float(fid),
             "fidelity_convention": "sqrt_overlap" if args.sqrt_fidelity else "overlap",
             "density": {
@@ -292,8 +281,14 @@ def cmd_tomo(args) -> int:
     return 0
 
 
-def _gates_payload(circuit: sim.Circuit) -> list[dict]:
-    return [{"kind": gate.kind, "targets": list(gate.targets)} for gate in circuit.ops]
+def _synth_payload(name: str, result: synth.SynthesisResult) -> dict:
+    return {
+        "label": name,
+        "gate_count": result.gate_count,
+        "matched_sign": result.matched_sign,
+        "max_deviation": result.max_deviation,
+        "gates": [{"kind": gate.kind, "targets": list(gate.targets)} for gate in result.circuit.ops],
+    }
 
 
 def cmd_synth(args) -> int:
@@ -301,40 +296,14 @@ def cmd_synth(args) -> int:
         if args.output == "qasm":
             raise ValidationError("--output qasm needs a single system; drop --all")
         results = synth.synthesize_family(args.max_gates)
-        _print_json(
-            [
-                {
-                    "label": str(label),
-                    "gate_count": result.gate_count,
-                    "matched_sign": result.matched_sign,
-                    "max_deviation": result.max_deviation,
-                    "gates": _gates_payload(result.circuit),
-                }
-                for label, result in results.items()
-            ]
-        )
+        _print_json([_synth_payload(str(label), result) for label, result in results.items()])
         return 0
     name, matrix = _resolve_system(args)
     result = synth.synthesize(linsys.inverse_operator(matrix), args.max_gates)
     if args.output == "qasm":
         sys.stdout.write(qasm.circuit_to_qasm(result.circuit))
     else:
-        _print_json(
-            {
-                "label": name,
-                "gate_count": result.gate_count,
-                "matched_sign": result.matched_sign,
-                "max_deviation": result.max_deviation,
-                "gates": _gates_payload(result.circuit),
-            }
-        )
-    return 0
-
-
-def cmd_export_qasm(args) -> int:
-    _, matrix = _resolve_system(args)
-    result = synth.synthesize(linsys.inverse_operator(matrix), args.max_gates)
-    sys.stdout.write(qasm.circuit_to_qasm(result.circuit))
+        _print_json(_synth_payload(name, result))
     return 0
 
 
@@ -417,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qasm = sub.add_parser("qasm", help="export the synthesized circuit as OpenQASM 2.0")
     _add_system_flags(p_qasm)
     p_qasm.add_argument("--max-gates", type=int, default=synth.DEFAULT_MAX_GATES)
-    p_qasm.set_defaults(func=cmd_export_qasm)
+    p_qasm.set_defaults(func=cmd_synth, all=False, output="qasm")
 
     p_grover = sub.add_parser("grover", help="amplitude-amplification demo")
     p_grover.add_argument("--qubits", type=int, default=2)

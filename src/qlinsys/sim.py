@@ -11,8 +11,10 @@ Conventions, fixed across the package:
   multinomial draw per call keeps identical (probs, shots, seed) inputs
   byte-for-byte reproducible.
 
-States are plain complex ndarrays of length 2**n.  Circuits are immutable;
-applying one never mutates its input state.
+States are plain complex ndarrays of length 2**n.  Gates also act on a
+block of shape (2**n, k), one state per column, exactly as on each column
+alone; `unitary_of` runs the identity block through the circuit in one pass.
+Circuits are immutable; applying one never mutates its input state.
 """
 
 from __future__ import annotations
@@ -119,10 +121,13 @@ class ShotTable:
         return {key: count / self.shots for key, count in self.counts.items()}
 
 
-def _qubit_count(state: np.ndarray) -> int:
-    n = int(state.size).bit_length() - 1
-    if state.ndim != 1 or state.size != 2**n or state.size < 2:
-        raise ValueError(f"state length {state.size} is not a power of two")
+def _qubit_count(state: np.ndarray, ndims: tuple[int, ...] = (1,)) -> int:
+    if state.ndim not in ndims:
+        raise ValueError(f"state has {state.ndim} dimensions, expected one of {ndims}")
+    length = state.shape[0]
+    n = int(length).bit_length() - 1
+    if length != 2**n or length < 2:
+        raise ValueError(f"state length {length} is not a power of two")
     return n
 
 
@@ -156,27 +161,31 @@ def bitstring(index: int, n_qubits: int) -> str:
 
 
 def apply_gate(state, gate: Gate) -> np.ndarray:
-    """Apply one gate and return the new state; the input is left untouched."""
+    """Apply one gate to a (2**n,) state or a (2**n, k) block of state columns.
+
+    Returns the new state or block; the input is left untouched.
+    """
     amps = np.asarray(state, dtype=complex)
-    n = _qubit_count(amps)
+    n = _qubit_count(amps, ndims=(1, 2))
     _check_gate(gate, n)
 
     if gate.kind in _GATES_1Q:
         g = _GATES_1Q[gate.kind]
         q = gate.targets[0]
-        # Reshape to (high bits, target bit, low bits) and contract the middle axis.
-        cube = amps.reshape(2 ** (n - q - 1), 2, 2**q)
-        return np.einsum("ab,ibj->iaj", g, cube).reshape(-1)
+        # Reshape to (high bits, target bit, low bits[, columns]) and contract
+        # the target axis.
+        cube = amps.reshape((2 ** (n - q - 1), 2, 2**q) + amps.shape[1:])
+        return np.einsum("ab,ibj...->iaj...", g, cube).reshape(amps.shape)
 
     if gate.kind == "cx":
         control, target = gate.targets
-        idx = np.arange(amps.size)
+        idx = np.arange(amps.shape[0])
         control_set = ((idx >> control) & 1).astype(bool)
         return amps[np.where(control_set, idx ^ (1 << target), idx)]
 
     if gate.kind == "cz":
         a, b = gate.targets
-        idx = np.arange(amps.size)
+        idx = np.arange(amps.shape[0])
         both = (((idx >> a) & 1) * ((idx >> b) & 1)).astype(bool)
         out = amps.copy()
         out[both] *= -1.0
@@ -188,18 +197,20 @@ def apply_gate(state, gate: Gate) -> np.ndarray:
     return out
 
 
+def _apply_circuit(circuit: Circuit, states: np.ndarray) -> np.ndarray:
+    for gate in circuit.ops:
+        states = apply_gate(states, gate)
+    return states
+
+
 def run(circuit: Circuit, initial_basis_index: int = 0) -> np.ndarray:
     """Run the circuit on a basis state and return the final state vector."""
-    state = basis_state(circuit.n_qubits, initial_basis_index)
-    for gate in circuit.ops:
-        state = apply_gate(state, gate)
-    return state
+    return _apply_circuit(circuit, basis_state(circuit.n_qubits, initial_basis_index))
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
     """Full matrix of the circuit; column j is exactly run(circuit, j)."""
-    dim = 2**circuit.n_qubits
-    return np.column_stack([run(circuit, j) for j in range(dim)])
+    return _apply_circuit(circuit, np.eye(2**circuit.n_qubits, dtype=complex))
 
 
 def probabilities(state) -> np.ndarray:

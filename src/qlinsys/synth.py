@@ -3,14 +3,16 @@
 The search enumerates 2-qubit circuits over a fixed 9-gate vocabulary in
 breadth-first order, deduplicating unitaries up to global sign, so the first
 circuit that hits a target is one of minimal gate count (ties broken by
-vocabulary order).  The reachable set is a finite group, small enough that
-the whole table to any practical depth fits in memory; it is built
-incrementally and shared across calls.
+vocabulary order).  The reachable set is a finite group of 1152 elements up
+to sign, every one within 7 gates, so the table is built once, on first use,
+to closure, and shared read-only across calls; a gate budget only filters it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -60,30 +62,23 @@ def _canonical_key(matrix: np.ndarray) -> bytes:
     return r.tobytes()
 
 
-# key -> (gate sequence, gate count); grown lazily by _ensure_depth.
-_table: dict[bytes, tuple[tuple[sim.Gate, ...], int]] = {}
-_frontier: list[tuple[tuple[sim.Gate, ...], np.ndarray]] = []
-_built_depth = -1
-
-
-def _ensure_depth(depth: int) -> None:
-    global _built_depth, _frontier
-    if _built_depth < 0:
-        eye = np.eye(4)
-        _table[_canonical_key(eye)] = ((), 0)
-        _frontier = [((), eye)]
-        _built_depth = 0
-    while _built_depth < depth:
-        grown: list[tuple[tuple[sim.Gate, ...], np.ndarray]] = []
-        for ops, u in _frontier:
+@functools.cache
+def _closure() -> MappingProxyType:
+    """Canonical key -> first gate sequence, in BFS order, for the whole group."""
+    eye = np.eye(4)
+    table = {_canonical_key(eye): ()}
+    frontier = [((), eye)]
+    while frontier:
+        grown = []
+        for ops, u in frontier:
             for gate, g in zip(VOCABULARY, _VOCAB_MATRICES):
                 candidate = g @ u
                 key = _canonical_key(candidate)
-                if key not in _table:
-                    _table[key] = (ops + (gate,), _built_depth + 1)
+                if key not in table:
+                    table[key] = ops + (gate,)
                     grown.append((ops + (gate,), candidate))
-        _frontier = grown
-        _built_depth += 1
+        frontier = grown
+    return MappingProxyType(table)
 
 
 def synthesize(target, max_gates: int = DEFAULT_MAX_GATES) -> SynthesisResult:
@@ -95,22 +90,21 @@ def synthesize(target, max_gates: int = DEFAULT_MAX_GATES) -> SynthesisResult:
     t = np.asarray(target, dtype=float)
     if t.shape != (4, 4):
         raise DimensionMismatchError(f"target must be 4x4, got shape {t.shape}")
-    if np.max(np.abs(t.T @ t - np.eye(4))) > 1e-10:
+    # Written so that a NaN deviation fails the check too.
+    if not np.max(np.abs(t.T @ t - np.eye(4))) <= 1e-10:
         raise NotOrthogonalError("synthesis target must be orthogonal")
     if max_gates < 0:
         raise ValueError("max_gates must be non-negative")
 
-    _ensure_depth(max_gates)
-    entry = _table.get(_canonical_key(t))
-    if entry is None or entry[1] > max_gates:
+    ops = _closure().get(_canonical_key(t))
+    if ops is None or len(ops) > max_gates:
         raise SynthesisNotFoundError(f"no circuit with at most {max_gates} gates reaches the target")
-    ops, count = entry
 
     circuit = sim.Circuit(2, ops)
     realized = np.real(sim.unitary_of(circuit))
     sign = 1 if np.max(np.abs(realized - t)) <= np.max(np.abs(realized + t)) else -1
     deviation = float(np.max(np.abs(realized - sign * t)))
-    return SynthesisResult(circuit, count, sign, deviation)
+    return SynthesisResult(circuit, len(ops), sign, deviation)
 
 
 def synthesize_family(max_gates: int = DEFAULT_MAX_GATES) -> dict:

@@ -3,7 +3,10 @@
 A 4x4 density matrix is fixed by the expectations of the sixteen two-letter
 Pauli words: rho = (1/4) * sum_P <P> P.  Expectations come either from exact
 traces or from simulated counts in the nine {X, Y, Z}^2 measurement settings,
-with the X and Y axes reached through basis-rotation gates.  Reconstruction
+with the X and Y axes reached through basis-rotation gates.  The nine
+rotation unitaries and the parity sign of every (word, outcome) pair are
+computed once at import; the nine setting distributions come from one
+batched R rho R^dagger.  Reconstruction
 clips negative eigenvalues and renormalizes, so the output is always a valid
 state even for noisy input tables.
 
@@ -114,16 +117,20 @@ def _rotation_unitary(setting: str) -> np.ndarray:
     return sim.unitary_of(sim.Circuit(2, tuple(ops)))
 
 
-def _setting_probabilities(rho: np.ndarray, setting: str) -> np.ndarray:
-    r = _rotation_unitary(setting)
-    probs = np.real(np.diag(r @ rho @ r.conj().T))
-    return np.clip(probs, 0.0, None)
+#: Measurement rotations, stacked in MEASUREMENT_SETTINGS order.
+_ROTATIONS = np.stack([_rotation_unitary(setting) for setting in MEASUREMENT_SETTINGS])
 
+#: For each Pauli word, the setting whose counts estimate it: I is read as Z.
+_WORD_SETTING = np.array(
+    [MEASUREMENT_SETTINGS.index(word.replace("I", "Z")) for word in PAULI_WORDS]
+)
 
-def _parity_sign(word: str, outcome: int) -> int:
-    bits = (outcome >> 1, outcome & 1)
-    parity = sum(bits[k] for k in range(2) if word[k] != "I")
-    return -1 if parity % 2 else 1
+#: _PARITY_SIGNS[w, outcome]: the sign word w gives an outcome of its setting.
+#: After rotation every measured letter reads as Z, so the signs are the
+#: diagonal of the word with X and Y replaced by Z.
+_PARITY_SIGNS = np.array(
+    [np.diag(pauli_word_matrix(word.replace("X", "Z").replace("Y", "Z"))).real for word in PAULI_WORDS]
+)
 
 
 def pauli_expectations(
@@ -155,22 +162,14 @@ def pauli_expectations(
     if mode != "sampled":
         raise ValueError(f"mode must be 'analytic' or 'sampled', got {mode!r}")
 
-    setting_freq = {}
-    for index, setting in enumerate(MEASUREMENT_SETTINGS):
-        probs = _setting_probabilities(m, setting)
-        counts = sim.sample_counts(probs, shots, seed + index)
-        setting_freq[setting] = counts / shots
-
-    values = {"II": 1.0}
-    for word in PAULI_WORDS:
-        if word == "II":
-            continue
-        setting = "".join(c if c != "I" else "Z" for c in word)
-        freq = setting_freq[setting]
-        values[word] = float(
-            sum(_parity_sign(word, outcome) * freq[outcome] for outcome in range(4))
-        )
-    values = {word: values[word] for word in PAULI_WORDS}
+    rotated = _ROTATIONS @ m @ _ROTATIONS.conj().transpose(0, 2, 1)
+    probs = np.clip(np.real(np.diagonal(rotated, axis1=1, axis2=2)), 0.0, None)
+    freq = np.stack(
+        [sim.sample_counts(p, shots, seed + index) for index, p in enumerate(probs)]
+    ) / shots
+    expectations = (_PARITY_SIGNS * freq[_WORD_SETTING]).sum(axis=1)
+    values = {word: float(v) for word, v in zip(PAULI_WORDS, expectations)}
+    values["II"] = 1.0
     return ExpectationTable(values=values, mode="sampled", shots=shots, seed=seed)
 
 

@@ -2,8 +2,11 @@
 
 Deliberately written with plain Python loops and Gaussian elimination so
 they share no code path with the package: agreement between the two is
-evidence, not tautology.
+evidence, not tautology.  The synthesis group is enumerated from numpy
+literals of the vocabulary, again without importing the package.
 """
+
+import numpy as np
 
 
 def dot(u, v):
@@ -61,3 +64,52 @@ def max_abs_diff(a, b):
     flat_b = [v for row in b for v in row] if hasattr(b[0], "__len__") else list(b)
     assert len(flat_a) == len(flat_b)
     return max(abs(float(u) - float(v)) for u, v in zip(flat_a, flat_b))
+
+
+_R = 0.5**0.5
+
+#: The synthesis vocabulary as 4x4 matrices, in tie-breaking order.  Qubit 0
+#: is the least significant bit, so h0 is kron(I, H) and h1 is kron(H, I).
+VOCABULARY_MATRICES = {
+    "h0": np.array([[_R, _R, 0, 0], [_R, -_R, 0, 0], [0, 0, _R, _R], [0, 0, _R, -_R]]),
+    "h1": np.array([[_R, 0, _R, 0], [0, _R, 0, _R], [_R, 0, -_R, 0], [0, _R, 0, -_R]]),
+    "x0": np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float),
+    "x1": np.array([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float),
+    "z0": np.diag([1.0, -1.0, 1.0, -1.0]),
+    "z1": np.diag([1.0, 1.0, -1.0, -1.0]),
+    "cx01": np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=float),
+    "cx10": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float),
+    "cz01": np.diag([1.0, 1.0, 1.0, -1.0]),
+}
+
+
+def _key_up_to_sign(matrix):
+    flat = [round(float(v), 9) + 0.0 for v in matrix.ravel()]
+    first = next(v for v in flat if v != 0.0)
+    return tuple(flat) if first > 0 else tuple(-v + 0.0 for v in flat)
+
+
+def vocabulary_group():
+    """Every element the vocabulary generates, up to sign, with its BFS depth.
+
+    Returns a list of (matrix, depth) pairs, depth being the fewest
+    vocabulary gates whose product is +-matrix.
+    """
+    identity = np.eye(4)
+    seen = {_key_up_to_sign(identity)}
+    elements = [(identity, 0)]
+    frontier = [identity]
+    depth = 0
+    while frontier:
+        depth += 1
+        grown = []
+        for u in frontier:
+            for g in VOCABULARY_MATRICES.values():
+                candidate = g @ u
+                key = _key_up_to_sign(candidate)
+                if key not in seen:
+                    seen.add(key)
+                    elements.append((candidate, depth))
+                    grown.append(candidate)
+        frontier = grown
+    return elements

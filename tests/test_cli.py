@@ -142,6 +142,10 @@ class TestRun:
         _, out, _ = run_cli(capsys, "run", "--label", "A_1324", "--output", "json")
         assert out == (GOLDEN / "run_a1324_default.json").read_text()
 
+    def test_noise_golden(self, capsys):
+        _, out, _ = run_cli(capsys, "run", "--label", "A_1342", "--noise", "0.1", "--output", "json")
+        assert out.encode() == (GOLDEN / "run_a1342_noise.json").read_bytes()
+
     def test_seeded_band(self, capsys):
         _, out, _ = run_cli(capsys, "run", "--label", "A_1324", "--shots", "1024", "--seed", "7", "--output", "json")
         for freq in json.loads(out)["frequencies"].values():
@@ -163,6 +167,12 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--label", "A_1234", "--y", "0.5,0.5,0.5,0.5")
         assert code == 3
         assert "basis" in err
+
+    @pytest.mark.parametrize("y", ["nan,0,0,0", "1,inf,0,0"])
+    def test_non_finite_y_exits_3(self, capsys, y):
+        code, _, err = run_cli(capsys, "run", "--label", "A_1234", "--y", y)
+        assert code == 3
+        assert "finite" in err
 
     def test_full_noise_still_sums(self, capsys):
         _, out, _ = run_cli(capsys, "run", "--label", "A_1234", "--noise", "1.0", "--shots", "256", "--output", "json")
@@ -223,6 +233,10 @@ class TestTable1:
 
 
 class TestTomo:
+    def test_sampled_golden(self, capsys):
+        _, out, _ = run_cli(capsys, "tomo", "--label", "A_1234")
+        assert out.encode() == (GOLDEN / "tomo_a1234_sampled.json").read_bytes()
+
     def test_analytic_noiseless_fidelity_is_one(self, capsys):
         _, out, _ = run_cli(capsys, "tomo", "--label", "A_1234", "--analytic")
         payload = json.loads(out)
@@ -261,6 +275,10 @@ class TestTomo:
 
 
 class TestSynthCommand:
+    def test_all_golden(self, capsys):
+        _, out, _ = run_cli(capsys, "synth", "--all")
+        assert out.encode() == (GOLDEN / "synth_all.json").read_bytes()
+
     def test_single_label_json(self, capsys):
         _, out, _ = run_cli(capsys, "synth", "--label", "A_1234")
         payload = json.loads(out)

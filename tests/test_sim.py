@@ -17,6 +17,20 @@ SDG_MAT = np.array([[1, 0], [0, -1j]], dtype=complex)
 T_MAT = np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
+ONE_QUBIT_MAKERS = (sim.h, sim.x, sim.y, sim.z, sim.s, sim.sdg, sim.t)
+
+
+def every_gate(n, rng):
+    """Each single-qubit kind on each qubit, cx and cz on each ordered pair, one phaseflip."""
+    gates = [maker(q) for maker in ONE_QUBIT_MAKERS for q in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                gates += [sim.cx(a, b), sim.cz(a, b)]
+    flips = rng.choice(2**n, size=max(1, 2**n // 3), replace=False)
+    gates.append(sim.phase_flip(int(i) for i in flips))
+    return gates
+
 
 class TestGateConstruction:
     def test_unknown_kind_rejected(self):
@@ -150,10 +164,13 @@ class TestRunAndUnitary:
         np.testing.assert_array_equal(sim.run(circuit, 2), sim.basis_state(2, 3))
 
     def test_columns_equal_run_exactly(self):
-        circuit = sim.Circuit(2, (sim.h(0), sim.cx(0, 1), sim.z(1), sim.h(1)))
-        u = sim.unitary_of(circuit)
-        for j in range(4):
-            assert np.array_equal(u[:, j], sim.run(circuit, j))
+        rng = np.random.default_rng(40)
+        for n in range(1, 7):
+            gates = every_gate(n, rng)
+            circuit = sim.Circuit(n, tuple(gates[int(i)] for i in rng.permutation(len(gates))))
+            u = sim.unitary_of(circuit)
+            for j in range(2**n):
+                assert u[:, j].tobytes() == sim.run(circuit, j).tobytes()
 
     def test_random_circuits_stay_unitary(self):
         rng = np.random.default_rng(23)
@@ -181,6 +198,29 @@ class TestRunAndUnitary:
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
         # Input untouched.
         assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_block_equals_column_by_column(self, n, k):
+        rng = np.random.default_rng(10 * n + k)
+        block = rng.normal(size=(2**n, k)) + 1j * rng.normal(size=(2**n, k))
+        before = block.copy()
+        for gate in every_gate(n, rng):
+            out = sim.apply_gate(block, gate)
+            columns = np.column_stack([sim.apply_gate(block[:, j], gate) for j in range(k)])
+            assert out.shape == block.shape
+            assert out.tobytes() == columns.tobytes(), gate
+        assert np.array_equal(block, before)
+
+    def test_three_dimensional_input_rejected(self):
+        with pytest.raises(ValueError):
+            sim.apply_gate(np.ones((4, 2, 2), dtype=complex), sim.h(0))
+
+    def test_block_rows_must_be_a_power_of_two(self):
+        with pytest.raises(ValueError):
+            sim.apply_gate(np.ones((3, 2), dtype=complex), sim.h(0))
 
 
 class TestBitstrings:

@@ -12,7 +12,7 @@ from qlinsys.errors import (
     SynthesisNotFoundError,
 )
 
-from oracles import mat_mul, max_abs_diff
+from oracles import VOCABULARY_MATRICES, mat_mul, max_abs_diff, vocabulary_group
 
 
 def _gate_names(result):
@@ -61,6 +61,11 @@ class TestSynthesize:
         with pytest.raises(NotOrthogonalError):
             synth.synthesize(np.ones((4, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_target(self, bad):
+        with pytest.raises(NotOrthogonalError):
+            synth.synthesize(np.full((4, 4), bad))
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(DimensionMismatchError):
             synth.synthesize(np.eye(3))
@@ -80,6 +85,31 @@ class TestSynthesize:
         h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         with pytest.raises(SynthesisNotFoundError):
             synth.synthesize(np.kron(h, h), max_gates=0)
+
+
+    def test_huge_budget_only_filters_the_table(self):
+        target = linsys.inverse_operator(family.matrix_for(family.FamilyLabel.parse("B_4213")))
+        expected = synth.synthesize(target, max_gates=8)
+        start = time.perf_counter()
+        result = synth.synthesize(target, max_gates=10**9)
+        assert time.perf_counter() - start < 1.0
+        assert result == expected
+
+
+class TestWholeGroup:
+    def test_every_element_is_synthesized_at_its_bfs_depth(self):
+        group = vocabulary_group()
+        assert len(group) == 1152
+        assert max(depth for _, depth in group) == 7
+        for matrix, depth in group:
+            result = synth.synthesize(matrix)
+            assert result.gate_count == depth
+            assert result.max_deviation <= 1e-12
+            realized = np.eye(4)
+            for gate in result.circuit.ops:
+                name = gate.kind + "".join(str(q) for q in gate.targets)
+                realized = VOCABULARY_MATRICES[name] @ realized
+            assert np.max(np.abs(realized - result.matched_sign * matrix)) <= 1e-12
 
 
 @pytest.fixture(scope="module")
