@@ -8,8 +8,8 @@ Conventions, fixed across the package:
 * Bitstrings are written most-significant qubit first, so index 2 on two
   qubits reads "10" (qubit 1 set, qubit 0 clear).
 * Sampling uses numpy's default PCG64 generator, seeded explicitly; one
-  multinomial draw per call keeps identical (probs, shots, seed) inputs
-  byte-for-byte reproducible.
+  multinomial draw per probability row, row i seeded with seed + i, keeps
+  identical (probs, shots, seed) inputs byte-for-byte reproducible.
 
 States are plain complex ndarrays of length 2**n.  Gates also act on a
 block of shape (2**n, k), one state per column, exactly as on each column
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidTargetError, NegativeProbabilityError
+from .errors import InvalidTargetError, NegativeProbabilityError, NotNormalizedError, ValidationError
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -233,14 +233,34 @@ def amplitudes_from_probabilities(probs) -> np.ndarray:
 
 
 def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
-    """One multinomial draw of `shots` outcomes from a probability vector."""
+    """Multinomial counts of `shots` outcomes from a (d,) vector or (k, d) block.
+
+    Row i of a block is drawn from its own generator seeded with seed + i, so
+    a block gives exactly the counts of k separate calls with those seeds.
+    Each row must be finite, non-negative and sum to 1 within 1e-6; it is
+    divided by its own sum before the draw.
+    """
     p = np.asarray(probs, dtype=float)
-    if np.any(p < 0):
-        raise NegativeProbabilityError(f"probabilities must be non-negative, min is {p.min()}")
+    if p.ndim not in (1, 2):
+        raise ValidationError(f"expected a probability vector or a block of rows, got shape {p.shape}")
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValidationError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
-        raise ValueError("shots must be at least 1")
-    rng = np.random.default_rng(seed)
-    return rng.multinomial(shots, p / p.sum())
+        raise ValidationError("shots must be at least 1")
+    if not np.isfinite(p).all():
+        raise ValidationError("probabilities must be finite")
+    lowest = p.min(initial=0.0)
+    if lowest < 0:
+        raise NegativeProbabilityError(f"probabilities must be non-negative, min is {lowest}")
+    rows = p if p.ndim == 2 else p[np.newaxis]
+    totals = [row.sum() for row in rows]
+    deviation = max((abs(total - 1.0) for total in totals), default=0.0)
+    if deviation > 1e-6:
+        raise NotNormalizedError(f"probability rows must sum to 1, worst is off by {deviation}")
+    counts = np.empty(rows.shape, dtype=np.int64)
+    for i, (row, total) in enumerate(zip(rows, totals)):
+        counts[i] = np.random.default_rng(seed + i).multinomial(shots, row / total)
+    return counts.reshape(p.shape)
 
 
 def sample_distribution(probs, shots: int, seed: int) -> ShotTable:

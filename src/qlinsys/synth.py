@@ -17,7 +17,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import sim
-from .errors import DimensionMismatchError, NotOrthogonalError, SynthesisNotFoundError
+from .errors import DimensionMismatchError, NotOrthogonalError, SynthesisNotFoundError, ValidationError
 
 #: Search vocabulary, in tie-breaking order.
 VOCABULARY: tuple[sim.Gate, ...] = (
@@ -119,11 +119,16 @@ def synthesize_family(max_gates: int = DEFAULT_MAX_GATES) -> dict:
 
 
 def verify(circuit: sim.Circuit, matrix) -> float:
-    """Best-over-sign deviation of U_circuit * A from the identity."""
+    """Best-over-sign deviation of U_circuit * A from the identity.
+
+    A non-finite matrix raises ValidationError rather than returning NaN.
+    """
     a = np.asarray(matrix, dtype=float)
     dim = 2**circuit.n_qubits
     if a.shape != (dim, dim):
         raise DimensionMismatchError(f"matrix shape {a.shape} does not match {circuit.n_qubits} qubits")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("matrix must be finite")
     u = sim.unitary_of(circuit)
     eye = np.eye(dim)
     deviations = (np.max(np.abs(s * u @ a - eye)) for s in (1.0, -1.0))

@@ -3,12 +3,13 @@
 A 4x4 density matrix is fixed by the expectations of the sixteen two-letter
 Pauli words: rho = (1/4) * sum_P <P> P.  Expectations come either from exact
 traces or from simulated counts in the nine {X, Y, Z}^2 measurement settings,
-with the X and Y axes reached through basis-rotation gates.  The nine
-rotation unitaries and the parity sign of every (word, outcome) pair are
-computed once at import; the nine setting distributions come from one
-batched R rho R^dagger.  Reconstruction
-clips negative eigenvalues and renormalizes, so the output is always a valid
-state even for noisy input tables.
+with the X and Y axes reached through basis-rotation gates.  The fixed
+algebra is computed once at import: the sixteen word matrices as one stacked
+basis, the nine rotation unitaries, and the parity sign of every (word,
+outcome) pair.  The nine setting distributions come from one batched
+R rho R^dagger and are sampled in one block draw, setting i seeded with
+seed + i.  Reconstruction clips negative eigenvalues and renormalizes, so the
+output is always a valid state even for noisy input tables.
 
 The first letter of a Pauli word refers to qubit 1 (the most significant
 bit), matching the bitstring convention in `sim`.
@@ -27,6 +28,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidProbabilityError,
     NotNormalizedError,
+    ValidationError,
 )
 
 _PAULI_1Q = {
@@ -39,6 +41,11 @@ _PAULI_1Q = {
 #: The sixteen measurement words, in lexicographic I < X < Y < Z order.
 PAULI_WORDS: tuple[str, ...] = tuple(
     "".join(w) for w in itertools.product("IXYZ", repeat=2)
+)
+
+#: The sixteen word matrices kron(P1, P2), stacked in PAULI_WORDS order.
+_PAULI_MATRICES = np.stack(
+    [np.kron(_PAULI_1Q[word[0]], _PAULI_1Q[word[1]]) for word in PAULI_WORDS]
 )
 
 #: The nine sampled measurement settings, indexed in this order for seeding.
@@ -62,9 +69,10 @@ class ExpectationTable:
 
 
 def pauli_word_matrix(word: str) -> np.ndarray:
+    """A fresh copy of the word's 4x4 matrix, so the shared basis stays intact."""
     if len(word) != 2 or any(c not in _PAULI_1Q for c in word):
         raise ValueError(f"expected a two-letter word over IXYZ, got {word!r}")
-    return np.kron(_PAULI_1Q[word[0]], _PAULI_1Q[word[1]])
+    return _PAULI_MATRICES[4 * "IXYZ".index(word[0]) + "IXYZ".index(word[1])].copy()
 
 
 def density_from_state(psi) -> np.ndarray:
@@ -81,11 +89,13 @@ def is_physical(rho, tol: float = 1e-8) -> bool:
     m = np.asarray(rho, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    if np.max(np.abs(m - m.conj().T)) > tol:
+    adjoint = m.conj().T
+    if np.max(np.abs(m - adjoint)) > tol:
         return False
-    if abs(np.trace(m).real - 1.0) > tol or abs(np.trace(m).imag) > tol:
+    trace = np.trace(m)
+    if abs(trace.real - 1.0) > tol or abs(trace.imag) > tol:
         return False
-    return bool(np.linalg.eigvalsh((m + m.conj().T) / 2).min() >= -tol)
+    return bool(np.linalg.eigvalsh((m + adjoint) / 2).min() >= -tol)
 
 
 def _check_density(rho) -> np.ndarray:
@@ -142,9 +152,9 @@ def pauli_expectations(
     """Measure all sixteen Pauli-word expectations of a 4x4 density matrix.
 
     In "analytic" mode each value is the exact trace of rho * P.  In
-    "sampled" mode the nine settings are each sampled `shots` times through
-    the simulator's multinomial sampler, with derived seeds seed + setting
-    index, and expectations of words containing I come from marginals of the
+    "sampled" mode the nine settings are sampled `shots` times each in one
+    block call to the simulator's multinomial sampler, setting i seeded with
+    seed + i, and expectations of words containing I come from marginals of the
     matching Z-filled setting.
     """
     m = _check_density(rho)
@@ -152,10 +162,8 @@ def pauli_expectations(
         raise DimensionMismatchError(f"expected a 4x4 density matrix, got shape {m.shape}")
 
     if mode == "analytic":
-        values = {
-            word: float(np.real(np.trace(m @ pauli_word_matrix(word))))
-            for word in PAULI_WORDS
-        }
+        traces = np.trace(m @ _PAULI_MATRICES, axis1=1, axis2=2).real
+        values = {word: float(v) for word, v in zip(PAULI_WORDS, traces)}
         values["II"] = 1.0
         return ExpectationTable(values=values, mode="analytic")
 
@@ -164,9 +172,7 @@ def pauli_expectations(
 
     rotated = _ROTATIONS @ m @ _ROTATIONS.conj().transpose(0, 2, 1)
     probs = np.clip(np.real(np.diagonal(rotated, axis1=1, axis2=2)), 0.0, None)
-    freq = np.stack(
-        [sim.sample_counts(p, shots, seed + index) for index, p in enumerate(probs)]
-    ) / shots
+    freq = sim.sample_counts(probs, shots, seed) / shots
     expectations = (_PARITY_SIGNS * freq[_WORD_SETTING]).sum(axis=1)
     values = {word: float(v) for word, v in zip(PAULI_WORDS, expectations)}
     values["II"] = 1.0
@@ -195,8 +201,8 @@ def reconstruct(table: ExpectationTable) -> np.ndarray:
         missing = set(PAULI_WORDS) - set(table.values)
         raise ValueError(f"expectation table is incomplete, missing {sorted(missing)}")
     linear = np.zeros((4, 4), dtype=complex)
-    for word in PAULI_WORDS:
-        linear += table.values[word] * pauli_word_matrix(word)
+    for word, matrix in zip(PAULI_WORDS, _PAULI_MATRICES):
+        linear += table.values[word] * matrix
     return project_to_physical(linear / 4.0)
 
 
@@ -204,7 +210,9 @@ def fidelity(rho, psi, square_root: bool = False) -> float:
     """Overlap <psi| rho |psi> of a state with a pure target.
 
     With square_root=True the Uhlmann convention sqrt(<psi| rho |psi>) is
-    returned instead.  The value is clipped to [0, 1] against rounding.
+    returned instead.  psi must have unit norm within 1e-10.  A value within
+    1e-9 of [0, 1] is clipped into it against rounding; one further out means
+    rho is not a state and raises ValidationError.
     """
     m = np.asarray(rho, dtype=complex)
     v = np.asarray(psi, dtype=complex).reshape(-1)
@@ -212,6 +220,12 @@ def fidelity(rho, psi, square_root: bool = False) -> float:
         raise DimensionMismatchError(
             f"density matrix {m.shape} does not match state of length {v.size}"
         )
+    norm = float(np.sqrt(np.real(v.conj() @ v)))
+    # Written so that a NaN norm or overlap fails the check too.
+    if not abs(norm - 1.0) <= 1e-10:
+        raise NotNormalizedError(f"state has norm {norm}, expected 1")
     value = float(np.real(v.conj() @ m @ v))
+    if not -1e-9 <= value <= 1.0 + 1e-9:
+        raise ValidationError(f"overlap {value} lies outside [0, 1]; rho is not a state")
     value = min(max(value, 0.0), 1.0)
     return math.sqrt(value) if square_root else value

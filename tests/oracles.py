@@ -3,7 +3,9 @@
 Deliberately written with plain Python loops and Gaussian elimination so
 they share no code path with the package: agreement between the two is
 evidence, not tautology.  The synthesis group is enumerated from numpy
-literals of the vocabulary, again without importing the package.
+literals of the vocabulary, and two-qubit tomography is rebuilt from numpy
+literals of the Pauli and basis-change matrices, again without importing the
+package.
 """
 
 import numpy as np
@@ -113,3 +115,77 @@ def vocabulary_group():
                     grown.append(candidate)
         frontier = grown
     return elements
+
+
+#: Two-qubit tomography, rebuilt from numpy literals: words in I < X < Y < Z
+#: order, letter 0 on qubit 1 (the most significant bit), and the nine
+#: {X, Y, Z}^2 measurement settings in the same order.
+_PAULI_1Q = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+TOMOGRAPHY_WORDS = tuple(a + b for a in "IXYZ" for b in "IXYZ")
+TOMOGRAPHY_SETTINGS = tuple(a + b for a in "XYZ" for b in "XYZ")
+_WORD_MATRICES = {w: np.kron(_PAULI_1Q[w[0]], _PAULI_1Q[w[1]]) for w in TOMOGRAPHY_WORDS}
+
+_H_1Q = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+#: Per-letter basis change to Z: H for X, H * S-dagger for Y.
+_TO_Z_BASIS = {
+    "X": _H_1Q,
+    "Y": _H_1Q @ np.diag([1, -1j]),
+    "Z": np.eye(2, dtype=complex),
+}
+
+
+def tomography_expectations(rho, mode, shots, seed):
+    """All sixteen word expectations of a 4x4 density matrix, as a list.
+
+    "analytic": trace(rho @ P) per word matrix P = kron(P1, P2), with II
+    fixed at 1.
+    "sampled": setting i is drawn with default_rng(seed + i).multinomial
+    from the clipped diagonal of R rho R^dagger; a word is read from the
+    setting with its I letters replaced by Z, as the signed sum of the
+    outcome frequencies.
+    """
+    if mode == "analytic":
+        values = [float(np.trace(rho @ _WORD_MATRICES[w]).real) for w in TOMOGRAPHY_WORDS]
+    else:
+        freqs = {}
+        for index, setting in enumerate(TOMOGRAPHY_SETTINGS):
+            r = np.kron(_TO_Z_BASIS[setting[0]], _TO_Z_BASIS[setting[1]])
+            p = np.clip(np.real(np.diag(r @ rho @ r.conj().T)), 0.0, None)
+            counts = np.random.default_rng(seed + index).multinomial(shots, p / p.sum())
+            freqs[setting] = counts / shots
+        values = []
+        for w in TOMOGRAPHY_WORDS:
+            signs = np.array(
+                [
+                    (-1.0 if w[0] != "I" and (outcome >> 1) & 1 else 1.0)
+                    * (-1.0 if w[1] != "I" and outcome & 1 else 1.0)
+                    for outcome in range(4)
+                ]
+            )
+            values.append(float(np.sum(signs * freqs[w.replace("I", "Z")])))
+    values[0] = 1.0
+    return values
+
+
+def tomography_reconstruct(values):
+    """Linear inversion, then a valid state by eigenvalue clipping.
+
+    (1/4) sum <P> P is accumulated word by word in TOMOGRAPHY_WORDS order;
+    negative eigenvalues are clipped to 0 and the rest renormalized (the
+    maximally mixed state if none is positive).
+    """
+    linear = np.zeros((4, 4), dtype=complex)
+    for value, w in zip(values, TOMOGRAPHY_WORDS):
+        linear += value * _WORD_MATRICES[w]
+    linear = linear / 4.0
+    vals, vecs = np.linalg.eigh((linear + linear.conj().T) / 2.0)
+    vals = np.clip(vals, 0.0, None)
+    total = float(vals.sum())
+    if total <= 0.0:
+        return np.eye(4, dtype=complex) / 4
+    return (vecs * (vals / total)) @ vecs.conj().T

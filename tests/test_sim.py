@@ -1,10 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qlinsys import sim
-from qlinsys.errors import InvalidTargetError, NegativeProbabilityError
+from qlinsys.errors import (
+    InvalidTargetError,
+    NegativeProbabilityError,
+    NotNormalizedError,
+    ValidationError,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -313,3 +319,55 @@ class TestSampling:
     def test_negative_probabilities_rejected(self):
         with pytest.raises(NegativeProbabilityError):
             sim.sample_counts([0.5, -0.5, 0.5, 0.5], 10, 0)
+
+    @pytest.mark.parametrize("shots", [2.7, 3.0, "3", True, None])
+    def test_non_integer_shots_rejected(self, shots):
+        with pytest.raises(ValidationError, match="integer"):
+            sim.sample_counts([0.5, 0.5], shots, 0)
+
+    def test_numpy_integer_shots_accepted(self):
+        assert np.array_equal(
+            sim.sample_counts([0.5, 0.5], np.int64(33), 4), sim.sample_counts([0.5, 0.5], 33, 4)
+        )
+
+    @pytest.mark.parametrize("probs", [[1.0, 1.0], [0.5, 0.4999], [0.0, 0.0], [[0.5, 0.5], [0.7, 0.7]]])
+    def test_unnormalized_rows_rejected(self, probs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotNormalizedError, match="sum to 1"):
+                sim.sample_counts(probs, 10, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probabilities_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            sim.sample_counts([bad, 0.5, 0.5, 0.0], 10, 0)
+
+    def test_rows_within_tolerance_are_divided_by_their_sum(self):
+        p = np.array([0.25 + 4e-7, 0.25, 0.25, 0.25])
+        want = np.random.default_rng(8).multinomial(1000, p / p.sum())
+        assert np.array_equal(sim.sample_counts(p, 1000, 8), want)
+
+    @pytest.mark.parametrize("shape", [(), (0,), (2, 2, 2)])
+    def test_bad_shapes_rejected(self, shape):
+        with pytest.raises(ValidationError):
+            sim.sample_counts(np.full(shape, 0.5), 10, 0)
+
+    @pytest.mark.parametrize("shots", [1, 7, 1024])
+    def test_block_equals_row_by_row_calls(self, shots):
+        rng = np.random.default_rng(41)
+        block = rng.random((9, 4))
+        block /= block.sum(axis=1, keepdims=True)
+        block[3, 2] = 0.0
+        block[3] /= block[3].sum()
+        for seed in (0, 17):
+            rows = np.stack([sim.sample_counts(row, shots, seed + i) for i, row in enumerate(block)])
+            got = sim.sample_counts(block, shots, seed)
+            assert got.shape == (9, 4)
+            assert np.array_equal(got, rows)
+            assert np.array_equal(got.sum(axis=1), np.full(9, shots))
+
+    def test_one_bad_row_rejects_the_block(self):
+        block = np.full((3, 4), 0.25)
+        block[1, 0] = -0.25
+        with pytest.raises(NegativeProbabilityError):
+            sim.sample_counts(block, 10, 0)

@@ -10,6 +10,7 @@ from qlinsys.errors import (
     DimensionMismatchError,
     NotOrthogonalError,
     SynthesisNotFoundError,
+    ValidationError,
 )
 
 from oracles import VOCABULARY_MATRICES, mat_mul, max_abs_diff, vocabulary_group
@@ -189,6 +190,16 @@ class TestVerify:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             synth.verify(sim.Circuit(2), np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        matrix = np.full((4, 4), bad)
+        with pytest.raises(ValidationError, match="finite"):
+            synth.verify(sim.Circuit(2), matrix)
+        one_entry = np.eye(4)
+        one_entry[2, 1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            synth.verify(sim.Circuit(2), one_entry)
 
 
 class TestVocabulary:

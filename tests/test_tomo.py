@@ -8,7 +8,10 @@ from qlinsys.errors import (
     DimensionMismatchError,
     InvalidProbabilityError,
     NotNormalizedError,
+    ValidationError,
 )
+
+from oracles import tomography_expectations, tomography_reconstruct
 
 UNIFORM_STATE = np.full(4, 0.5, dtype=complex)
 SIGNED_STATE = np.array([0.5, -0.5, -0.5, 0.5], dtype=complex)
@@ -19,6 +22,14 @@ _PAULI_1Q = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+
+def _random_mixed_states(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = raw @ raw.conj().T
+        yield rho / np.trace(rho).real
 
 
 def _trace_expectation(rho, word):
@@ -54,6 +65,14 @@ class TestPauliWords:
     def test_bad_word(self):
         with pytest.raises(ValueError):
             tomo.pauli_word_matrix("XQ")
+
+    def test_mutating_a_word_matrix_leaves_reconstruction_unchanged(self):
+        table = tomo.pauli_expectations(tomo.density_from_state(SIGNED_STATE))
+        before = tomo.reconstruct(table)
+        for word in tomo.PAULI_WORDS:
+            tomo.pauli_word_matrix(word)[:] = 7.0
+        assert tomo.reconstruct(table).tobytes() == before.tobytes()
+        np.testing.assert_array_equal(tomo.pauli_word_matrix("XY"), np.kron(_PAULI_1Q["X"], _PAULI_1Q["Y"]))
 
 
 class TestDensityFromState:
@@ -174,6 +193,31 @@ class TestExpectations:
         with pytest.raises(DimensionMismatchError):
             tomo.pauli_expectations(np.eye(2) / 2)
 
+    def test_state_at_the_physicality_tolerance_samples(self):
+        # Trace off by just under 1e-8 and an eigenvalue just above -1e-8:
+        # is_physical accepts it, so the clipped setting rows must sample.
+        rho = np.diag([0.5 + 0.99e-8, 0.5 + 0.99e-8, -0.99e-8, 0.0]).astype(complex)
+        assert tomo.is_physical(rho)
+        table = tomo.pauli_expectations(rho, mode="sampled", shots=64, seed=3)
+        assert table.values["ZI"] == 1.0
+        assert table.values["XX"] == pytest.approx(0.0, abs=0.5)
+
+
+class TestAgainstOracle:
+    """The package must reproduce the numpy-only oracle bit for bit."""
+
+    # Analytic mode ignores shots, so it runs once.
+    @pytest.mark.parametrize("mode, shots", [("sampled", 7), ("sampled", 1024), ("analytic", 1024)])
+    def test_expectations_and_reconstruction_are_byte_equal(self, mode, shots):
+        for index, rho in enumerate(_random_mixed_states(200, seed=2024)):
+            seed = 1000 + 9 * index
+            table = tomo.pauli_expectations(rho, mode=mode, shots=shots, seed=seed)
+            got = np.array([table.values[word] for word in tomo.PAULI_WORDS])
+            want = np.array(tomography_expectations(rho, mode, shots, seed))
+            assert got.tobytes() == want.tobytes(), (index, got, want)
+            rebuilt = tomo.reconstruct(table)
+            assert rebuilt.tobytes() == tomography_reconstruct(want).tobytes(), index
+
 
 class TestReconstruct:
     def test_analytic_roundtrip_uniform(self):
@@ -285,3 +329,19 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             tomo.fidelity(np.eye(4) / 4, [1.0, 0.0])
+
+    @pytest.mark.parametrize("psi", [np.ones(4), np.full(4, 0.5 + 1e-9), np.full(4, np.nan), np.zeros(4)])
+    def test_unnormalized_state_rejected(self, psi):
+        with pytest.raises(NotNormalizedError):
+            tomo.fidelity(np.eye(4) / 4, psi)
+
+    def test_rounding_overshoot_is_clipped(self):
+        rho = tomo.density_from_state(UNIFORM_STATE) * (1.0 + 5e-10)
+        assert tomo.fidelity(rho, UNIFORM_STATE) == 1.0
+        assert tomo.fidelity(-1e-10 * np.eye(4), UNIFORM_STATE) == 0.0
+
+    @pytest.mark.parametrize("scale", [1.5, -0.5, np.nan])
+    def test_overlap_outside_unit_interval_rejected(self, scale):
+        rho = tomo.density_from_state(UNIFORM_STATE) * scale
+        with pytest.raises(ValidationError, match="outside"):
+            tomo.fidelity(rho, UNIFORM_STATE)
