@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatchError, ValidationError
+
 # Class A columns: each pair differs in exactly two positions.
 _COLUMNS_A = (
     (1, 1, 1, 1),
@@ -43,15 +45,15 @@ class FamilyLabel:
 
     def __post_init__(self):
         if self.kind not in ("A", "B"):
-            raise ValueError(f"column class must be 'A' or 'B', got {self.kind!r}")
+            raise ValidationError(f"column class must be 'A' or 'B', got {self.kind!r}")
         if sorted(self.perm) != [1, 2, 3, 4]:
-            raise ValueError(f"{self.perm} is not a permutation of (1, 2, 3, 4)")
+            raise ValidationError(f"{self.perm} is not a permutation of (1, 2, 3, 4)")
 
     @classmethod
     def parse(cls, text: str) -> "FamilyLabel":
         m = _LABEL_RE.match(text)
         if m is None:
-            raise ValueError(f"malformed label {text!r}, expected e.g. 'A_1234'")
+            raise ValidationError(f"malformed label {text!r}, expected e.g. 'A_1234'")
         return cls(m.group(1), tuple(int(c) for c in m.group(2)))
 
     @property
@@ -84,7 +86,7 @@ def base_columns(kind: str) -> list[np.ndarray]:
     elif kind == "B":
         raw = _COLUMNS_B
     else:
-        raise ValueError(f"column class must be 'A' or 'B', got {kind!r}")
+        raise ValidationError(f"column class must be 'A' or 'B', got {kind!r}")
     return [np.array(col, dtype=float) / 2.0 for col in raw]
 
 
@@ -103,12 +105,12 @@ def equations_for(label: FamilyLabel, y=None) -> list[str]:
     if y is None:
         rhs[0] = 1.0
     if rhs.size != 4:
-        raise ValueError(f"y must have length 4, got {rhs.size}")
+        raise DimensionMismatchError(f"y must have length 4, got {rhs.size}")
     lines = []
     for i in range(4):
         coeffs = 2.0 * a[i]
         if np.max(np.abs(np.abs(coeffs) - 1.0)) > 1e-12:
-            raise ValueError("equation rendering expects rows with entries +-1/2")
+            raise ValidationError("equation rendering expects rows with entries +-1/2")
         terms = []
         for j, c in enumerate(coeffs):
             sign = "+" if c > 0 else "-"

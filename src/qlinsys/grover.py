@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import sim
-from .errors import InvalidCountsError, InvalidMarkedSetError
+from .errors import InvalidCountsError, InvalidMarkedSetError, ValidationError
 
 MAX_QUBITS = 10
 
@@ -42,16 +42,16 @@ def optimal_iterations(geom: GroverGeometry) -> int:
 
 def success_probability(geom: GroverGeometry, iterations: int) -> float:
     if iterations < 0:
-        raise ValueError("iterations must be non-negative")
+        raise ValidationError("iterations must be non-negative")
     return math.sin((2 * iterations + 1) * geom.theta) ** 2
 
 
 def build_grover_circuit(n_qubits: int, marked, iterations: int) -> sim.Circuit:
     """Uniform superposition followed by `iterations` amplification rounds."""
     if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must lie in 1..{MAX_QUBITS}, got {n_qubits}")
+        raise InvalidCountsError(f"n_qubits must lie in 1..{MAX_QUBITS}, got {n_qubits}")
     if iterations < 0:
-        raise ValueError("iterations must be non-negative")
+        raise ValidationError("iterations must be non-negative")
     marked_set = frozenset(int(m) for m in marked)
     if not marked_set:
         raise InvalidMarkedSetError("marked set must not be empty")

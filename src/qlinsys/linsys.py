@@ -14,6 +14,7 @@ from .errors import (
     DimensionMismatchError,
     NotNormalizedError,
     NotOrthonormalError,
+    ValidationError,
 )
 
 DEFAULT_TOL = 1e-10
@@ -24,21 +25,21 @@ def _as_matrix(matrix) -> np.ndarray:
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
-        raise ValueError("matrix entries must be finite")
+        raise ValidationError("matrix entries must be finite")
     return out
 
 
 def _as_vector(vector) -> np.ndarray:
     out = np.asarray(vector, dtype=float).reshape(-1)
     if not np.all(np.isfinite(out)):
-        raise ValueError("vector entries must be finite")
+        raise ValidationError("vector entries must be finite")
     return out
 
 
 def check_column_normalization(matrix, tol: float = DEFAULT_TOL) -> bool:
     """Return True when every column of `matrix` has unit Euclidean norm."""
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise ValidationError("tol must be positive")
     a = _as_matrix(matrix)
     norms = np.sqrt((a * a).sum(axis=0))
     return bool(np.max(np.abs(norms - 1.0)) <= tol)
@@ -47,7 +48,7 @@ def check_column_normalization(matrix, tol: float = DEFAULT_TOL) -> bool:
 def check_orthonormal_columns(matrix, tol: float = DEFAULT_TOL) -> bool:
     """Return True when A^T A = I entrywise within `tol`."""
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise ValidationError("tol must be positive")
     a = _as_matrix(matrix)
     gram = a.T @ a
     return bool(np.max(np.abs(gram - np.eye(a.shape[0]))) <= tol)

@@ -24,7 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidTargetError, NegativeProbabilityError, NotNormalizedError, ValidationError
+from .errors import (
+    DimensionMismatchError,
+    InvalidTargetError,
+    NegativeProbabilityError,
+    NotNormalizedError,
+    ValidationError,
+)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -104,7 +110,7 @@ class Circuit:
 
     def __post_init__(self):
         if self.n_qubits < 1:
-            raise ValueError("a circuit needs at least one qubit")
+            raise ValidationError("a circuit needs at least one qubit")
         object.__setattr__(self, "ops", tuple(self.ops))
 
 
@@ -123,11 +129,11 @@ class ShotTable:
 
 def _qubit_count(state: np.ndarray, ndims: tuple[int, ...] = (1,)) -> int:
     if state.ndim not in ndims:
-        raise ValueError(f"state has {state.ndim} dimensions, expected one of {ndims}")
+        raise DimensionMismatchError(f"state has {state.ndim} dimensions, expected one of {ndims}")
     length = state.shape[0]
     n = int(length).bit_length() - 1
     if length != 2**n or length < 2:
-        raise ValueError(f"state length {length} is not a power of two")
+        raise DimensionMismatchError(f"state length {length} is not a power of two")
     return n
 
 
@@ -149,7 +155,7 @@ def _check_gate(gate: Gate, n_qubits: int) -> None:
 
 def basis_state(n_qubits: int, index: int) -> np.ndarray:
     if not 0 <= index < 2**n_qubits:
-        raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
+        raise ValidationError(f"basis index {index} out of range for {n_qubits} qubits")
     out = np.zeros(2**n_qubits, dtype=complex)
     out[index] = 1.0
     return out

@@ -4,8 +4,14 @@ The search enumerates 2-qubit circuits over a fixed 9-gate vocabulary in
 breadth-first order, deduplicating unitaries up to global sign, so the first
 circuit that hits a target is one of minimal gate count (ties broken by
 vocabulary order).  The reachable set is a finite group of 1152 elements up
-to sign, every one within 7 gates, so the table is built once, on first use,
-to closure, and shared read-only across calls; a gate budget only filters it.
+to sign, every one within 7 gates.  The table is built once, to closure, and
+shared read-only; a gate budget only filters it.  Each depth applies each gate
+once, through the `sim` kernel, to the frontier's unitaries in one block, so a
+stored unitary is exactly the real part of `sim.unitary_of` of its circuit.
+Group entries lie in {0, +-1/2, +-1/sqrt(2), +-1}, so sign(m) round(4 m^2) as
+int8, sign-canonicalized, is an exact key.  Keys are coarse off the group, so
+a hit counts only when the stored unitary equals the target up to sign within
+1e-10, the orthogonality bound.  A call is one lookup and simulates nothing.
 """
 
 from __future__ import annotations
@@ -32,11 +38,9 @@ VOCABULARY: tuple[sim.Gate, ...] = (
     sim.cz(0, 1),
 )
 
-_VOCAB_MATRICES = tuple(
-    np.real(sim.unitary_of(sim.Circuit(2, (gate,)))) for gate in VOCABULARY
-)
-
 DEFAULT_MAX_GATES = 8
+
+_TOL = 1e-10  # entrywise bound on a target's orthogonality and on its match
 
 
 @dataclass(frozen=True)
@@ -49,34 +53,32 @@ class SynthesisResult:
     max_deviation: float
 
 
-def _canonical_key(matrix: np.ndarray) -> bytes:
-    # Round before hashing so float drift cannot split one group element into
-    # two table entries, and flatten -0.0 which has a distinct byte pattern.
-    r = np.round(matrix, 12)
-    r = np.where(r == 0, 0.0, r)
-    flat = r.ravel()
-    nonzero = np.nonzero(flat)[0]
-    if nonzero.size and flat[nonzero[0]] < 0:
-        r = -r
-        r = np.where(r == 0, 0.0, r)
-    return r.tobytes()
+def _keys(block: np.ndarray) -> list[bytes]:
+    """Exact sign-canonical keys of the 4x4 matrices set side by side in a (4, 4k) block."""
+    matrices = block.reshape(4, -1, 4).transpose(1, 0, 2)
+    codes = np.rint(4.0 * matrices * np.abs(matrices)).astype(np.int8).reshape(-1, 16)
+    first = codes[np.arange(len(codes)), np.argmax(codes != 0, axis=1)]
+    codes[first < 0] *= -1
+    return [row.tobytes() for row in codes]
 
 
 @functools.cache
 def _closure() -> MappingProxyType:
-    """Canonical key -> first gate sequence, in BFS order, for the whole group."""
+    """Exact key -> (first gate sequence in BFS order, its real unitary), for the whole group."""
     eye = np.eye(4)
-    table = {_canonical_key(eye): ()}
+    table = {_keys(eye)[0]: ((), eye)}
     frontier = [((), eye)]
     while frontier:
+        block = np.hstack([u for _, u in frontier])
+        # Copies, so that no stored unitary keeps a whole complex block alive.
+        images = [sim.apply_gate(block, gate).real.copy() for gate in VOCABULARY]
+        keys = [_keys(image) for image in images]
         grown = []
-        for ops, u in frontier:
-            for gate, g in zip(VOCABULARY, _VOCAB_MATRICES):
-                candidate = g @ u
-                key = _canonical_key(candidate)
-                if key not in table:
-                    table[key] = ops + (gate,)
-                    grown.append((ops + (gate,), candidate))
+        for i, (ops, _) in enumerate(frontier):
+            for gate, image, image_keys in zip(VOCABULARY, images, keys):
+                if image_keys[i] not in table:
+                    table[image_keys[i]] = (ops + (gate,), image[:, 4 * i : 4 * i + 4].copy())
+                    grown.append(table[image_keys[i]])
         frontier = grown
     return MappingProxyType(table)
 
@@ -85,26 +87,24 @@ def synthesize(target, max_gates: int = DEFAULT_MAX_GATES) -> SynthesisResult:
     """Find a minimal circuit whose unitary equals the target up to global sign.
 
     Raises SynthesisNotFoundError when no circuit of at most `max_gates`
-    vocabulary gates reaches the target.
+    vocabulary gates reaches the target within 1e-10.
     """
     t = np.asarray(target, dtype=float)
     if t.shape != (4, 4):
         raise DimensionMismatchError(f"target must be 4x4, got shape {t.shape}")
     # Written so that a NaN deviation fails the check too.
-    if not np.max(np.abs(t.T @ t - np.eye(4))) <= 1e-10:
+    if not np.max(np.abs(t.T @ t - np.eye(4))) <= _TOL:
         raise NotOrthogonalError("synthesis target must be orthogonal")
     if max_gates < 0:
-        raise ValueError("max_gates must be non-negative")
-
-    ops = _closure().get(_canonical_key(t))
-    if ops is None or len(ops) > max_gates:
-        raise SynthesisNotFoundError(f"no circuit with at most {max_gates} gates reaches the target")
-
-    circuit = sim.Circuit(2, ops)
-    realized = np.real(sim.unitary_of(circuit))
-    sign = 1 if np.max(np.abs(realized - t)) <= np.max(np.abs(realized + t)) else -1
-    deviation = float(np.max(np.abs(realized - sign * t)))
-    return SynthesisResult(circuit, len(ops), sign, deviation)
+        raise ValidationError("max_gates must be non-negative")
+    hit = _closure().get(_keys(t)[0])
+    if hit is not None and len(hit[0]) <= max_gates:
+        ops, realized = hit
+        sign = 1 if np.max(np.abs(realized - t)) <= np.max(np.abs(realized + t)) else -1
+        deviation = float(np.max(np.abs(realized - sign * t)))
+        if deviation <= _TOL:
+            return SynthesisResult(sim.Circuit(2, ops), len(ops), sign, deviation)
+    raise SynthesisNotFoundError(f"no circuit with at most {max_gates} gates reaches the target")
 
 
 def synthesize_family(max_gates: int = DEFAULT_MAX_GATES) -> dict:

@@ -71,7 +71,7 @@ class ExpectationTable:
 def pauli_word_matrix(word: str) -> np.ndarray:
     """A fresh copy of the word's 4x4 matrix, so the shared basis stays intact."""
     if len(word) != 2 or any(c not in _PAULI_1Q for c in word):
-        raise ValueError(f"expected a two-letter word over IXYZ, got {word!r}")
+        raise ValidationError(f"expected a two-letter word over IXYZ, got {word!r}")
     return _PAULI_MATRICES[4 * "IXYZ".index(word[0]) + "IXYZ".index(word[1])].copy()
 
 
@@ -79,15 +79,16 @@ def density_from_state(psi) -> np.ndarray:
     """Outer product |psi><psi| of a normalized state vector."""
     v = np.asarray(psi, dtype=complex).reshape(-1)
     norm = float(np.sqrt(np.real(v.conj() @ v)))
-    if abs(norm - 1.0) > 1e-10:
+    # Written so that a NaN norm fails the check too.
+    if not abs(norm - 1.0) <= 1e-10:
         raise NotNormalizedError(f"state has norm {norm}, expected 1")
     return np.outer(v, v.conj())
 
 
 def is_physical(rho, tol: float = 1e-8) -> bool:
-    """Hermitian, unit trace, and no eigenvalue below -tol."""
+    """Finite, Hermitian, unit trace, and no eigenvalue below -tol."""
     m = np.asarray(rho, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(m).all():
         return False
     adjoint = m.conj().T
     if np.max(np.abs(m - adjoint)) > tol:
@@ -101,7 +102,7 @@ def is_physical(rho, tol: float = 1e-8) -> bool:
 def _check_density(rho) -> np.ndarray:
     m = np.asarray(rho, dtype=complex)
     if not is_physical(m):
-        raise ValueError("input is not a physical density matrix")
+        raise ValidationError("input is not a physical density matrix")
     return m
 
 
@@ -168,7 +169,7 @@ def pauli_expectations(
         return ExpectationTable(values=values, mode="analytic")
 
     if mode != "sampled":
-        raise ValueError(f"mode must be 'analytic' or 'sampled', got {mode!r}")
+        raise ValidationError(f"mode must be 'analytic' or 'sampled', got {mode!r}")
 
     rotated = _ROTATIONS @ m @ _ROTATIONS.conj().transpose(0, 2, 1)
     probs = np.clip(np.real(np.diagonal(rotated, axis1=1, axis2=2)), 0.0, None)
@@ -199,7 +200,7 @@ def reconstruct(table: ExpectationTable) -> np.ndarray:
     """Linear inversion rho = (1/4) sum <P> P, projected back to a valid state."""
     if set(table.values) != set(PAULI_WORDS):
         missing = set(PAULI_WORDS) - set(table.values)
-        raise ValueError(f"expectation table is incomplete, missing {sorted(missing)}")
+        raise ValidationError(f"expectation table is incomplete, missing {sorted(missing)}")
     linear = np.zeros((4, 4), dtype=complex)
     for word, matrix in zip(PAULI_WORDS, _PAULI_MATRICES):
         linear += table.values[word] * matrix

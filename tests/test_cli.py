@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -302,6 +303,15 @@ class TestSynthCommand:
         code, _, err = run_cli(capsys, "synth", "--label", "A_1234", "--max-gates", "3")
         assert code == 4
 
+    def test_target_within_rounding_of_the_group_is_found(self, capsys, tmp_path):
+        h0 = np.real(sim.unitary_of(sim.Circuit(2, (sim.h(0),))))
+        shrunk = h0 - 5e-14 * np.sign(h0)
+        path = tmp_path / "shrunk_h.csv"
+        path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in shrunk) + "\n")
+        code, out, _ = run_cli(capsys, "synth", "--matrix", str(path))
+        assert code == 0
+        assert json.loads(out)["gate_count"] == 1
+
     def test_qasm_output_matches_export(self, capsys):
         _, from_synth, _ = run_cli(capsys, "synth", "--label", "A_1342", "--output", "qasm")
         _, from_qasm, _ = run_cli(capsys, "qasm", "--label", "A_1342")
@@ -351,12 +361,19 @@ class TestGrover:
         assert code == 3
 
 
+def _checkout_env() -> dict:
+    """The current environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestEntryPoint:
     def test_console_script_help(self):
         proc = subprocess.run(
             [sys.executable, "-m", "qlinsys.cli", "--help"],
             capture_output=True,
             text=True,
+            env=_checkout_env(),
         )
         assert proc.returncode == 0
         assert "family" in proc.stdout
@@ -364,6 +381,6 @@ class TestEntryPoint:
 
     def test_no_arguments_is_usage_error(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "qlinsys.cli"], capture_output=True, text=True
+            [sys.executable, "-m", "qlinsys.cli"], capture_output=True, text=True, env=_checkout_env()
         )
         assert proc.returncode == 2

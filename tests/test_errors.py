@@ -1,0 +1,72 @@
+"""Every user-triggerable error derives from ValidationError, message intact."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from qlinsys import family, grover, linsys, sim, synth, tomo
+from qlinsys.errors import DimensionMismatchError, InvalidCountsError, ValidationError
+
+
+def _render_rows_that_are_not_half_signs():
+    with mock.patch.object(family, "matrix_for", return_value=np.eye(4)):
+        family.equations_for(family.FamilyLabel.parse("A_1234"))
+
+
+CASES = {
+    "sim.Circuit": (lambda: sim.Circuit(0), ValidationError, "at least one qubit"),
+    "sim.ndim": (lambda: sim.apply_gate(np.ones((4, 2, 2)), sim.h(0)), DimensionMismatchError, "dimensions"),
+    "sim.length": (lambda: sim.apply_gate(np.ones(3), sim.h(0)), DimensionMismatchError, "power of two"),
+    "sim.basis_state": (lambda: sim.basis_state(2, 4), ValidationError, "out of range"),
+    "linsys.matrix": (lambda: linsys.solve(np.full((4, 4), np.nan), [1, 0, 0, 0]), ValidationError, "finite"),
+    "linsys.vector": (
+        lambda: linsys.residual(np.eye(4), [np.nan, 0, 0, 0], [1, 0, 0, 0]),
+        ValidationError,
+        "finite",
+    ),
+    "linsys.normalization_tol": (
+        lambda: linsys.check_column_normalization(np.eye(4), tol=0),
+        ValidationError,
+        "positive",
+    ),
+    "linsys.orthonormal_tol": (
+        lambda: linsys.check_orthonormal_columns(np.eye(4), tol=-1.0),
+        ValidationError,
+        "positive",
+    ),
+    "tomo.word": (lambda: tomo.pauli_word_matrix("XQ"), ValidationError, "two-letter word"),
+    "tomo.density": (lambda: tomo.apply_depolarizing(np.eye(4), 0.1), ValidationError, "physical"),
+    "tomo.mode": (lambda: tomo.pauli_expectations(np.eye(4) / 4, mode="guess"), ValidationError, "mode"),
+    "tomo.table": (
+        lambda: tomo.reconstruct(tomo.ExpectationTable({"II": 1.0}, "analytic")),
+        ValidationError,
+        "incomplete",
+    ),
+    "family.label_kind": (lambda: family.FamilyLabel("C", (1, 2, 3, 4)), ValidationError, "column class"),
+    "family.label_perm": (lambda: family.FamilyLabel("A", (1, 1, 2, 3)), ValidationError, "permutation"),
+    "family.parse": (lambda: family.FamilyLabel.parse("A-1234"), ValidationError, "malformed"),
+    "family.base_columns": (lambda: family.base_columns("C"), ValidationError, "column class"),
+    "family.y_length": (
+        lambda: family.equations_for(family.FamilyLabel.parse("A_1234"), [1, 0, 0]),
+        DimensionMismatchError,
+        "length 4",
+    ),
+    "family.rows": (_render_rows_that_are_not_half_signs, ValidationError, "entries"),
+    "grover.probability": (
+        lambda: grover.success_probability(grover.geometry(4, 1), -1),
+        ValidationError,
+        "non-negative",
+    ),
+    "grover.qubits": (lambda: grover.build_grover_circuit(11, {0}, 1), InvalidCountsError, "n_qubits"),
+    "grover.iterations": (lambda: grover.build_grover_circuit(2, {0}, -1), ValidationError, "non-negative"),
+    "synth.max_gates": (lambda: synth.synthesize(np.eye(4), max_gates=-1), ValidationError, "non-negative"),
+}
+
+
+@pytest.mark.parametrize("site", CASES)
+def test_raises_a_validation_error(site):
+    call, error, message = CASES[site]
+    assert issubclass(error, ValidationError)
+    with pytest.raises(error, match=message):
+        call()

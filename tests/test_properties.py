@@ -1,4 +1,4 @@
-"""Derandomized property tests for tomography and block sampling.
+"""Derandomized property tests for tomography, sampling, simulation and synthesis.
 
 Hypothesis runs a fixed example sequence (derandomize=True, no example
 database), so a failure reproduces on every run.
@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qlinsys import sim, tomo
+from qlinsys import sim, synth, tomo
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -40,6 +40,28 @@ def probability_blocks(draw):
     return raw / totals
 
 
+@st.composite
+def circuits_with_blocks(draw):
+    """A circuit of up to 12 gates of every kind on 1-6 qubits, and a (2**n, k) block of unit columns."""
+    n = draw(st.integers(1, 6))
+    qubits = st.integers(0, n - 1)
+    one_qubit = sorted(sim.GATE_KINDS - {"cx", "cz", "phaseflip"})
+    gates = [
+        st.builds(lambda kind, q: sim.Gate(kind, (q,)), st.sampled_from(one_qubit), qubits),
+        st.builds(sim.phase_flip, st.sets(st.integers(0, 2**n - 1))),
+    ]
+    if n >= 2:
+        pairs = st.lists(qubits, min_size=2, max_size=2, unique=True)
+        gates.append(st.builds(lambda kind, p: sim.Gate(kind, tuple(p)), st.sampled_from(["cx", "cz"]), pairs))
+    ops = draw(st.lists(st.one_of(gates), max_size=12))
+    k = draw(st.integers(1, 4))
+    parts = draw(hnp.arrays(float, (2, 2**n, k), elements=st.floats(-1.0, 1.0)))
+    block = parts[0] + 1j * parts[1]
+    norms = np.linalg.norm(block, axis=0)
+    assume(np.all(norms > 1e-3))
+    return sim.Circuit(n, ops), block / norms
+
+
 @FIXED
 @given(mixed_states())
 def test_analytic_round_trip_recovers_the_state(rho):
@@ -56,3 +78,25 @@ def test_block_rows_sum_to_shots_and_match_single_rows(block, shots, seed):
     assert np.all(counts[block == 0.0] == 0)
     last = len(block) - 1
     assert np.array_equal(counts[last], sim.sample_counts(block[last], shots, seed + last))
+
+
+@FIXED
+@given(circuits_with_blocks())
+def test_block_runs_keep_unit_norms_and_equal_column_runs(case):
+    circuit, block = case
+    out, columns = block, list(block.T)
+    for gate in circuit.ops:
+        out = sim.apply_gate(out, gate)
+        columns = [sim.apply_gate(column, gate) for column in columns]
+    assert out.tobytes() == np.column_stack(columns).tobytes()
+    assert np.max(np.abs(np.linalg.norm(out, axis=0) - 1.0)) <= 1e-12
+
+
+@FIXED
+@given(st.lists(st.sampled_from(synth.VOCABULARY), max_size=10))
+def test_synthesis_of_a_vocabulary_circuit_is_no_longer(ops):
+    unitary = np.real(sim.unitary_of(sim.Circuit(2, ops)))
+    result = synth.synthesize(unitary)
+    assert result.gate_count <= len(ops)
+    realized = np.real(sim.unitary_of(result.circuit))
+    assert np.max(np.abs(realized - result.matched_sign * unitary)) <= 1e-12

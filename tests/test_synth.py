@@ -113,6 +113,50 @@ class TestWholeGroup:
             assert np.max(np.abs(realized - result.matched_sign * matrix)) <= 1e-12
 
 
+class TestTable:
+    def test_stored_unitaries_are_those_of_their_circuits(self):
+        table = synth._closure()
+        assert len(table) == 1152
+        for ops, unitary in table.values():
+            assert np.array_equal(unitary, np.real(sim.unitary_of(sim.Circuit(2, ops))))
+
+    def test_warm_lookup_simulates_nothing(self, monkeypatch):
+        synth._closure()
+
+        def fail(*args):
+            raise AssertionError("synthesize simulated a circuit")
+
+        monkeypatch.setattr(sim, "unitary_of", fail)
+        monkeypatch.setattr(sim, "apply_gate", fail)
+        for spec in family.enumerate_family():
+            assert synth.synthesize(linsys.inverse_operator(spec.matrix)).gate_count >= 1
+
+
+class TestNearGroupTargets:
+    @pytest.mark.parametrize("eps", [5e-14, -5e-14, 5e-12, -5e-12])
+    def test_hadamard_off_by_eps_is_one_gate(self, eps):
+        h0 = np.real(sim.unitary_of(sim.Circuit(2, (sim.h(0),))))
+        result = synth.synthesize(h0 + eps * np.sign(h0))
+        assert result.circuit.ops == (sim.h(0),)
+        assert result.matched_sign == 1
+        assert result.max_deviation == pytest.approx(abs(eps), rel=0, abs=1e-15)
+
+    def _rotation(self, angle):
+        rot = np.eye(4)
+        rot[0, 0] = rot[1, 1] = math.cos(angle)
+        rot[0, 1], rot[1, 0] = -math.sin(angle), math.sin(angle)
+        return rot
+
+    def test_rotation_within_the_bound_is_the_identity(self):
+        result = synth.synthesize(self._rotation(1e-11))
+        assert result.gate_count == 0
+        assert result.max_deviation <= 1e-10
+
+    def test_rotation_beyond_the_bound_is_not_found(self):
+        with pytest.raises(SynthesisNotFoundError):
+            synth.synthesize(self._rotation(1e-9))
+
+
 @pytest.fixture(scope="module")
 def results():
     start = time.perf_counter()

@@ -90,6 +90,10 @@ class TestDensityFromState:
         with pytest.raises(NotNormalizedError):
             tomo.density_from_state([1.0, 1.0, 0.0, 0.0])
 
+    def test_nan_state_rejected(self):
+        with pytest.raises(NotNormalizedError):
+            tomo.density_from_state([np.nan, 0.0, 0.0, 0.0])
+
 
 class TestPhysicality:
     def test_pure_and_mixed_pass(self):
@@ -106,6 +110,20 @@ class TestPhysicality:
     )
     def test_unphysical_rejected(self, bad):
         assert not tomo.is_physical(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_is_not_physical(self, bad):
+        assert not tomo.is_physical(np.full((4, 4), bad))
+        one_entry = np.eye(4) / 4
+        one_entry[1, 1] = bad
+        assert not tomo.is_physical(one_entry)
+
+    def test_non_finite_input_raises_validation_error(self):
+        nan_rho = np.full((4, 4), np.nan)
+        with pytest.raises(ValidationError, match="physical"):
+            tomo.apply_depolarizing(nan_rho, 0.1)
+        with pytest.raises(ValidationError, match="physical"):
+            tomo.pauli_expectations(nan_rho)
 
 
 class TestDepolarizing:
