@@ -36,6 +36,13 @@ def _as_vector(vector) -> np.ndarray:
     return out
 
 
+def _orthonormal(a: np.ndarray, tol: float) -> bool:
+    """A^T A = I entrywise within `tol`, for a matrix `_as_matrix` has validated."""
+    if tol <= 0:
+        raise ValidationError("tol must be positive")
+    return bool(np.max(np.abs(a.T @ a - np.eye(a.shape[0]))) <= tol)
+
+
 def check_column_normalization(matrix, tol: float = DEFAULT_TOL) -> bool:
     """Return True when every column of `matrix` has unit Euclidean norm."""
     if tol <= 0:
@@ -49,9 +56,7 @@ def check_orthonormal_columns(matrix, tol: float = DEFAULT_TOL) -> bool:
     """Return True when A^T A = I entrywise within `tol`."""
     if tol <= 0:
         raise ValidationError("tol must be positive")
-    a = _as_matrix(matrix)
-    gram = a.T @ a
-    return bool(np.max(np.abs(gram - np.eye(a.shape[0]))) <= tol)
+    return _orthonormal(_as_matrix(matrix), tol)
 
 
 def inverse_operator(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -61,7 +66,7 @@ def inverse_operator(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     Applying the operation twice returns the original matrix exactly.
     """
     a = _as_matrix(matrix)
-    if not check_orthonormal_columns(a, tol):
+    if not _orthonormal(a, tol):
         raise NotOrthonormalError("matrix columns are not orthonormal; transpose is not an inverse")
     return a.T.copy()
 
@@ -78,7 +83,7 @@ def solve(matrix, y, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise DimensionMismatchError(
             f"right-hand side has length {rhs.size}, matrix is {a.shape[0]}x{a.shape[1]}"
         )
-    if not check_orthonormal_columns(a, tol):
+    if not _orthonormal(a, tol):
         raise NotOrthonormalError("matrix columns are not orthonormal")
     norm = float(np.sqrt(rhs @ rhs))
     if abs(norm - 1.0) > tol:

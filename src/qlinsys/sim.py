@@ -154,6 +154,8 @@ def _check_gate(gate: Gate, n_qubits: int) -> None:
 
 
 def basis_state(n_qubits: int, index: int) -> np.ndarray:
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+        raise ValidationError(f"basis index must be an integer, got {index!r}")
     if not 0 <= index < 2**n_qubits:
         raise ValidationError(f"basis index {index} out of range for {n_qubits} qubits")
     out = np.zeros(2**n_qubits, dtype=complex)
@@ -174,7 +176,17 @@ def apply_gate(state, gate: Gate) -> np.ndarray:
     amps = np.asarray(state, dtype=complex)
     n = _qubit_count(amps, ndims=(1, 2))
     _check_gate(gate, n)
+    return _apply(amps, gate, n)
 
+
+def _pair_view(amps: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
+    """A contiguous array viewed as (high, bit max(a, b), middle, bit min(a, b), low[, columns])."""
+    hi, lo = (a, b) if a > b else (b, a)
+    return amps.reshape((2 ** (n - hi - 1), 2, 2 ** (hi - lo - 1), 2, 2**lo, *amps.shape[1:]))
+
+
+def _apply(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
+    """One checked gate on a validated complex state or block, as a new array."""
     if gate.kind in _GATES_1Q:
         g = _GATES_1Q[gate.kind]
         q = gate.targets[0]
@@ -183,29 +195,28 @@ def apply_gate(state, gate: Gate) -> np.ndarray:
         cube = amps.reshape((2 ** (n - q - 1), 2, 2**q) + amps.shape[1:])
         return np.einsum("ab,ibj...->iaj...", g, cube).reshape(amps.shape)
 
-    if gate.kind == "cx":
-        control, target = gate.targets
-        idx = np.arange(amps.shape[0])
-        control_set = ((idx >> control) & 1).astype(bool)
-        return amps[np.where(control_set, idx ^ (1 << target), idx)]
-
-    if gate.kind == "cz":
-        a, b = gate.targets
-        idx = np.arange(amps.shape[0])
-        both = (((idx >> a) & 1) * ((idx >> b) & 1)).astype(bool)
-        out = amps.copy()
-        out[both] *= -1.0
-        return out
-
     out = amps.copy()
-    if gate.flips:
+    if gate.kind == "cx":
+        # Where the control bit is set, swap the target-clear and target-set
+        # amplitudes: pure moves, so the result is exactly the permuted input.
+        control, target = gate.targets
+        pairs = _pair_view(out, control, target, n)
+        target_clear = (slice(None), 1, slice(None), 0) if control > target else (slice(None), 0, slice(None), 1)
+        moved = pairs[target_clear].copy()
+        pairs[target_clear] = pairs[:, 1, :, 1]
+        pairs[:, 1, :, 1] = moved
+    elif gate.kind == "cz":
+        _pair_view(out, *gate.targets, n)[:, 1, :, 1] *= -1.0
+    elif gate.flips:
         out[sorted(gate.flips)] *= -1.0
     return out
 
 
 def _apply_circuit(circuit: Circuit, states: np.ndarray) -> np.ndarray:
+    n = _qubit_count(states, ndims=(1, 2))
     for gate in circuit.ops:
-        states = apply_gate(states, gate)
+        _check_gate(gate, n)
+        states = _apply(states, gate, n)
     return states
 
 
@@ -259,7 +270,7 @@ def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
     if lowest < 0:
         raise NegativeProbabilityError(f"probabilities must be non-negative, min is {lowest}")
     rows = p if p.ndim == 2 else p[np.newaxis]
-    totals = [row.sum() for row in rows]
+    totals = rows.sum(axis=1).tolist()
     deviation = max((abs(total - 1.0) for total in totals), default=0.0)
     if deviation > 1e-6:
         raise NotNormalizedError(f"probability rows must sum to 1, worst is off by {deviation}")
@@ -276,7 +287,7 @@ def sample_distribution(probs, shots: int, seed: int) -> ShotTable:
     return ShotTable(
         shots=shots,
         seed=seed,
-        counts={bitstring(i, n): int(c) for i, c in enumerate(counts)},
+        counts={bitstring(i, n): c for i, c in enumerate(counts.tolist())},
     )
 
 

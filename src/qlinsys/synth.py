@@ -9,9 +9,12 @@ shared read-only; a gate budget only filters it.  Each depth applies each gate
 once, through the `sim` kernel, to the frontier's unitaries in one block, so a
 stored unitary is exactly the real part of `sim.unitary_of` of its circuit.
 Group entries lie in {0, +-1/2, +-1/sqrt(2), +-1}, so sign(m) round(4 m^2) as
-int8, sign-canonicalized, is an exact key.  Keys are coarse off the group, so
-a hit counts only when the stored unitary equals the target up to sign within
-1e-10, the orthogonality bound.  A call is one lookup and simulates nothing.
+int8 is an exact key.  Each element is stored under the keys of both U and -U,
+with U and the sign of the key, so a lookup does no canonicalization.  Keys
+are coarse off the group, so a hit counts only when sign * U equals the
+target within 1e-10, the orthogonality bound; as nonzero entries are at least
+1/2, no target is that close to both U and -U.  A call is one lookup and
+simulates nothing.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ DEFAULT_MAX_GATES = 8
 
 _TOL = 1e-10  # entrywise bound on a target's orthogonality and on its match
 
+#: Negates each int8 code byte (two's complement), mapping U's key to -U's.
+_NEGATED = bytes(-b & 0xFF for b in range(256))
+
 
 @dataclass(frozen=True)
 class SynthesisResult:
@@ -53,32 +59,38 @@ class SynthesisResult:
     max_deviation: float
 
 
-def _keys(block: np.ndarray) -> list[bytes]:
-    """Exact sign-canonical keys of the 4x4 matrices set side by side in a (4, 4k) block."""
-    matrices = block.reshape(4, -1, 4).transpose(1, 0, 2)
-    codes = np.rint(4.0 * matrices * np.abs(matrices)).astype(np.int8).reshape(-1, 16)
-    first = codes[np.arange(len(codes)), np.argmax(codes != 0, axis=1)]
-    codes[first < 0] *= -1
-    return [row.tobytes() for row in codes]
+def _keys(matrices: np.ndarray) -> list[bytes]:
+    """Exact int8 keys sign(m) round(4 m^2) of one 4x4 or a (k, 4, 4) stack."""
+    blob = np.rint(4.0 * matrices * np.abs(matrices)).astype(np.int8).tobytes()
+    return [blob[i : i + 16] for i in range(0, len(blob), 16)]
 
 
 @functools.cache
 def _closure() -> MappingProxyType:
-    """Exact key -> (first gate sequence in BFS order, its real unitary), for the whole group."""
+    """Exact key of +-U -> (first circuit in BFS order, U, the sign), for the whole group."""
+    table = {}
+
+    def insert(ops: tuple, unitary: np.ndarray, key: bytes) -> tuple:
+        circuit = sim.Circuit(2, ops)
+        table[key] = (circuit, unitary, 1)
+        table[key.translate(_NEGATED)] = (circuit, unitary, -1)
+        return ops, unitary
+
     eye = np.eye(4)
-    table = {_keys(eye)[0]: ((), eye)}
-    frontier = [((), eye)]
+    frontier = [insert((), eye, _keys(eye)[0])]
     while frontier:
         block = np.hstack([u for _, u in frontier])
         # Copies, so that no stored unitary keeps a whole complex block alive.
         images = [sim.apply_gate(block, gate).real.copy() for gate in VOCABULARY]
-        keys = [_keys(image) for image in images]
+        keys = [_keys(image.reshape(4, -1, 4).transpose(1, 0, 2)) for image in images]
+        # Both signs of an element go in together, so a key is present exactly
+        # when its element is, whichever sign the candidate carries.
         grown = []
         for i, (ops, _) in enumerate(frontier):
             for gate, image, image_keys in zip(VOCABULARY, images, keys):
                 if image_keys[i] not in table:
-                    table[image_keys[i]] = (ops + (gate,), image[:, 4 * i : 4 * i + 4].copy())
-                    grown.append(table[image_keys[i]])
+                    unitary = image[:, 4 * i : 4 * i + 4].copy()
+                    grown.append(insert(ops + (gate,), unitary, image_keys[i]))
         frontier = grown
     return MappingProxyType(table)
 
@@ -95,15 +107,17 @@ def synthesize(target, max_gates: int = DEFAULT_MAX_GATES) -> SynthesisResult:
     # Written so that a NaN deviation fails the check too.
     if not np.max(np.abs(t.T @ t - np.eye(4))) <= _TOL:
         raise NotOrthogonalError("synthesis target must be orthogonal")
+    if isinstance(max_gates, bool) or not isinstance(max_gates, (int, np.integer)):
+        raise ValidationError(f"max_gates must be an integer, got {max_gates!r}")
     if max_gates < 0:
         raise ValidationError("max_gates must be non-negative")
     hit = _closure().get(_keys(t)[0])
-    if hit is not None and len(hit[0]) <= max_gates:
-        ops, realized = hit
-        sign = 1 if np.max(np.abs(realized - t)) <= np.max(np.abs(realized + t)) else -1
-        deviation = float(np.max(np.abs(realized - sign * t)))
+    if hit is not None and len(hit[0].ops) <= max_gates:
+        circuit, realized, sign = hit
+        # realized + t is bit for bit realized - sign * t, with no multiply.
+        deviation = float(np.max(np.abs(realized - t if sign == 1 else realized + t)))
         if deviation <= _TOL:
-            return SynthesisResult(sim.Circuit(2, ops), len(ops), sign, deviation)
+            return SynthesisResult(circuit, len(circuit.ops), sign, deviation)
     raise SynthesisNotFoundError(f"no circuit with at most {max_gates} gates reaches the target")
 
 

@@ -75,13 +75,19 @@ def pauli_word_matrix(word: str) -> np.ndarray:
     return _PAULI_MATRICES[4 * "IXYZ".index(word[0]) + "IXYZ".index(word[1])].copy()
 
 
+def _check_unit_norm(v: np.ndarray) -> None:
+    """Raise NotNormalizedError unless the state is finite with norm 1 within 1e-10."""
+    if not np.isfinite(v).all():
+        raise NotNormalizedError("state entries must be finite")
+    norm = float(np.sqrt(np.real(v.conj() @ v)))
+    if not abs(norm - 1.0) <= 1e-10:
+        raise NotNormalizedError(f"state has norm {norm}, expected 1")
+
+
 def density_from_state(psi) -> np.ndarray:
     """Outer product |psi><psi| of a normalized state vector."""
     v = np.asarray(psi, dtype=complex).reshape(-1)
-    norm = float(np.sqrt(np.real(v.conj() @ v)))
-    # Written so that a NaN norm fails the check too.
-    if not abs(norm - 1.0) <= 1e-10:
-        raise NotNormalizedError(f"state has norm {norm}, expected 1")
+    _check_unit_norm(v)
     return np.outer(v, v.conj())
 
 
@@ -221,11 +227,9 @@ def fidelity(rho, psi, square_root: bool = False) -> float:
         raise DimensionMismatchError(
             f"density matrix {m.shape} does not match state of length {v.size}"
         )
-    norm = float(np.sqrt(np.real(v.conj() @ v)))
-    # Written so that a NaN norm or overlap fails the check too.
-    if not abs(norm - 1.0) <= 1e-10:
-        raise NotNormalizedError(f"state has norm {norm}, expected 1")
+    _check_unit_norm(v)
     value = float(np.real(v.conj() @ m @ v))
+    # Written so that a NaN overlap fails the check too.
     if not -1e-9 <= value <= 1.0 + 1e-9:
         raise ValidationError(f"overlap {value} lies outside [0, 1]; rho is not a state")
     value = min(max(value, 0.0), 1.0)

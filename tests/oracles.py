@@ -5,7 +5,9 @@ they share no code path with the package: agreement between the two is
 evidence, not tautology.  The synthesis group is enumerated from numpy
 literals of the vocabulary, and two-qubit tomography is rebuilt from numpy
 literals of the Pauli and basis-change matrices, again without importing the
-package.
+package.  CX and CZ are also written as index-array gathers and masks, the
+formulation the simulator's slice kernel replaced, so the two can be compared
+byte for byte.
 """
 
 import numpy as np
@@ -189,3 +191,19 @@ def tomography_reconstruct(values):
     if total <= 0.0:
         return np.eye(4, dtype=complex) / 4
     return (vecs * (vals / total)) @ vecs.conj().T
+
+
+def cx_by_index(amps, control, target):
+    """CX as an index gather: basis index i reads i ^ (1 << target) where the control bit is set."""
+    idx = np.arange(amps.shape[0])
+    control_set = ((idx >> control) & 1).astype(bool)
+    return amps[np.where(control_set, idx ^ (1 << target), idx)]
+
+
+def cz_by_index(amps, a, b):
+    """CZ as a masked sign flip of every basis index with bits a and b both set."""
+    idx = np.arange(amps.shape[0])
+    both = (((idx >> a) & 1) * ((idx >> b) & 1)).astype(bool)
+    out = amps.copy()
+    out[both] *= -1.0
+    return out

@@ -12,6 +12,8 @@ from qlinsys.errors import (
     ValidationError,
 )
 
+from oracles import cx_by_index, cz_by_index
+
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) * INV_SQRT2
@@ -150,6 +152,16 @@ class TestGateValidation:
         with pytest.raises(ValueError):
             sim.run(sim.Circuit(2), 4)
 
+    @pytest.mark.parametrize("index", [1.5, 2.0, True, "1", None])
+    def test_non_integer_index_rejected(self, index):
+        with pytest.raises(ValidationError, match="integer"):
+            sim.basis_state(2, index)
+        with pytest.raises(ValidationError, match="integer"):
+            sim.run(sim.Circuit(2), index)
+
+    def test_numpy_integer_index_accepted(self):
+        assert np.array_equal(sim.run(sim.Circuit(2), np.int64(2)), sim.basis_state(2, 2))
+
     def test_bad_state_length(self):
         with pytest.raises(ValueError):
             sim.apply_gate(np.ones(3, dtype=complex), sim.h(0))
@@ -219,6 +231,21 @@ class TestBlockKernel:
             assert out.shape == block.shape
             assert out.tobytes() == columns.tobytes(), gate
         assert np.array_equal(block, before)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_cx_and_cz_equal_the_index_array_reference(self, n):
+        rng = np.random.default_rng(70 + n)
+        state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        block = rng.normal(size=(2**n, 5)) + 1j * rng.normal(size=(2**n, 5))
+        for amps in (state, block):
+            before = amps.copy()
+            for a in range(n):
+                for b in range(n):
+                    if a == b:
+                        continue
+                    assert sim.apply_gate(amps, sim.cx(a, b)).tobytes() == cx_by_index(amps, a, b).tobytes()
+                    assert sim.apply_gate(amps, sim.cz(a, b)).tobytes() == cz_by_index(amps, a, b).tobytes()
+            assert amps.tobytes() == before.tobytes()
 
     def test_three_dimensional_input_rejected(self):
         with pytest.raises(ValueError):
@@ -365,6 +392,21 @@ class TestSampling:
             assert got.shape == (9, 4)
             assert np.array_equal(got, rows)
             assert np.array_equal(got.sum(axis=1), np.full(9, shots))
+
+    def test_distribution_counts_are_python_ints(self):
+        table = sim.sample_distribution([0.25, 0.25, 0.5, 0.0], 100, 3)
+        assert list(table.counts) == ["00", "01", "10", "11"]
+        assert all(type(c) is int for c in table.counts.values())
+        assert list(table.counts.values()) == sim.sample_counts([0.25, 0.25, 0.5, 0.0], 100, 3).tolist()
+
+    @pytest.mark.parametrize("d", [2, 4, 64, 1024])
+    def test_wide_block_equals_row_by_row_calls(self, d):
+        rng = np.random.default_rng(d)
+        block = rng.random((5, d))
+        block /= block.sum(axis=1, keepdims=True)
+        rows = np.stack([sim.sample_counts(row, 1000, 30 + i) for i, row in enumerate(block)])
+        for layout in (block, np.asfortranarray(block)):
+            assert sim.sample_counts(layout, 1000, 30).tobytes() == rows.tobytes()
 
     def test_one_bad_row_rejects_the_block(self):
         block = np.full((3, 4), 0.25)

@@ -88,6 +88,14 @@ class TestSynthesize:
             synth.synthesize(np.kron(h, h), max_gates=0)
 
 
+    @pytest.mark.parametrize("budget", [2.5, 3.0, True, None, "8"])
+    def test_non_integer_budget_rejected(self, budget):
+        with pytest.raises(ValidationError, match="integer"):
+            synth.synthesize(np.eye(4), budget)
+
+    def test_numpy_integer_budget_accepted(self):
+        assert synth.synthesize(np.eye(4), np.int64(0)).gate_count == 0
+
     def test_huge_budget_only_filters_the_table(self):
         target = linsys.inverse_operator(family.matrix_for(family.FamilyLabel.parse("B_4213")))
         expected = synth.synthesize(target, max_gates=8)
@@ -112,13 +120,28 @@ class TestWholeGroup:
                 realized = VOCABULARY_MATRICES[name] @ realized
             assert np.max(np.abs(realized - result.matched_sign * matrix)) <= 1e-12
 
+    def test_every_element_and_its_negative_share_a_circuit(self):
+        for matrix, _ in vocabulary_group():
+            plus, minus = synth.synthesize(matrix), synth.synthesize(-matrix)
+            assert plus.circuit == minus.circuit
+            assert {plus.matched_sign, minus.matched_sign} == {1, -1}
+            stored = np.real(sim.unitary_of(plus.circuit))
+            for t, result in ((matrix, plus), (-matrix, minus)):
+                assert result.max_deviation == float(np.max(np.abs(stored - result.matched_sign * t)))
+
 
 class TestTable:
     def test_stored_unitaries_are_those_of_their_circuits(self):
         table = synth._closure()
-        assert len(table) == 1152
-        for ops, unitary in table.values():
-            assert np.array_equal(unitary, np.real(sim.unitary_of(sim.Circuit(2, ops))))
+        assert len(table) == 2 * 1152
+        assert len({id(circuit) for circuit, _, _ in table.values()}) == 1152
+        assert len({id(unitary) for _, unitary, _ in table.values()}) == 1152
+        for key, (circuit, unitary, sign) in table.items():
+            assert sign in (1, -1)
+            assert unitary.tobytes() == np.real(sim.unitary_of(circuit)).tobytes()
+            signed = sign * unitary
+            code = np.rint(4.0 * signed * np.abs(signed)).astype(np.int8)
+            assert key == code.tobytes()
 
     def test_warm_lookup_simulates_nothing(self, monkeypatch):
         synth._closure()

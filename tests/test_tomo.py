@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,16 @@ class TestDensityFromState:
     def test_nan_state_rejected(self):
         with pytest.raises(NotNormalizedError):
             tomo.density_from_state([np.nan, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_infinite_state_rejected_without_a_warning(self, bad):
+        psi = [bad, 0.0, 0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotNormalizedError, match="finite"):
+                tomo.density_from_state(psi)
+            with pytest.raises(NotNormalizedError, match="finite"):
+                tomo.fidelity(np.eye(4) / 4, psi)
 
 
 class TestPhysicality:
