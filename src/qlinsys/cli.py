@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import family, grover, linsys, qasm, sim, synth, tomo
-from .errors import QlinsysError, SynthesisNotFoundError, ValidationError
+from .errors import QlinsysError, SynthesisNotFoundError, ValidationError, check_finite
 
 #: The eight circuits of the published comparison table, in row order.
 TABLE1_LABELS = (
@@ -50,10 +50,8 @@ REFERENCE_PERCENT = {
 
 _OUTCOMES_2Q = ("00", "01", "10", "11")
 
-
-def _padded(bits: str) -> str:
-    """Zero-pad a bitstring on the left to the four-character display width."""
-    return bits.zfill(4)
+#: The outcomes zero-padded to the four-character display width.
+_PADDED = ("0000", "0001", "0010", "0011")
 
 
 def _label_arg(text: str) -> family.FamilyLabel:
@@ -70,10 +68,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_system_flags(parser: argparse.ArgumentParser) -> None:
+def _add_system_flags(parser: argparse.ArgumentParser):
+    """Add the required --label | --matrix choice and return its group."""
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--label", type=_label_arg, metavar="NAME", help="catalog label like A_1234")
     group.add_argument("--matrix", metavar="FILE", help="CSV file holding the matrix")
+    return group
 
 
 def _resolve_system(args) -> tuple[str, np.ndarray]:
@@ -92,8 +92,7 @@ def _vector_arg(text: str, expected: int) -> np.ndarray:
             vec = np.array([float(part) for part in text.split(",")], dtype=float)
         except ValueError:
             raise ValidationError(f"could not parse {text!r} as a vector or file path")
-    if not np.all(np.isfinite(vec)):
-        raise ValidationError(f"y must be finite, got {text!r}")
+    check_finite(vec, f"y must be finite, got {text!r}")
     if vec.size != expected:
         raise ValidationError(f"y has length {vec.size}, expected {expected}")
     return vec
@@ -190,6 +189,12 @@ def _sampled_run(
     return sim.sample_distribution(np.real(np.diag(rho)), shots, seed)
 
 
+def _percent_row(table: sim.ShotTable) -> str:
+    """The table's outcome percentages as comma-separated fields."""
+    freq = table.frequencies
+    return ",".join(f"{100.0 * freq[b]:.3f}" for b in _OUTCOMES_2Q)
+
+
 def _counts_payload(name: str, table: sim.ShotTable) -> dict:
     return {
         "label": name,
@@ -210,11 +215,10 @@ def cmd_run(args) -> int:
     if args.output == "json":
         _print_json(_counts_payload(name, table))
     elif args.output == "csv":
-        print("circuit," + ",".join(_padded(b) for b in _OUTCOMES_2Q))
-        freq = table.frequencies
-        print(name + "," + ",".join(f"{100.0 * freq[b]:.3f}" for b in _OUTCOMES_2Q))
+        print("circuit," + ",".join(_PADDED))
+        print(f"{name},{_percent_row(table)}")
     else:
-        print(f"{'circuit':<10}" + "".join(f"{b + '/' + _padded(b):>12}" for b in _OUTCOMES_2Q))
+        print(f"{'circuit':<10}" + "".join(f"{b + '/' + p:>12}" for b, p in zip(_OUTCOMES_2Q, _PADDED)))
         freq = table.frequencies
         print(f"{name:<10}" + "".join(f"{100.0 * freq[b]:>11.3f}%" for b in _OUTCOMES_2Q))
     return 0
@@ -234,13 +238,10 @@ def cmd_table1(args) -> int:
             ]
         )
     else:
-        padded = [_padded(b) for b in _OUTCOMES_2Q]
-        print("circuit," + ",".join(padded) + "," + ",".join(f"ref_{p}" for p in padded))
+        print("circuit," + ",".join(_PADDED) + "," + ",".join(f"ref_{p}" for p in _PADDED))
         for name, table in rows:
-            freq = table.frequencies
-            simulated = ",".join(f"{100.0 * freq[b]:.3f}" for b in _OUTCOMES_2Q)
             reference = ",".join(f"{v:g}" for v in REFERENCE_PERCENT[name])
-            print(f"{name},{simulated},{reference}")
+            print(f"{name},{_percent_row(table)},{reference}")
     return 0
 
 
@@ -334,6 +335,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Flags shared by several subcommands, each declared once and attached
+    # through `parents`.
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--shots", type=_positive_int, default=1024)
+    sampling.add_argument("--seed", type=int, default=0, help="sampling seed; table1 row i uses seed + i")
+    noisy = argparse.ArgumentParser(add_help=False)
+    noisy.add_argument("--noise", type=float, default=0.0, help="depolarizing strength in [0, 1]")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--max-gates", type=int, default=synth.DEFAULT_MAX_GATES)
+
     p_family = sub.add_parser("family", help="browse the 48-matrix catalog")
     family_sub = p_family.add_subparsers(dest="action", required=True)
     p_list = family_sub.add_parser("list", help="list catalog entries")
@@ -347,45 +358,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--output", choices=("table", "json"), default="table")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_run = sub.add_parser("run", help="synthesize, simulate, and sample a circuit")
+    p_run = sub.add_parser(
+        "run", help="synthesize, simulate, and sample a circuit", parents=[sampling, noisy, budget]
+    )
     _add_system_flags(p_run)
     p_run.add_argument("--y", metavar="VEC", help="basis-vector right-hand side (inline CSV or file)")
     p_run.add_argument("--basis", type=int, default=0, help="initial basis index (default 0)")
-    p_run.add_argument("--shots", type=_positive_int, default=1024)
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--noise", type=float, default=0.0, help="depolarizing strength in [0, 1]")
-    p_run.add_argument("--max-gates", type=int, default=synth.DEFAULT_MAX_GATES)
     p_run.add_argument("--output", choices=("table", "json", "csv"), default="table")
     p_run.set_defaults(func=cmd_run)
 
-    p_table1 = sub.add_parser("table1", help="reproduce the published 8-circuit table")
-    p_table1.add_argument("--shots", type=_positive_int, default=1024)
-    p_table1.add_argument("--seed", type=int, default=0, help="row i samples with seed + i")
+    p_table1 = sub.add_parser("table1", help="reproduce the published 8-circuit table", parents=[sampling])
     p_table1.add_argument("--output", choices=("csv", "json"), default="csv")
     p_table1.set_defaults(func=cmd_table1)
 
-    p_tomo = sub.add_parser("tomo", help="tomography report for a solution state")
+    p_tomo = sub.add_parser("tomo", help="tomography report for a solution state", parents=[sampling, noisy])
     _add_system_flags(p_tomo)
     p_tomo.add_argument("--analytic", action="store_true", help="exact expectations instead of sampling")
-    p_tomo.add_argument("--shots", type=_positive_int, default=1024)
-    p_tomo.add_argument("--seed", type=int, default=0)
-    p_tomo.add_argument("--noise", type=float, default=0.0, help="depolarizing strength in [0, 1]")
     p_tomo.add_argument("--sqrt-fidelity", action="store_true", help="report sqrt(<psi|rho|psi>)")
     p_tomo.add_argument("--output", choices=("json", "csv"), default="json")
     p_tomo.set_defaults(func=cmd_tomo)
 
-    p_synth = sub.add_parser("synth", help="find a minimal circuit for the solution operator")
-    group = p_synth.add_mutually_exclusive_group(required=True)
-    group.add_argument("--label", type=_label_arg, metavar="NAME")
-    group.add_argument("--matrix", metavar="FILE")
-    group.add_argument("--all", action="store_true", help="synthesize the whole catalog")
-    p_synth.add_argument("--max-gates", type=int, default=synth.DEFAULT_MAX_GATES)
+    p_synth = sub.add_parser("synth", help="find a minimal circuit for the solution operator", parents=[budget])
+    _add_system_flags(p_synth).add_argument("--all", action="store_true", help="synthesize the whole catalog")
     p_synth.add_argument("--output", choices=("json", "qasm"), default="json")
     p_synth.set_defaults(func=cmd_synth)
 
-    p_qasm = sub.add_parser("qasm", help="export the synthesized circuit as OpenQASM 2.0")
+    p_qasm = sub.add_parser("qasm", help="export the synthesized circuit as OpenQASM 2.0", parents=[budget])
     _add_system_flags(p_qasm)
-    p_qasm.add_argument("--max-gates", type=int, default=synth.DEFAULT_MAX_GATES)
     p_qasm.set_defaults(func=cmd_synth, all=False, output="qasm")
 
     p_grover = sub.add_parser("grover", help="amplitude-amplification demo")
@@ -402,12 +401,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SynthesisNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except (QlinsysError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 4 if isinstance(exc, SynthesisNotFoundError) else 3
 
 
 def entry_point() -> None:

@@ -1,8 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the input rules that raise them.
 
 Everything user-triggerable derives from ValidationError so callers (and the
-CLI) can distinguish bad input from a failed circuit search.
+CLI) can distinguish bad input from a failed circuit search.  Each rule that
+several modules apply to their inputs is written once here; every call site
+passes its own name or message, so each error keeps its site's wording.
 """
+
+import math
+
+import numpy as np
 
 
 class QlinsysError(Exception):
@@ -55,3 +61,29 @@ class UnsupportedGateError(ValidationError):
 
 class SynthesisNotFoundError(QlinsysError):
     """No circuit within the gate budget realizes the target."""
+
+
+def check_int(value, name: str) -> int:
+    """Return `value` as an int; raise ValidationError if it is a bool or not an integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_finite(values: np.ndarray, message: str, error: type = ValidationError) -> None:
+    """Raise `error(message)` unless every entry is finite."""
+    if not np.isfinite(values).all():
+        raise error(message)
+
+
+def check_unit_norm(vector: np.ndarray, name: str) -> None:
+    """Raise NotNormalizedError unless the vector is finite with Euclidean norm 1 within 1e-10.
+
+    The norm is a hypot over the entries' magnitudes, which cannot overflow
+    and is NaN or infinite exactly when an entry is, so a finite unit vector
+    pays for no separate finiteness pass.
+    """
+    norm = math.hypot(*np.abs(vector).tolist())
+    if not abs(norm - 1.0) <= 1e-10:
+        check_finite(vector, f"{name} entries must be finite", NotNormalizedError)
+        raise NotNormalizedError(f"{name} has norm {norm}, expected 1")

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import sim
-from .errors import InvalidCountsError, InvalidMarkedSetError, ValidationError
+from .errors import InvalidCountsError, InvalidMarkedSetError, ValidationError, check_int
 
 MAX_QUBITS = 10
 
@@ -27,7 +27,8 @@ class GroverGeometry:
 
 def geometry(n_states: int, n_marked: int) -> GroverGeometry:
     """Rotation-angle description of a search with n_marked targets among n_states."""
-    if n_states < 2 or n_states & (n_states - 1):
+    check_int(n_marked, "n_marked")
+    if check_int(n_states, "n_states") < 2 or n_states & (n_states - 1):
         raise InvalidCountsError(f"n_states must be a power of two >= 2, got {n_states}")
     if not 0 < n_marked <= n_states:
         raise InvalidCountsError(f"n_marked must lie in 1..{n_states}, got {n_marked}")
@@ -41,29 +42,29 @@ def optimal_iterations(geom: GroverGeometry) -> int:
 
 
 def success_probability(geom: GroverGeometry, iterations: int) -> float:
-    if iterations < 0:
+    if check_int(iterations, "iterations") < 0:
         raise ValidationError("iterations must be non-negative")
     return math.sin((2 * iterations + 1) * geom.theta) ** 2
 
 
 def build_grover_circuit(n_qubits: int, marked, iterations: int) -> sim.Circuit:
     """Uniform superposition followed by `iterations` amplification rounds."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
+    if not 1 <= check_int(n_qubits, "n_qubits") <= MAX_QUBITS:
         raise InvalidCountsError(f"n_qubits must lie in 1..{MAX_QUBITS}, got {n_qubits}")
-    if iterations < 0:
+    if check_int(iterations, "iterations") < 0:
         raise ValidationError("iterations must be non-negative")
-    marked_set = frozenset(int(m) for m in marked)
-    if not marked_set:
+    oracle = sim.phase_flip(marked)  # checks that each index is an integer
+    if not oracle.flips:
         raise InvalidMarkedSetError("marked set must not be empty")
-    if not all(0 <= m < 2**n_qubits for m in marked_set):
+    if not all(0 <= m < 2**n_qubits for m in oracle.flips):
         raise InvalidMarkedSetError(
-            f"marked indices {sorted(marked_set)} out of range for {n_qubits} qubits"
+            f"marked indices {sorted(oracle.flips)} out of range for {n_qubits} qubits"
         )
 
     layer = [sim.h(q) for q in range(n_qubits)]
     ops = list(layer)
     for _ in range(iterations):
-        ops.append(sim.phase_flip(marked_set))
+        ops.append(oracle)
         ops.extend(layer)
         ops.append(sim.phase_flip({0}))
         ops.extend(layer)

@@ -3,79 +3,60 @@
 For such a matrix the transpose is a left inverse, so A x = y is solved by
 x = A^T y with no elimination or factorization.  Solutions inherit the norm
 of y, which is what lets them double as quantum state amplitudes elsewhere
-in the package.
+in the package.  Orthonormality and unit norm are checked to a fixed 1e-10.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NotNormalizedError,
-    NotOrthonormalError,
-    ValidationError,
-)
+from .errors import DimensionMismatchError, NotOrthonormalError, check_finite, check_unit_norm
 
-DEFAULT_TOL = 1e-10
+_TOL = 1e-10  # entrywise bound on A^T A - I
 
 
 def _as_matrix(matrix) -> np.ndarray:
     out = np.asarray(matrix, dtype=float)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise ValidationError("matrix entries must be finite")
+    check_finite(out, "matrix entries must be finite")
     return out
 
 
 def _as_vector(vector) -> np.ndarray:
     out = np.asarray(vector, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(out)):
-        raise ValidationError("vector entries must be finite")
+    check_finite(out, "vector entries must be finite")
     return out
 
 
-def _orthonormal(a: np.ndarray, tol: float) -> bool:
-    """A^T A = I entrywise within `tol`, for a matrix `_as_matrix` has validated."""
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
-    return bool(np.max(np.abs(a.T @ a - np.eye(a.shape[0]))) <= tol)
+def _orthonormal(a: np.ndarray) -> bool:
+    """A^T A = I entrywise within 1e-10, for a matrix `_as_matrix` has validated."""
+    return bool(np.max(np.abs(a.T @ a - np.eye(a.shape[0]))) <= _TOL)
 
 
-def check_column_normalization(matrix, tol: float = DEFAULT_TOL) -> bool:
-    """Return True when every column of `matrix` has unit Euclidean norm."""
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
-    a = _as_matrix(matrix)
-    norms = np.sqrt((a * a).sum(axis=0))
-    return bool(np.max(np.abs(norms - 1.0)) <= tol)
+def check_orthonormal_columns(matrix) -> bool:
+    """Return True when A^T A = I entrywise within 1e-10; unit columns follow."""
+    return _orthonormal(_as_matrix(matrix))
 
 
-def check_orthonormal_columns(matrix, tol: float = DEFAULT_TOL) -> bool:
-    """Return True when A^T A = I entrywise within `tol`."""
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
-    return _orthonormal(_as_matrix(matrix), tol)
-
-
-def inverse_operator(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
+def inverse_operator(matrix) -> np.ndarray:
     """Return the left inverse of a column-orthonormal matrix, i.e. its transpose.
 
     The result is a fresh array, so mutating it cannot corrupt the input.
     Applying the operation twice returns the original matrix exactly.
     """
     a = _as_matrix(matrix)
-    if not _orthonormal(a, tol):
+    if not _orthonormal(a):
         raise NotOrthonormalError("matrix columns are not orthonormal; transpose is not an inverse")
     return a.T.copy()
 
 
-def solve(matrix, y, tol: float = DEFAULT_TOL) -> np.ndarray:
+def solve(matrix, y) -> np.ndarray:
     """Solve A x = y for column-orthonormal A and unit-norm y.
 
-    Returns x = A^T y.  Because A preserves inner products, x is again a
-    unit vector and the residual A x - y vanishes to rounding error.
+    A^T A must equal I and |y| must equal 1, each within 1e-10.  Returns
+    x = A^T y.  Because A preserves inner products, x is again a unit vector
+    and the residual A x - y vanishes to rounding error.
     """
     a = _as_matrix(matrix)
     rhs = _as_vector(y)
@@ -83,11 +64,9 @@ def solve(matrix, y, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise DimensionMismatchError(
             f"right-hand side has length {rhs.size}, matrix is {a.shape[0]}x{a.shape[1]}"
         )
-    if not _orthonormal(a, tol):
+    if not _orthonormal(a):
         raise NotOrthonormalError("matrix columns are not orthonormal")
-    norm = float(np.sqrt(rhs @ rhs))
-    if abs(norm - 1.0) > tol:
-        raise NotNormalizedError(f"right-hand side has norm {norm}, expected 1")
+    check_unit_norm(rhs, "right-hand side")
     return a.T @ rhs
 
 

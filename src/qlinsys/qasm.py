@@ -5,19 +5,6 @@ from __future__ import annotations
 from . import sim
 from .errors import UnsupportedGateError
 
-# Kinds map one-to-one onto qelib1 names; phaseflip has no counterpart.
-_QASM_NAMES = {
-    "h": "h",
-    "x": "x",
-    "y": "y",
-    "z": "z",
-    "s": "s",
-    "sdg": "sdg",
-    "t": "t",
-    "cx": "cx",
-    "cz": "cz",
-}
-
 
 def circuit_to_qasm(circuit: sim.Circuit) -> str:
     """Serialize a circuit, ending with a full-register measurement.
@@ -32,10 +19,10 @@ def circuit_to_qasm(circuit: sim.Circuit) -> str:
         f"creg c[{n}];",
     ]
     for gate in circuit.ops:
-        name = _QASM_NAMES.get(gate.kind)
-        if name is None:
+        # Every kind but phaseflip is already its qelib1 name.
+        if gate.kind == "phaseflip":
             raise UnsupportedGateError(f"gate kind {gate.kind!r} has no OpenQASM 2.0 form")
         operands = ",".join(f"q[{q}]" for q in gate.targets)
-        lines.append(f"{name} {operands};")
+        lines.append(f"{gate.kind} {operands};")
     lines.append("measure q -> c;")
     return "\n".join(lines) + "\n"

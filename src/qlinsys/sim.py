@@ -11,6 +11,8 @@ Conventions, fixed across the package:
   multinomial draw per probability row, row i seeded with seed + i, keeps
   identical (probs, shots, seed) inputs byte-for-byte reproducible.
 
+The gate kinds are the ones synthesis, tomography and Grover circuits use:
+H, X, Z, S-dagger, CX, CZ, and a phase flip on listed basis indices.
 States are plain complex ndarrays of length 2**n.  Gates also act on a
 block of shape (2**n, k), one state per column, exactly as on each column
 alone; `unitary_of` runs the identity block through the circuit in one pass.
@@ -30,18 +32,15 @@ from .errors import (
     NegativeProbabilityError,
     NotNormalizedError,
     ValidationError,
+    check_finite,
+    check_int,
 )
 
-_SQRT2 = math.sqrt(2.0)
-
 _GATES_1Q = {
-    "h": np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2,
+    "h": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "s": np.array([[1, 0], [0, 1j]], dtype=complex),
     "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
-    "t": np.array([[1, 0], [0, (1 + 1j) / _SQRT2]], dtype=complex),
 }
 
 GATE_KINDS = frozenset(_GATES_1Q) | {"cx", "cz", "phaseflip"}
@@ -58,8 +57,8 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise InvalidTargetError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
-        object.__setattr__(self, "flips", frozenset(int(i) for i in self.flips))
+        object.__setattr__(self, "targets", tuple(check_int(q, "gate target") for q in self.targets))
+        object.__setattr__(self, "flips", frozenset(check_int(i, "phase-flip index") for i in self.flips))
 
 
 def h(qubit: int) -> Gate:
@@ -70,24 +69,12 @@ def x(qubit: int) -> Gate:
     return Gate("x", (qubit,))
 
 
-def y(qubit: int) -> Gate:
-    return Gate("y", (qubit,))
-
-
 def z(qubit: int) -> Gate:
     return Gate("z", (qubit,))
 
 
-def s(qubit: int) -> Gate:
-    return Gate("s", (qubit,))
-
-
 def sdg(qubit: int) -> Gate:
     return Gate("sdg", (qubit,))
-
-
-def t(qubit: int) -> Gate:
-    return Gate("t", (qubit,))
 
 
 def cx(control: int, target: int) -> Gate:
@@ -109,7 +96,7 @@ class Circuit:
     ops: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        if self.n_qubits < 1:
+        if check_int(self.n_qubits, "n_qubits") < 1:
             raise ValidationError("a circuit needs at least one qubit")
         object.__setattr__(self, "ops", tuple(self.ops))
 
@@ -154,9 +141,7 @@ def _check_gate(gate: Gate, n_qubits: int) -> None:
 
 
 def basis_state(n_qubits: int, index: int) -> np.ndarray:
-    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
-        raise ValidationError(f"basis index must be an integer, got {index!r}")
-    if not 0 <= index < 2**n_qubits:
+    if not 0 <= check_int(index, "basis index") < 2**n_qubits:
         raise ValidationError(f"basis index {index} out of range for {n_qubits} qubits")
     out = np.zeros(2**n_qubits, dtype=complex)
     out[index] = 1.0
@@ -255,17 +240,17 @@ def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
     Row i of a block is drawn from its own generator seeded with seed + i, so
     a block gives exactly the counts of k separate calls with those seeds.
     Each row must be finite, non-negative and sum to 1 within 1e-6; it is
-    divided by its own sum before the draw.
+    divided by its own sum before the draw.  The seed must be a non-negative
+    integer.
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim not in (1, 2):
         raise ValidationError(f"expected a probability vector or a block of rows, got shape {p.shape}")
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
-        raise ValidationError(f"shots must be an integer, got {shots!r}")
-    if shots < 1:
+    if check_int(shots, "shots") < 1:
         raise ValidationError("shots must be at least 1")
-    if not np.isfinite(p).all():
-        raise ValidationError("probabilities must be finite")
+    if check_int(seed, "seed") < 0:
+        raise ValidationError("seed must be non-negative")
+    check_finite(p, "probabilities must be finite")
     lowest = p.min(initial=0.0)
     if lowest < 0:
         raise NegativeProbabilityError(f"probabilities must be non-negative, min is {lowest}")

@@ -26,7 +26,14 @@ from types import MappingProxyType
 import numpy as np
 
 from . import sim
-from .errors import DimensionMismatchError, NotOrthogonalError, SynthesisNotFoundError, ValidationError
+from .errors import (
+    DimensionMismatchError,
+    NotOrthogonalError,
+    SynthesisNotFoundError,
+    ValidationError,
+    check_finite,
+    check_int,
+)
 
 #: Search vocabulary, in tie-breaking order.
 VOCABULARY: tuple[sim.Gate, ...] = (
@@ -107,9 +114,7 @@ def synthesize(target, max_gates: int = DEFAULT_MAX_GATES) -> SynthesisResult:
     # Written so that a NaN deviation fails the check too.
     if not np.max(np.abs(t.T @ t - np.eye(4))) <= _TOL:
         raise NotOrthogonalError("synthesis target must be orthogonal")
-    if isinstance(max_gates, bool) or not isinstance(max_gates, (int, np.integer)):
-        raise ValidationError(f"max_gates must be an integer, got {max_gates!r}")
-    if max_gates < 0:
+    if check_int(max_gates, "max_gates") < 0:
         raise ValidationError("max_gates must be non-negative")
     hit = _closure().get(_keys(t)[0])
     if hit is not None and len(hit[0].ops) <= max_gates:
@@ -141,8 +146,7 @@ def verify(circuit: sim.Circuit, matrix) -> float:
     dim = 2**circuit.n_qubits
     if a.shape != (dim, dim):
         raise DimensionMismatchError(f"matrix shape {a.shape} does not match {circuit.n_qubits} qubits")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("matrix must be finite")
+    check_finite(a, "matrix must be finite")
     u = sim.unitary_of(circuit)
     eye = np.eye(dim)
     deviations = (np.max(np.abs(s * u @ a - eye)) for s in (1.0, -1.0))

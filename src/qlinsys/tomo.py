@@ -24,12 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sim
-from .errors import (
-    DimensionMismatchError,
-    InvalidProbabilityError,
-    NotNormalizedError,
-    ValidationError,
-)
+from .errors import DimensionMismatchError, InvalidProbabilityError, ValidationError, check_unit_norm
 
 _PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -53,6 +48,8 @@ MEASUREMENT_SETTINGS: tuple[str, ...] = tuple(
     "".join(w) for w in itertools.product("XYZ", repeat=2)
 )
 
+_TOL = 1e-8  # bound on a physical state's Hermiticity, trace and eigenvalues
+
 #: Depolarizing strength that reproduces the readout fidelity observed when
 #: these circuits were run on a 5-qubit superconducting device.
 CALIBRATED_DEPOLARIZING_P = 0.016267
@@ -75,34 +72,25 @@ def pauli_word_matrix(word: str) -> np.ndarray:
     return _PAULI_MATRICES[4 * "IXYZ".index(word[0]) + "IXYZ".index(word[1])].copy()
 
 
-def _check_unit_norm(v: np.ndarray) -> None:
-    """Raise NotNormalizedError unless the state is finite with norm 1 within 1e-10."""
-    if not np.isfinite(v).all():
-        raise NotNormalizedError("state entries must be finite")
-    norm = float(np.sqrt(np.real(v.conj() @ v)))
-    if not abs(norm - 1.0) <= 1e-10:
-        raise NotNormalizedError(f"state has norm {norm}, expected 1")
-
-
 def density_from_state(psi) -> np.ndarray:
     """Outer product |psi><psi| of a normalized state vector."""
     v = np.asarray(psi, dtype=complex).reshape(-1)
-    _check_unit_norm(v)
+    check_unit_norm(v, "state")
     return np.outer(v, v.conj())
 
 
-def is_physical(rho, tol: float = 1e-8) -> bool:
-    """Finite, Hermitian, unit trace, and no eigenvalue below -tol."""
+def is_physical(rho) -> bool:
+    """Finite, Hermitian and unit trace within 1e-8, and no eigenvalue below -1e-8."""
     m = np.asarray(rho, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(m).all():
         return False
     adjoint = m.conj().T
-    if np.max(np.abs(m - adjoint)) > tol:
+    if np.max(np.abs(m - adjoint)) > _TOL:
         return False
     trace = np.trace(m)
-    if abs(trace.real - 1.0) > tol or abs(trace.imag) > tol:
+    if abs(trace.real - 1.0) > _TOL or abs(trace.imag) > _TOL:
         return False
-    return bool(np.linalg.eigvalsh((m + adjoint) / 2).min() >= -tol)
+    return bool(np.linalg.eigvalsh((m + adjoint) / 2).min() >= -_TOL)
 
 
 def _check_density(rho) -> np.ndarray:
@@ -187,8 +175,9 @@ def pauli_expectations(
 
 
 def project_to_physical(rho) -> np.ndarray:
-    """Nearest-state cleanup: clip negative eigenvalues, renormalize the trace.
+    """Clip negative eigenvalues to zero and renormalize the trace to 1.
 
+    This is a valid state but not in general the nearest one to rho.
     Physical inputs pass through unchanged up to rounding, so the projection
     is idempotent.
     """
@@ -218,8 +207,9 @@ def fidelity(rho, psi, square_root: bool = False) -> float:
 
     With square_root=True the Uhlmann convention sqrt(<psi| rho |psi>) is
     returned instead.  psi must have unit norm within 1e-10.  A value within
-    1e-9 of [0, 1] is clipped into it against rounding; one further out means
-    rho is not a state and raises ValidationError.
+    1e-9 of [0, 1] is clipped into it against rounding; one further out, or a
+    rho with a non-finite entry, means rho is not a state and raises
+    ValidationError.
     """
     m = np.asarray(rho, dtype=complex)
     v = np.asarray(psi, dtype=complex).reshape(-1)
@@ -227,9 +217,10 @@ def fidelity(rho, psi, square_root: bool = False) -> float:
         raise DimensionMismatchError(
             f"density matrix {m.shape} does not match state of length {v.size}"
         )
-    _check_unit_norm(v)
-    value = float(np.real(v.conj() @ m @ v))
-    # Written so that a NaN overlap fails the check too.
+    check_unit_norm(v, "state")
+    # A non-finite rho gets a NaN overlap instead of a product that would warn;
+    # the check is written so that a NaN overlap fails it.
+    value = float(np.real(v.conj() @ m @ v)) if np.isfinite(m).all() else math.nan
     if not -1e-9 <= value <= 1.0 + 1e-9:
         raise ValidationError(f"overlap {value} lies outside [0, 1]; rho is not a state")
     value = min(max(value, 0.0), 1.0)

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -361,26 +360,85 @@ class TestGrover:
         assert code == 3
 
 
-def _checkout_env() -> dict:
-    """The current environment with this checkout's src first on PYTHONPATH."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+A_1234 = family.FamilyLabel.parse("A_1234")
+
+#: Each subcommand's parsed defaults, pinned so that sharing flag
+#: declarations between subcommands cannot change them.
+PARSED_DEFAULTS = {
+    ("family", "list"): {"command": "family", "action": "list", "klass": None, "output": "table", "func": "cmd_family_list"},
+    ("solve", "--label", "A_1234"): {
+        "command": "solve",
+        "label": A_1234,
+        "matrix": None,
+        "y": None,
+        "output": "table",
+        "func": "cmd_solve",
+    },
+    ("run", "--label", "A_1234"): {
+        "command": "run",
+        "label": A_1234,
+        "matrix": None,
+        "y": None,
+        "basis": 0,
+        "shots": 1024,
+        "seed": 0,
+        "noise": 0.0,
+        "max_gates": 8,
+        "output": "table",
+        "func": "cmd_run",
+    },
+    ("table1",): {"command": "table1", "shots": 1024, "seed": 0, "output": "csv", "func": "cmd_table1"},
+    ("tomo", "--matrix", "m.csv"): {
+        "command": "tomo",
+        "label": None,
+        "matrix": "m.csv",
+        "analytic": False,
+        "shots": 1024,
+        "seed": 0,
+        "noise": 0.0,
+        "sqrt_fidelity": False,
+        "output": "json",
+        "func": "cmd_tomo",
+    },
+    ("synth", "--all"): {
+        "command": "synth",
+        "label": None,
+        "matrix": None,
+        "all": True,
+        "max_gates": 8,
+        "output": "json",
+        "func": "cmd_synth",
+    },
+    ("qasm", "--label", "A_1234"): {
+        "command": "qasm",
+        "label": A_1234,
+        "matrix": None,
+        "max_gates": 8,
+        "all": False,
+        "output": "qasm",
+        "func": "cmd_synth",
+    },
+    ("grover",): {"command": "grover", "qubits": 2, "marked": "3", "iterations": None, "func": "cmd_grover"},
+}
+
+
+@pytest.mark.parametrize("argv", PARSED_DEFAULTS, ids=" ".join)
+def test_parsed_defaults(argv):
+    parsed = vars(cli.build_parser().parse_args(list(argv)))
+    parsed["func"] = parsed["func"].__name__
+    expected = PARSED_DEFAULTS[argv]
+    assert parsed == expected
+    # Equal is not enough: JSON output tells 0 from 0.0.
+    assert {k: type(v) for k, v in parsed.items()} == {k: type(v) for k, v in expected.items()}
 
 
 class TestEntryPoint:
     def test_console_script_help(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "qlinsys.cli", "--help"],
-            capture_output=True,
-            text=True,
-            env=_checkout_env(),
-        )
+        proc = subprocess.run([sys.executable, "-m", "qlinsys.cli", "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "family" in proc.stdout
         assert "grover" in proc.stdout
 
     def test_no_arguments_is_usage_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "qlinsys.cli"], capture_output=True, text=True, env=_checkout_env()
-        )
+        proc = subprocess.run([sys.executable, "-m", "qlinsys.cli"], capture_output=True, text=True)
         assert proc.returncode == 2

@@ -19,21 +19,19 @@ CASES = {
     "sim.ndim": (lambda: sim.apply_gate(np.ones((4, 2, 2)), sim.h(0)), DimensionMismatchError, "dimensions"),
     "sim.length": (lambda: sim.apply_gate(np.ones(3), sim.h(0)), DimensionMismatchError, "power of two"),
     "sim.basis_state": (lambda: sim.basis_state(2, 4), ValidationError, "out of range"),
+    "sim.gate_target": (lambda: sim.h(1.7), ValidationError, "gate target must be an integer"),
+    "sim.gate_target_bool": (lambda: sim.h(True), ValidationError, "gate target must be an integer"),
+    "sim.phase_flip": (lambda: sim.phase_flip([1.9]), ValidationError, "phase-flip index must be an integer"),
+    "sim.Circuit_width": (lambda: sim.Circuit(2.5), ValidationError, "n_qubits must be an integer"),
+    "sim.seed": (lambda: sim.sample_counts([0.5, 0.5], 10, 1.5), ValidationError, "seed must be an integer"),
+    "sim.seed_none": (lambda: sim.sample_counts([0.5, 0.5], 10, None), ValidationError, "seed must be an integer"),
+    "sim.seed_bool": (lambda: sim.sample_counts([0.5, 0.5], 10, True), ValidationError, "seed must be an integer"),
+    "sim.seed_negative": (lambda: sim.sample_counts([0.5, 0.5], 10, -1), ValidationError, "seed must be non-negative"),
     "linsys.matrix": (lambda: linsys.solve(np.full((4, 4), np.nan), [1, 0, 0, 0]), ValidationError, "finite"),
     "linsys.vector": (
         lambda: linsys.residual(np.eye(4), [np.nan, 0, 0, 0], [1, 0, 0, 0]),
         ValidationError,
         "finite",
-    ),
-    "linsys.normalization_tol": (
-        lambda: linsys.check_column_normalization(np.eye(4), tol=0),
-        ValidationError,
-        "positive",
-    ),
-    "linsys.orthonormal_tol": (
-        lambda: linsys.check_orthonormal_columns(np.eye(4), tol=-1.0),
-        ValidationError,
-        "positive",
     ),
     "tomo.word": (lambda: tomo.pauli_word_matrix("XQ"), ValidationError, "two-letter word"),
     "tomo.density": (lambda: tomo.apply_depolarizing(np.eye(4), 0.1), ValidationError, "physical"),
@@ -58,7 +56,21 @@ CASES = {
         ValidationError,
         "non-negative",
     ),
+    "grover.n_states": (lambda: grover.geometry(4.0, 1), ValidationError, "n_states must be an integer"),
+    "grover.n_marked": (lambda: grover.geometry(4, 1.5), ValidationError, "n_marked must be an integer"),
+    "grover.probability_iterations": (
+        lambda: grover.success_probability(grover.geometry(4, 1), 1.5),
+        ValidationError,
+        "iterations must be an integer",
+    ),
     "grover.qubits": (lambda: grover.build_grover_circuit(11, {0}, 1), InvalidCountsError, "n_qubits"),
+    "grover.qubits_type": (lambda: grover.build_grover_circuit(2.0, {0}, 1), ValidationError, "n_qubits must be an"),
+    "grover.iterations_type": (
+        lambda: grover.build_grover_circuit(2, {0}, 1.5),
+        ValidationError,
+        "iterations must be an integer",
+    ),
+    "grover.marked": (lambda: grover.build_grover_circuit(2, [2.7], 1), ValidationError, "index must be an integer"),
     "grover.iterations": (lambda: grover.build_grover_circuit(2, {0}, -1), ValidationError, "non-negative"),
     "synth.max_gates": (lambda: synth.synthesize(np.eye(4), max_gates=-1), ValidationError, "non-negative"),
 }

@@ -133,7 +133,8 @@ class TestEnumerateFamily:
 
     def test_all_orthonormal(self):
         for spec in family.enumerate_family():
-            assert check_orthonormal_columns(spec.matrix, tol=1e-12)
+            assert check_orthonormal_columns(spec.matrix)
+            assert np.max(np.abs(spec.matrix.T @ spec.matrix - np.eye(4))) <= 1e-12
 
     def test_canonical_rhs(self):
         for spec in family.enumerate_family():

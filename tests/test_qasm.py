@@ -36,6 +36,13 @@ class TestCircuitToQasm:
         assert "creg c[3];" in text
         assert "x q[2];" in text
 
+    @pytest.mark.parametrize("kind", sorted(sim.GATE_KINDS - {"phaseflip"}))
+    def test_every_kind_exports_under_its_own_name(self, kind):
+        # Kinds are qelib1 names, so the exported line starts with the kind.
+        targets = (0, 1) if kind in ("cx", "cz") else (1,)
+        lines = qasm.circuit_to_qasm(sim.Circuit(2, (sim.Gate(kind, targets),))).splitlines()
+        assert lines[4] == f"{kind} " + ",".join(f"q[{q}]" for q in targets) + ";"
+
     def test_phase_flip_has_no_encoding(self):
         circuit = sim.Circuit(2, (sim.phase_flip({3}),))
         with pytest.raises(UnsupportedGateError):

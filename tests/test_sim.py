@@ -18,14 +18,11 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) * INV_SQRT2
 X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
-Y_MAT = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z_MAT = np.array([[1, 0], [0, -1]], dtype=complex)
-S_MAT = np.array([[1, 0], [0, 1j]], dtype=complex)
 SDG_MAT = np.array([[1, 0], [0, -1j]], dtype=complex)
-T_MAT = np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
-ONE_QUBIT_MAKERS = (sim.h, sim.x, sim.y, sim.z, sim.s, sim.sdg, sim.t)
+ONE_QUBIT_MAKERS = (sim.h, sim.x, sim.z, sim.sdg)
 
 
 def every_gate(n, rng):
@@ -53,6 +50,13 @@ class TestGateConstruction:
         assert flip.flips == frozenset({1, 3})
         assert flip.targets == ()
 
+    def test_numpy_integer_targets_become_python_ints(self):
+        # The CLI dumps targets to JSON, which takes Python ints only.
+        gate = sim.cx(np.int64(1), np.int8(0))
+        assert gate.targets == (1, 0)
+        assert [type(q) for q in gate.targets] == [int, int]
+        assert [type(i) for i in sim.phase_flip([np.int64(3)]).flips] == [int]
+
 
 class TestSingleQubitGates:
     @pytest.mark.parametrize(
@@ -60,11 +64,8 @@ class TestSingleQubitGates:
         [
             (sim.h(0), H_MAT),
             (sim.x(0), X_MAT),
-            (sim.y(0), Y_MAT),
             (sim.z(0), Z_MAT),
-            (sim.s(0), S_MAT),
             (sim.sdg(0), SDG_MAT),
-            (sim.t(0), T_MAT),
         ],
     )
     def test_matrix_on_low_qubit(self, gate, matrix):
@@ -74,7 +75,7 @@ class TestSingleQubitGates:
 
     @pytest.mark.parametrize(
         "gate, matrix",
-        [(sim.h(1), H_MAT), (sim.x(1), X_MAT), (sim.y(1), Y_MAT)],
+        [(sim.h(1), H_MAT), (sim.x(1), X_MAT)],
     )
     def test_matrix_on_high_qubit(self, gate, matrix):
         realized = sim.unitary_of(sim.Circuit(2, (gate,)))
@@ -192,7 +193,7 @@ class TestRunAndUnitary:
 
     def test_random_circuits_stay_unitary(self):
         rng = np.random.default_rng(23)
-        makers = [sim.h, sim.x, sim.y, sim.z, sim.s, sim.sdg, sim.t]
+        makers = [sim.h, sim.x, sim.z, sim.sdg]
         for _ in range(20):
             n = int(rng.integers(1, 4))
             ops = []

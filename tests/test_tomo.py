@@ -105,6 +105,15 @@ class TestDensityFromState:
             with pytest.raises(NotNormalizedError, match="finite"):
                 tomo.fidelity(np.eye(4) / 4, psi)
 
+    def test_huge_state_rejected_without_a_warning(self):
+        psi = [1e200, 0.0, 0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotNormalizedError, match="norm 1e"):
+                tomo.density_from_state(psi)
+            with pytest.raises(NotNormalizedError, match="norm 1e"):
+                tomo.fidelity(np.eye(4) / 4, psi)
+
 
 class TestPhysicality:
     def test_pure_and_mixed_pass(self):
@@ -368,6 +377,16 @@ class TestFidelity:
         rho = tomo.density_from_state(UNIFORM_STATE) * (1.0 + 5e-10)
         assert tomo.fidelity(rho, UNIFORM_STATE) == 1.0
         assert tomo.fidelity(-1e-10 * np.eye(4), UNIFORM_STATE) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_non_finite_rho_rejected_without_a_warning(self, bad):
+        # The zero entries of psi meet the bad entry, so a product would give NaN.
+        rho = np.eye(4, dtype=complex) / 4
+        rho[1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="outside"):
+                tomo.fidelity(rho, [1.0, 0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("scale", [1.5, -0.5, np.nan])
     def test_overlap_outside_unit_interval_rejected(self, scale):
