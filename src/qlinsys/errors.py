@@ -76,6 +76,13 @@ def check_finite(values: np.ndarray, message: str, error: type = ValidationError
         raise error(message)
 
 
+def check_vector(values: np.ndarray, name: str) -> np.ndarray:
+    """Return `values` if it is one-dimensional; raise DimensionMismatchError for any other shape."""
+    if values.ndim != 1:
+        raise DimensionMismatchError(f"{name} must be a vector, got shape {values.shape}")
+    return values
+
+
 def check_unit_norm(vector: np.ndarray, name: str) -> None:
     """Raise NotNormalizedError unless the vector is finite with Euclidean norm 1 within 1e-10.
 

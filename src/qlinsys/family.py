@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, ValidationError, check_vector
 
 # Class A columns: each pair differs in exactly two positions.
 _COLUMNS_A = (
@@ -101,7 +101,7 @@ def matrix_for(label: FamilyLabel) -> np.ndarray:
 def equations_for(label: FamilyLabel, y=None) -> list[str]:
     """Render the system A x = y with denominators cleared, one string per row."""
     a = matrix_for(label)
-    rhs = np.zeros(4) if y is None else np.asarray(y, dtype=float).reshape(-1)
+    rhs = np.zeros(4) if y is None else check_vector(np.asarray(y, dtype=float), "y")
     if y is None:
         rhs[0] = 1.0
     if rhs.size != 4:

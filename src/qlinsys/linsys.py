@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotOrthonormalError, check_finite, check_unit_norm
+from .errors import DimensionMismatchError, NotOrthonormalError, check_finite, check_unit_norm, check_vector
 
 _TOL = 1e-10  # entrywise bound on A^T A - I
 
@@ -23,8 +23,8 @@ def _as_matrix(matrix) -> np.ndarray:
     return out
 
 
-def _as_vector(vector) -> np.ndarray:
-    out = np.asarray(vector, dtype=float).reshape(-1)
+def _as_vector(vector, name: str) -> np.ndarray:
+    out = check_vector(np.asarray(vector, dtype=float), name)
     check_finite(out, "vector entries must be finite")
     return out
 
@@ -59,7 +59,7 @@ def solve(matrix, y) -> np.ndarray:
     and the residual A x - y vanishes to rounding error.
     """
     a = _as_matrix(matrix)
-    rhs = _as_vector(y)
+    rhs = _as_vector(y, "right-hand side")
     if rhs.size != a.shape[0]:
         raise DimensionMismatchError(
             f"right-hand side has length {rhs.size}, matrix is {a.shape[0]}x{a.shape[1]}"
@@ -73,8 +73,8 @@ def solve(matrix, y) -> np.ndarray:
 def residual(matrix, x, y) -> float:
     """Max-norm of A x - y; zero means x solves the system exactly."""
     a = _as_matrix(matrix)
-    xv = _as_vector(x)
-    yv = _as_vector(y)
+    xv = _as_vector(x, "x")
+    yv = _as_vector(y, "y")
     if xv.size != a.shape[1] or yv.size != a.shape[0]:
         raise DimensionMismatchError(
             f"matrix is {a.shape[0]}x{a.shape[1]}, got x of length {xv.size} and y of length {yv.size}"

@@ -17,12 +17,16 @@ States are plain complex ndarrays of length 2**n.  Gates also act on a
 block of shape (2**n, k), one state per column, exactly as on each column
 alone; `unitary_of` runs the identity block through the circuit in one pass.
 Circuits are immutable; applying one never mutates its input state.
+X, Z and S-dagger contract the target axis with einsum; H, most of a Grover
+circuit, is a butterfly with the same bits on wide states (see `_apply`).  A
+circuit checks its gates on its first run only; an invalid one raises on every run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +48,9 @@ _GATES_1Q = {
 }
 
 GATE_KINDS = frozenset(_GATES_1Q) | {"cx", "cz", "phaseflip"}
+_H_SCALE = _GATES_1Q["h"][0, 0]  # complex128 scalars: a Python float costs a conversion per call
+_ZERO = np.complex128(0.0)
+_BUTTERFLY_MIN = 256  # amplitudes; below it one einsum call beats the butterfly's five
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,8 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise InvalidTargetError(f"unknown gate kind {self.kind!r}")
+        if not (np.iterable(self.targets) and np.iterable(self.flips)):
+            raise InvalidTargetError(f"{self.kind} targets and flips must be sequences of integers")
         object.__setattr__(self, "targets", tuple(check_int(q, "gate target") for q in self.targets))
         object.__setattr__(self, "flips", frozenset(check_int(i, "phase-flip index") for i in self.flips))
 
@@ -87,7 +96,7 @@ def cz(a: int, b: int) -> Gate:
 
 def phase_flip(indices) -> Gate:
     """Diagonal gate that negates the amplitude of each listed basis index."""
-    return Gate("phaseflip", (), frozenset(indices))
+    return Gate("phaseflip", (), indices)
 
 
 @dataclass(frozen=True)
@@ -99,6 +108,13 @@ class Circuit:
         if check_int(self.n_qubits, "n_qubits") < 1:
             raise ValidationError("a circuit needs at least one qubit")
         object.__setattr__(self, "ops", tuple(self.ops))
+
+    @cached_property
+    def _checked_ops(self) -> tuple[Gate, ...]:
+        """`ops`, each checked against `n_qubits` once; kept in __dict__, outside eq and hash."""
+        for gate in self.ops:
+            _check_gate(gate, self.n_qubits)
+        return self.ops
 
 
 @dataclass(frozen=True)
@@ -173,12 +189,20 @@ def _pair_view(amps: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
 def _apply(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     """One checked gate on a validated complex state or block, as a new array."""
     if gate.kind in _GATES_1Q:
-        g = _GATES_1Q[gate.kind]
-        q = gate.targets[0]
         # Reshape to (high bits, target bit, low bits[, columns]) and contract
         # the target axis.
-        cube = amps.reshape((2 ** (n - q - 1), 2, 2**q) + amps.shape[1:])
-        return np.einsum("ab,ibj...->iaj...", g, cube).reshape(amps.shape)
+        q = gate.targets[0]
+        shape = (2 ** (n - q - 1), 2, 2**q) + amps.shape[1:]
+        if gate.kind != "h" or amps.size < _BUTTERFLY_MIN:
+            return np.einsum("ab,ibj...->iaj...", _GATES_1Q[gate.kind], amps.reshape(shape)).reshape(amps.shape)
+        # H as a butterfly with einsum's bits: einsum forms (0 + g0*x0) + g1*x1,
+        # so +0 turns a -0 product into +0 as that zero start does; x + (-y) is x - y.
+        cube = np.multiply(amps, _H_SCALE).reshape(shape)
+        cube += _ZERO
+        out = np.empty_like(cube)
+        np.add(cube[:, 0], cube[:, 1], out=out[:, 0])
+        np.subtract(cube[:, 0], cube[:, 1], out=out[:, 1])
+        return out.reshape(amps.shape)
 
     out = amps.copy()
     if gate.kind == "cx":
@@ -198,10 +222,8 @@ def _apply(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
 
 
 def _apply_circuit(circuit: Circuit, states: np.ndarray) -> np.ndarray:
-    n = _qubit_count(states, ndims=(1, 2))
-    for gate in circuit.ops:
-        _check_gate(gate, n)
-        states = _apply(states, gate, n)
+    for gate in circuit._checked_ops:
+        states = _apply(states, gate, circuit.n_qubits)
     return states
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sim
-from .errors import DimensionMismatchError, InvalidProbabilityError, ValidationError, check_unit_norm
+from .errors import DimensionMismatchError, InvalidProbabilityError, ValidationError, check_unit_norm, check_vector
 
 _PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -74,7 +74,7 @@ def pauli_word_matrix(word: str) -> np.ndarray:
 
 def density_from_state(psi) -> np.ndarray:
     """Outer product |psi><psi| of a normalized state vector."""
-    v = np.asarray(psi, dtype=complex).reshape(-1)
+    v = check_vector(np.asarray(psi, dtype=complex), "state")
     check_unit_norm(v, "state")
     return np.outer(v, v.conj())
 
@@ -212,7 +212,7 @@ def fidelity(rho, psi, square_root: bool = False) -> float:
     ValidationError.
     """
     m = np.asarray(rho, dtype=complex)
-    v = np.asarray(psi, dtype=complex).reshape(-1)
+    v = check_vector(np.asarray(psi, dtype=complex), "state")
     if m.shape != (v.size, v.size):
         raise DimensionMismatchError(
             f"density matrix {m.shape} does not match state of length {v.size}"

@@ -31,6 +31,7 @@ MORE_TARGETS = {
     "synth_all.json": ["synth", "--all"],
     "tomo_a1234_sampled.json": ["tomo", "--label", "A_1234"],
     "run_a1342_noise.json": ["run", "--label", "A_1342", "--noise", "0.1", "--output", "json"],
+    "grover_q10_m37.json": ["grover", "--qubits", "10", "--marked", "37"],
 }
 
 

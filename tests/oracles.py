@@ -5,9 +5,9 @@ they share no code path with the package: agreement between the two is
 evidence, not tautology.  The synthesis group is enumerated from numpy
 literals of the vocabulary, and two-qubit tomography is rebuilt from numpy
 literals of the Pauli and basis-change matrices, again without importing the
-package.  CX and CZ are also written as index-array gathers and masks, the
-formulation the simulator's slice kernel replaced, so the two can be compared
-byte for byte.
+package.  CX and CZ are also written as index-array gathers and masks, and H
+as the einsum contraction, the formulations the simulator's slice kernel and
+butterfly replaced, so the two can be compared byte for byte.
 """
 
 import numpy as np
@@ -207,3 +207,10 @@ def cz_by_index(amps, a, b):
     out = amps.copy()
     out[both] *= -1.0
     return out
+
+
+def h_by_einsum(amps, qubit):
+    """H as the contraction of the target axis of a (high, 2, low[, columns]) view with the 2x2 matrix."""
+    n = amps.shape[0].bit_length() - 1
+    cube = amps.reshape((2 ** (n - qubit - 1), 2, 2**qubit) + amps.shape[1:])
+    return np.einsum("ab,ibj...->iaj...", _H_1Q, cube).reshape(amps.shape)

@@ -340,6 +340,11 @@ class TestGrover:
         _, out, _ = run_cli(capsys, "grover")
         assert out == (GOLDEN / "grover_default.json").read_text()
 
+    def test_ten_qubit_golden(self, capsys):
+        # The wide path: 25 iterations, 560 gates on 1,024 amplitudes.
+        _, out, _ = run_cli(capsys, "grover", "--qubits", "10", "--marked", "37")
+        assert out.encode() == (GOLDEN / "grover_q10_m37.json").read_bytes()
+
     def test_json_fields(self, capsys):
         _, out, _ = run_cli(capsys, "grover", "--qubits", "3", "--marked", "5")
         payload = json.loads(out)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qlinsys import family, grover, linsys, sim, synth, tomo
-from qlinsys.errors import DimensionMismatchError, InvalidCountsError, ValidationError
+from qlinsys.errors import DimensionMismatchError, InvalidCountsError, InvalidTargetError, ValidationError
 
 
 def _render_rows_that_are_not_half_signs():
@@ -22,16 +22,38 @@ CASES = {
     "sim.gate_target": (lambda: sim.h(1.7), ValidationError, "gate target must be an integer"),
     "sim.gate_target_bool": (lambda: sim.h(True), ValidationError, "gate target must be an integer"),
     "sim.phase_flip": (lambda: sim.phase_flip([1.9]), ValidationError, "phase-flip index must be an integer"),
+    "sim.gate_scalar_targets": (lambda: sim.Gate("h", 0), InvalidTargetError, "must be sequences"),
+    "sim.phase_flip_scalar": (lambda: sim.phase_flip(3), InvalidTargetError, "must be sequences"),
     "sim.Circuit_width": (lambda: sim.Circuit(2.5), ValidationError, "n_qubits must be an integer"),
     "sim.seed": (lambda: sim.sample_counts([0.5, 0.5], 10, 1.5), ValidationError, "seed must be an integer"),
     "sim.seed_none": (lambda: sim.sample_counts([0.5, 0.5], 10, None), ValidationError, "seed must be an integer"),
     "sim.seed_bool": (lambda: sim.sample_counts([0.5, 0.5], 10, True), ValidationError, "seed must be an integer"),
     "sim.seed_negative": (lambda: sim.sample_counts([0.5, 0.5], 10, -1), ValidationError, "seed must be non-negative"),
     "linsys.matrix": (lambda: linsys.solve(np.full((4, 4), np.nan), [1, 0, 0, 0]), ValidationError, "finite"),
+    "linsys.rhs_shape": (
+        lambda: linsys.solve(np.eye(4), [[1, 0], [0, 0]]),
+        DimensionMismatchError,
+        r"right-hand side must be a vector, got shape \(2, 2\)",
+    ),
+    "linsys.residual_shape": (
+        lambda: linsys.residual(np.eye(4), [[1, 0], [0, 0]], [1, 0, 0, 0]),
+        DimensionMismatchError,
+        "x must be a vector",
+    ),
     "linsys.vector": (
         lambda: linsys.residual(np.eye(4), [np.nan, 0, 0, 0], [1, 0, 0, 0]),
         ValidationError,
         "finite",
+    ),
+    "tomo.state_shape": (
+        lambda: tomo.density_from_state([[1, 0], [0, 0]]),
+        DimensionMismatchError,
+        "state must be a vector",
+    ),
+    "tomo.fidelity_shape": (
+        lambda: tomo.fidelity(np.eye(4) / 4, [[1, 0], [0, 0]]),
+        DimensionMismatchError,
+        "state must be a vector",
     ),
     "tomo.word": (lambda: tomo.pauli_word_matrix("XQ"), ValidationError, "two-letter word"),
     "tomo.density": (lambda: tomo.apply_depolarizing(np.eye(4), 0.1), ValidationError, "physical"),
@@ -49,6 +71,11 @@ CASES = {
         lambda: family.equations_for(family.FamilyLabel.parse("A_1234"), [1, 0, 0]),
         DimensionMismatchError,
         "length 4",
+    ),
+    "family.y_shape": (
+        lambda: family.equations_for(family.FamilyLabel.parse("A_1234"), [[1, 0], [0, 0]]),
+        DimensionMismatchError,
+        "y must be a vector",
     ),
     "family.rows": (_render_rows_that_are_not_half_signs, ValidationError, "entries"),
     "grover.probability": (
@@ -71,6 +98,7 @@ CASES = {
         "iterations must be an integer",
     ),
     "grover.marked": (lambda: grover.build_grover_circuit(2, [2.7], 1), ValidationError, "index must be an integer"),
+    "grover.marked_scalar": (lambda: grover.build_grover_circuit(2, 3, 1), InvalidTargetError, "must be sequences"),
     "grover.iterations": (lambda: grover.build_grover_circuit(2, {0}, -1), ValidationError, "non-negative"),
     "synth.max_gates": (lambda: synth.synthesize(np.eye(4), max_gates=-1), ValidationError, "non-negative"),
 }

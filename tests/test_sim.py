@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from qlinsys.errors import (
     ValidationError,
 )
 
-from oracles import cx_by_index, cz_by_index
+from oracles import cx_by_index, cz_by_index, h_by_einsum
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -248,6 +249,32 @@ class TestBlockKernel:
                     assert sim.apply_gate(amps, sim.cz(a, b)).tobytes() == cz_by_index(amps, a, b).tobytes()
             assert amps.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_h_equals_the_einsum_reference(self, n):
+        # Signed zeros, units and denormals in both parts, where a butterfly
+        # and a contraction could differ by a bit; then a generic state.
+        rng = np.random.default_rng(90 + n)
+        values = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, -2.5e-300, INV_SQRT2])
+        for shape in [(2**n,), (2**n, 3)]:
+            seeded = np.empty(shape, dtype=complex)
+            seeded.real = rng.choice(values, size=shape)
+            seeded.imag = rng.choice(values, size=shape)
+            seeded.real[0], seeded.imag[-1] = -0.0, -0.0
+            generic = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            for amps in (seeded, generic):
+                before = amps.tobytes()
+                for q in range(n):
+                    assert sim.apply_gate(amps, sim.h(q)).tobytes() == h_by_einsum(amps, q).tobytes(), (shape, q)
+                assert amps.tobytes() == before
+
+    def test_h_keeps_einsum_zero_signs_after_a_phase_flip(self):
+        # A phase flip leaves -0 in the state; the contraction turns it into +0.
+        state = sim.run(sim.Circuit(8, (sim.phase_flip(range(256)),)))
+        assert state.size >= sim._BUTTERFLY_MIN
+        assert np.signbit(state.real[1:]).all()
+        for q in range(8):
+            assert sim.apply_gate(state, sim.h(q)).tobytes() == h_by_einsum(state, q).tobytes()
+
     def test_three_dimensional_input_rejected(self):
         with pytest.raises(ValueError):
             sim.apply_gate(np.ones((4, 2, 2), dtype=complex), sim.h(0))
@@ -255,6 +282,35 @@ class TestBlockKernel:
     def test_block_rows_must_be_a_power_of_two(self):
         with pytest.raises(ValueError):
             sim.apply_gate(np.ones((3, 2), dtype=complex), sim.h(0))
+
+
+class TestCircuitCheckedOnce:
+    def test_invalid_circuit_raises_on_every_run(self):
+        circuit = sim.Circuit(2, (sim.h(0), sim.h(2)))
+        for _ in range(2):
+            with pytest.raises(InvalidTargetError, match="out of range"):
+                sim.run(circuit)
+            with pytest.raises(InvalidTargetError, match="out of range"):
+                sim.unitary_of(circuit)
+
+    def test_valid_circuit_is_checked_on_its_first_run_only(self):
+        circuit = sim.Circuit(2, (sim.h(0), sim.cx(0, 1), sim.phase_flip({3})))
+        first = sim.run(circuit)
+        with mock.patch.object(sim, "_check_gate", side_effect=AssertionError("checked again")):
+            assert sim.run(circuit).tobytes() == first.tobytes()
+            sim.unitary_of(circuit)
+            # apply_gate keeps its own check.
+            with pytest.raises(AssertionError, match="checked again"):
+                sim.apply_gate(first, sim.h(0))
+
+    def test_equality_and_hash_unchanged_by_a_run(self):
+        ops = (sim.h(0), sim.cz(0, 1))
+        ran, fresh = sim.Circuit(2, ops), sim.Circuit(2, ops)
+        before = hash(ran)
+        sim.run(ran)
+        assert ran == fresh
+        assert hash(ran) == hash(fresh) == before
+        assert ran != sim.Circuit(2, ops[:1])
 
 
 class TestBitstrings:
