@@ -20,6 +20,12 @@ Circuits are immutable; applying one never mutates its input state.
 X, Z and S-dagger contract the target axis with einsum; H, most of a Grover
 circuit, is a butterfly with the same bits on wide states (see `_apply`).  A
 circuit checks its gates on its first run only; an invalid one raises on every run.
+On 3 qubits or fewer, where per-call overhead outweighs the arithmetic, a
+circuit's first `run` or `unitary_of` computes its whole unitary once and keeps
+it, read-only, on the circuit; every later `run` copies one of its columns and
+every later `unitary_of` copies it.  That costs one 2**n x 2**n complex array
+(at most 1 KiB) per small circuit that has run, freed with the circuit.  The
+bits are those of the gate-by-gate run: column j of `unitary_of` is run(circuit, j).
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .errors import (
     ValidationError,
     check_finite,
     check_int,
+    check_vector,
 )
 
 _GATES_1Q = {
@@ -50,7 +57,9 @@ _GATES_1Q = {
 GATE_KINDS = frozenset(_GATES_1Q) | {"cx", "cz", "phaseflip"}
 _H_SCALE = _GATES_1Q["h"][0, 0]  # complex128 scalars: a Python float costs a conversion per call
 _ZERO = np.complex128(0.0)
-_BUTTERFLY_MIN = 256  # amplitudes; below it one einsum call beats the butterfly's five
+# Amplitudes.  Below it one einsum call beats the butterfly's five, and a
+# circuit whose identity block is below it keeps its unitary (see `run`).
+_BUTTERFLY_MIN = 256
 
 
 @dataclass(frozen=True)
@@ -116,6 +125,13 @@ class Circuit:
             _check_gate(gate, self.n_qubits)
         return self.ops
 
+    @cached_property
+    def _unitary(self) -> np.ndarray:
+        """The read-only matrix that small-circuit runs copy from; kept in __dict__ like `_checked_ops`."""
+        u = _apply_circuit(self, np.eye(2**self.n_qubits, dtype=complex))
+        u.flags.writeable = False
+        return u
+
 
 @dataclass(frozen=True)
 class ShotTable:
@@ -141,6 +157,8 @@ def _qubit_count(state: np.ndarray, ndims: tuple[int, ...] = (1,)) -> int:
 
 
 def _check_gate(gate: Gate, n_qubits: int) -> None:
+    if not isinstance(gate, Gate):
+        raise InvalidTargetError(f"expected a Gate, got {gate!r}")
     if gate.kind == "phaseflip":
         if gate.targets:
             raise InvalidTargetError("phaseflip addresses basis indices, not qubits")
@@ -156,11 +174,15 @@ def _check_gate(gate: Gate, n_qubits: int) -> None:
         raise InvalidTargetError(f"target {gate.targets} out of range for {n_qubits} qubits")
 
 
-def basis_state(n_qubits: int, index: int) -> np.ndarray:
+def _check_basis_index(n_qubits: int, index: int) -> int:
     if not 0 <= check_int(index, "basis index") < 2**n_qubits:
         raise ValidationError(f"basis index {index} out of range for {n_qubits} qubits")
+    return int(index)
+
+
+def basis_state(n_qubits: int, index: int) -> np.ndarray:
     out = np.zeros(2**n_qubits, dtype=complex)
-    out[index] = 1.0
+    out[_check_basis_index(n_qubits, index)] = 1.0
     return out
 
 
@@ -228,12 +250,24 @@ def _apply_circuit(circuit: Circuit, states: np.ndarray) -> np.ndarray:
 
 
 def run(circuit: Circuit, initial_basis_index: int = 0) -> np.ndarray:
-    """Run the circuit on a basis state and return the final state vector."""
-    return _apply_circuit(circuit, basis_state(circuit.n_qubits, initial_basis_index))
+    """Run the circuit on a basis state and return the final state vector, a fresh array.
+
+    On 3 qubits or fewer this is a copy of one column of the circuit's kept
+    unitary, computed on its first run; wider circuits run gate by gate.
+    """
+    n = circuit.n_qubits
+    if 4**n < _BUTTERFLY_MIN:
+        return circuit._unitary[:, _check_basis_index(n, initial_basis_index)].copy()
+    return _apply_circuit(circuit, basis_state(n, initial_basis_index))
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
-    """Full matrix of the circuit; column j is exactly run(circuit, j)."""
+    """Full matrix of the circuit, a fresh array; column j is exactly run(circuit, j).
+
+    On 3 qubits or fewer this is a copy of the circuit's kept unitary.
+    """
+    if 4**circuit.n_qubits < _BUTTERFLY_MIN:
+        return circuit._unitary.copy()
     return _apply_circuit(circuit, np.eye(2**circuit.n_qubits, dtype=complex))
 
 
@@ -250,7 +284,8 @@ def amplitudes_from_probabilities(probs) -> np.ndarray:
     or phase information in the underlying amplitudes is unrecoverable from
     probabilities alone; recovering signs takes tomography.
     """
-    p = np.asarray(probs, dtype=float)
+    p = check_vector(np.asarray(probs, dtype=float), "probabilities")
+    check_finite(p, "probabilities must be finite")
     if np.any(p < 0):
         raise NegativeProbabilityError(f"probabilities must be non-negative, min is {p.min()}")
     return np.sqrt(p)

@@ -24,7 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sim
-from .errors import DimensionMismatchError, InvalidProbabilityError, ValidationError, check_unit_norm, check_vector
+from .errors import (
+    DimensionMismatchError,
+    InvalidProbabilityError,
+    ValidationError,
+    check_finite,
+    check_unit_norm,
+    check_vector,
+)
 
 _PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -179,9 +186,12 @@ def project_to_physical(rho) -> np.ndarray:
 
     This is a valid state but not in general the nearest one to rho.
     Physical inputs pass through unchanged up to rounding, so the projection
-    is idempotent.
+    is idempotent.  rho must be a finite square matrix.
     """
     m = np.asarray(rho, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+    check_finite(m, "matrix entries must be finite")
     hermitian = (m + m.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(hermitian)
     vals = np.clip(vals, 0.0, None)
@@ -192,10 +202,14 @@ def project_to_physical(rho) -> np.ndarray:
 
 
 def reconstruct(table: ExpectationTable) -> np.ndarray:
-    """Linear inversion rho = (1/4) sum <P> P, projected back to a valid state."""
+    """Linear inversion rho = (1/4) sum <P> P, projected back to a valid state.
+
+    The table must hold a finite value for each of the sixteen words.
+    """
     if set(table.values) != set(PAULI_WORDS):
         missing = set(PAULI_WORDS) - set(table.values)
         raise ValidationError(f"expectation table is incomplete, missing {sorted(missing)}")
+    check_finite(np.array(list(table.values.values())), "expectation values must be finite")
     linear = np.zeros((4, 4), dtype=complex)
     for word, matrix in zip(PAULI_WORDS, _PAULI_MATRICES):
         linear += table.values[word] * matrix

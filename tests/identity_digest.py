@@ -1,0 +1,126 @@
+"""Print one sha256 over a fixed, seeded set of qlinsys outputs.
+
+A change meant to keep every output bit for bit should print the same
+digest as its parent.  Run it from the root of each checkout:
+
+    python3 tests/identity_digest.py
+
+It imports the package from this checkout's `src`, never an installed copy.
+The set, each array hashed by dtype, shape and `tobytes`, everything else by
+`repr`:
+
+* `sim.run` on every basis input, `sim.unitary_of`, and a (2**n, 3) block
+  through `sim.apply_gate` after every gate, on random circuits of all seven
+  gate kinds at 1 to 9 qubits.  Block entries are drawn from +-0, +-1,
+  denormals and 1/2, where two kernels could differ by a bit.
+* Every entry of the synthesis closure: key, circuit, unitary and sign.
+* The 48 catalog systems times 4 basis inputs: solution, state, 1024-shot
+  counts, and each circuit's QASM.
+* A 10-qubit Grover run.
+* Sampled tomography of all 48 labels at the calibrated noise.
+
+Not a pytest module: its name has no test_ prefix.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from qlinsys import family, grover, linsys, qasm, sim, synth, tomo  # noqa: E402
+
+SEEDED_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 0.5])
+
+
+class Digest:
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.items = 0
+
+    def feed(self, value) -> None:
+        if isinstance(value, np.ndarray):
+            self.sha.update(repr((value.dtype.str, value.shape)).encode())
+            self.sha.update(value.tobytes())
+        else:
+            self.sha.update(repr(value).encode())
+        self.items += 1
+
+
+def random_circuit(n: int, length: int, rng) -> sim.Circuit:
+    ops = []
+    for _ in range(length):
+        kind = int(rng.integers(7 if n >= 2 else 5))
+        if kind < 4:
+            ops.append((sim.h, sim.x, sim.z, sim.sdg)[kind](int(rng.integers(n))))
+        elif kind == 4:
+            flips = rng.choice(2**n, size=int(rng.integers(1, 2**n + 1)), replace=False)
+            ops.append(sim.phase_flip(int(i) for i in flips))
+        else:
+            a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+            ops.append((sim.cx, sim.cz)[kind - 5](a, b))
+    return sim.Circuit(n, tuple(ops))
+
+
+def seeded_block(n: int, rng) -> np.ndarray:
+    block = np.empty((2**n, 3), dtype=complex)
+    block.real = rng.choice(SEEDED_VALUES, size=block.shape)
+    block.imag = rng.choice(SEEDED_VALUES, size=block.shape)
+    return block
+
+
+def feed_circuits(digest: Digest, rng) -> None:
+    for n in range(1, 10):
+        for _ in range(40 if n <= 6 else 6):
+            circuit = random_circuit(n, int(rng.integers(1, 41)), rng)
+            digest.feed(circuit)
+            for j in range(2**n):
+                digest.feed(sim.run(circuit, j))
+            digest.feed(sim.unitary_of(circuit))
+            block = seeded_block(n, rng)
+            for gate in circuit.ops:
+                block = sim.apply_gate(block, gate)
+                digest.feed(block)
+
+
+def feed_synthesis(digest: Digest) -> None:
+    for key, (circuit, unitary, sign) in synth._closure().items():
+        digest.feed((key, circuit, sign))
+        digest.feed(unitary)
+
+
+def feed_catalog(digest: Digest) -> None:
+    specs = family.enumerate_family()
+    for i, spec in enumerate(specs):
+        result = synth.synthesize(linsys.inverse_operator(spec.matrix))
+        digest.feed((str(spec.label), result))
+        digest.feed(qasm.circuit_to_qasm(result.circuit))
+        for b in range(4):
+            digest.feed(linsys.solve(spec.matrix, np.eye(4)[b]))
+            state = sim.run(result.circuit, b)
+            digest.feed(state)
+            digest.feed(sim.sample_distribution(sim.probabilities(state), 1024, 4 * i + b))
+    for i, spec in enumerate(specs):
+        x = linsys.solve(spec.matrix, np.eye(4)[0])
+        rho = tomo.apply_depolarizing(tomo.density_from_state(x), tomo.CALIBRATED_DEPOLARIZING_P)
+        table = tomo.pauli_expectations(rho, mode="sampled", shots=1024, seed=i)
+        rebuilt = tomo.reconstruct(table)
+        digest.feed(table)
+        digest.feed(rebuilt)
+        digest.feed(tomo.fidelity(rebuilt, x))
+
+
+def main() -> None:
+    digest = Digest()
+    feed_circuits(digest, np.random.default_rng(2018))
+    feed_synthesis(digest)
+    feed_catalog(digest)
+    iterations = grover.optimal_iterations(grover.geometry(1024, 1))
+    digest.feed(sim.run(grover.build_grover_circuit(10, {37}, iterations), 0))
+    print(f"{digest.sha.hexdigest()}  ({digest.items} outputs)")
+
+
+if __name__ == "__main__":
+    main()

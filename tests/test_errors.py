@@ -14,6 +14,12 @@ def _render_rows_that_are_not_half_signs():
         family.equations_for(family.FamilyLabel.parse("A_1234"))
 
 
+def _table_with(word, value):
+    values = {w: 0.0 for w in tomo.PAULI_WORDS}
+    values.update(II=1.0, **{word: value})
+    return tomo.ExpectationTable(values, "analytic")
+
+
 CASES = {
     "sim.Circuit": (lambda: sim.Circuit(0), ValidationError, "at least one qubit"),
     "sim.ndim": (lambda: sim.apply_gate(np.ones((4, 2, 2)), sim.h(0)), DimensionMismatchError, "dimensions"),
@@ -25,6 +31,15 @@ CASES = {
     "sim.gate_scalar_targets": (lambda: sim.Gate("h", 0), InvalidTargetError, "must be sequences"),
     "sim.phase_flip_scalar": (lambda: sim.phase_flip(3), InvalidTargetError, "must be sequences"),
     "sim.Circuit_width": (lambda: sim.Circuit(2.5), ValidationError, "n_qubits must be an integer"),
+    "sim.readout_nan": (lambda: sim.amplitudes_from_probabilities([np.nan, 1.0]), ValidationError, "finite"),
+    "sim.readout_inf": (lambda: sim.amplitudes_from_probabilities([np.inf, 0.0]), ValidationError, "finite"),
+    "sim.readout_shape": (
+        lambda: sim.amplitudes_from_probabilities([[0.5, 0.5]]),
+        DimensionMismatchError,
+        r"probabilities must be a vector, got shape \(1, 2\)",
+    ),
+    "sim.apply_non_gate": (lambda: sim.apply_gate(np.ones(2), "h"), InvalidTargetError, "expected a Gate"),
+    "sim.run_non_gate": (lambda: sim.run(sim.Circuit(1, (1,))), InvalidTargetError, "expected a Gate"),
     "sim.seed": (lambda: sim.sample_counts([0.5, 0.5], 10, 1.5), ValidationError, "seed must be an integer"),
     "sim.seed_none": (lambda: sim.sample_counts([0.5, 0.5], 10, None), ValidationError, "seed must be an integer"),
     "sim.seed_bool": (lambda: sim.sample_counts([0.5, 0.5], 10, True), ValidationError, "seed must be an integer"),
@@ -62,6 +77,14 @@ CASES = {
         lambda: tomo.reconstruct(tomo.ExpectationTable({"II": 1.0}, "analytic")),
         ValidationError,
         "incomplete",
+    ),
+    "tomo.reconstruct_nan": (lambda: tomo.reconstruct(_table_with("XZ", np.nan)), ValidationError, "finite"),
+    "tomo.reconstruct_inf": (lambda: tomo.reconstruct(_table_with("YY", -np.inf)), ValidationError, "finite"),
+    "tomo.project_nan": (lambda: tomo.project_to_physical(np.full((4, 4), np.nan)), ValidationError, "finite"),
+    "tomo.project_shape": (
+        lambda: tomo.project_to_physical(np.ones((3, 4))),
+        DimensionMismatchError,
+        r"square matrix, got shape \(3, 4\)",
     ),
     "family.label_kind": (lambda: family.FamilyLabel("C", (1, 2, 3, 4)), ValidationError, "column class"),
     "family.label_perm": (lambda: family.FamilyLabel("A", (1, 1, 2, 3)), ValidationError, "permutation"),

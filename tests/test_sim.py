@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qlinsys import sim
+from qlinsys import grover, sim
 from qlinsys.errors import (
     InvalidTargetError,
     NegativeProbabilityError,
@@ -303,14 +303,84 @@ class TestCircuitCheckedOnce:
             with pytest.raises(AssertionError, match="checked again"):
                 sim.apply_gate(first, sim.h(0))
 
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("op", [1, "h", None])
+    def test_an_op_that_is_not_a_gate_raises_on_every_run(self, n, op):
+        circuit = sim.Circuit(n, (sim.h(0), op))
+        for _ in range(2):
+            with pytest.raises(InvalidTargetError, match="expected a Gate"):
+                sim.run(circuit)
+            with pytest.raises(InvalidTargetError, match="expected a Gate"):
+                sim.unitary_of(circuit)
+
     def test_equality_and_hash_unchanged_by_a_run(self):
         ops = (sim.h(0), sim.cz(0, 1))
         ran, fresh = sim.Circuit(2, ops), sim.Circuit(2, ops)
         before = hash(ran)
         sim.run(ran)
+        assert "_unitary" in ran.__dict__
         assert ran == fresh
         assert hash(ran) == hash(fresh) == before
         assert ran != sim.Circuit(2, ops[:1])
+
+
+class TestSmallCircuitUnitary:
+    """On 3 qubits or fewer, `run` and `unitary_of` copy a unitary kept on the circuit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_run_equals_the_gate_by_gate_loop(self, n):
+        rng = np.random.default_rng(60 + n)
+        gates = every_gate(n, rng)
+        # Ending on CZ and a phase flip leaves -0 entries, which the copy must keep.
+        tail = [sim.cz(0, 1)] if n >= 2 else []
+        tail.append(sim.phase_flip(range(2**n)))
+        signed_zeros = 0
+        for trial in range(4):
+            ops = [gates[int(i)] for i in rng.permutation(len(gates))]
+            circuit = sim.Circuit(n, tuple(ops + tail if trial % 2 else ops))
+            for j in range(2**n):
+                state = sim.basis_state(n, j)
+                for gate in circuit.ops:
+                    state = sim.apply_gate(state, gate)
+                for _ in range(2):
+                    assert sim.run(circuit, j).tobytes() == state.tobytes(), (trial, j)
+                signed_zeros += int(np.sum(np.signbit(state.real) & (state.real == 0)))
+            assert "_unitary" in circuit.__dict__
+        assert signed_zeros > 0
+
+    def test_results_are_fresh_writable_arrays(self):
+        circuit = sim.Circuit(2, (sim.h(0), sim.cx(0, 1)))
+        first_state, first_unitary = sim.run(circuit, 1), sim.unitary_of(circuit)
+        for result in (sim.run(circuit, 1), sim.unitary_of(circuit)):
+            assert result.flags.writeable
+            result[...] = 7.0
+        assert sim.run(circuit, 1).tobytes() == first_state.tobytes()
+        assert sim.unitary_of(circuit).tobytes() == first_unitary.tobytes()
+
+    def test_kept_unitary_is_read_only(self):
+        circuit = sim.Circuit(3, (sim.h(2), sim.cz(0, 2)))
+        sim.run(circuit)
+        kept = circuit.__dict__["_unitary"]
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 0] = 0.0
+
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_wide_grover_circuits_keep_no_unitary(self, n):
+        circuit = grover.build_grover_circuit(n, {3}, 2)
+        sim.run(circuit)
+        assert "_unitary" not in circuit.__dict__
+
+    def test_bad_index_raises_as_basis_state_does(self):
+        circuit = sim.Circuit(2, (sim.h(0),))
+        sim.run(circuit)
+        for index, message in [(4, "out of range"), (-1, "out of range"), (1.0, "integer"), (True, "integer")]:
+            with pytest.raises(ValidationError, match=message) as from_run:
+                sim.run(circuit, index)
+            with pytest.raises(ValidationError) as from_basis:
+                sim.basis_state(2, index)
+            assert type(from_run.value) is type(from_basis.value)
+            assert str(from_run.value) == str(from_basis.value)
 
 
 class TestBitstrings:
