@@ -16,6 +16,10 @@ from . import sim
 from .errors import InvalidCountsError, InvalidMarkedSetError, ValidationError, check_int
 
 MAX_QUBITS = 10
+#: Upper bound on `build_grover_circuit`'s iteration count, far above the 25
+#: optimal iterations of one marked state at MAX_QUBITS; it keeps a mistyped
+#: count from building a circuit that never finishes.
+MAX_ITERATIONS = 1024
 
 
 @dataclass(frozen=True)
@@ -48,11 +52,13 @@ def success_probability(geom: GroverGeometry, iterations: int) -> float:
 
 
 def build_grover_circuit(n_qubits: int, marked, iterations: int) -> sim.Circuit:
-    """Uniform superposition followed by `iterations` amplification rounds."""
+    """Uniform superposition followed by `iterations` amplification rounds, at most MAX_ITERATIONS."""
     if not 1 <= check_int(n_qubits, "n_qubits") <= MAX_QUBITS:
         raise InvalidCountsError(f"n_qubits must lie in 1..{MAX_QUBITS}, got {n_qubits}")
     if check_int(iterations, "iterations") < 0:
         raise ValidationError("iterations must be non-negative")
+    if iterations > MAX_ITERATIONS:
+        raise ValidationError(f"iterations must be at most {MAX_ITERATIONS}, got {iterations}")
     oracle = sim.phase_flip(marked)  # checks that each index is an integer
     if not oracle.flips:
         raise InvalidMarkedSetError("marked set must not be empty")

@@ -19,7 +19,14 @@ alone; `unitary_of` runs the identity block through the circuit in one pass.
 Circuits are immutable; applying one never mutates its input state.
 X, Z and S-dagger contract the target axis with einsum; H, most of a Grover
 circuit, is a butterfly with the same bits on wide states (see `_apply`).  A
-circuit checks its gates on its first run only; an invalid one raises on every run.
+circuit run on 256 or more amplitudes keeps its state in a bit-rotating layout,
+as a constant-geometry FFT does: H on the qubit at bit 0 pairs adjacent
+amplitudes and writes sums to the low half and differences to the high half,
+so every operand is 1-D and the qubits rotate down one bit.  An ascending H
+layer rotates them back; any other gate, and the returned result, see the
+canonical layout.  Every amplitude gets exactly the operations `apply_gate`
+gives it, so the bits are those of a gate-by-gate fold.  A circuit checks its
+gates on its first run only; an invalid one raises on every run.
 On 3 qubits or fewer, where per-call overhead outweighs the arithmetic, a
 circuit's first `run` or `unitary_of` computes its whole unitary once and keeps
 it, read-only, on the circuit; every later `run` copies one of its columns and
@@ -58,7 +65,8 @@ GATE_KINDS = frozenset(_GATES_1Q) | {"cx", "cz", "phaseflip"}
 _H_SCALE = _GATES_1Q["h"][0, 0]  # complex128 scalars: a Python float costs a conversion per call
 _ZERO = np.complex128(0.0)
 # Amplitudes.  Below it one einsum call beats the butterfly's five, and a
-# circuit whose identity block is below it keeps its unitary (see `run`).
+# circuit whose identity block is below it keeps its unitary (see `run`); from
+# it up a circuit runs on the rotating layout (see `_apply_circuit`).
 _BUTTERFLY_MIN = 256
 
 
@@ -194,10 +202,12 @@ def bitstring(index: int, n_qubits: int) -> str:
 def apply_gate(state, gate: Gate) -> np.ndarray:
     """Apply one gate to a (2**n,) state or a (2**n, k) block of state columns.
 
-    Returns the new state or block; the input is left untouched.
+    Returns the new state or block; the input is left untouched.  Every entry
+    must be finite.
     """
     amps = np.asarray(state, dtype=complex)
     n = _qubit_count(amps, ndims=(1, 2))
+    check_finite(amps, "state entries must be finite")
     _check_gate(gate, n)
     return _apply(amps, gate, n)
 
@@ -243,10 +253,39 @@ def _apply(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     return out
 
 
+def _unrotate(amps: np.ndarray, rot: int, n: int) -> np.ndarray:
+    """A copy of a rotated-layout array in the canonical layout (see `_apply_circuit`)."""
+    return amps.reshape((2**rot, 2 ** (n - rot), *amps.shape[1:])).swapaxes(0, 1).reshape(amps.shape)
+
+
 def _apply_circuit(circuit: Circuit, states: np.ndarray) -> np.ndarray:
+    n = circuit.n_qubits
+    if states.size < _BUTTERFLY_MIN:
+        for gate in circuit._checked_ops:
+            states = _apply(states, gate, n)
+        return states
+    # Rotating layout (see the module docstring): logical qubit q sits at
+    # physical bit (q - rot) % n.  H on bit 0 is `_apply`'s butterfly on
+    # adjacent pairs, which moves that qubit to the top bit.
+    half = states.shape[0] // 2
+    scaled = np.empty(states.shape, dtype=complex)
+    out = np.empty(states.shape, dtype=complex)
+    pairs = scaled.reshape((half, 2, *states.shape[1:]))
+    even, odd, low, high = pairs[:, 0], pairs[:, 1], out[:half], out[half:]
+    rot = 0
     for gate in circuit._checked_ops:
-        states = _apply(states, gate, circuit.n_qubits)
-    return states
+        if gate.kind == "h" and gate.targets[0] == rot:
+            np.multiply(states, _H_SCALE, out=scaled)
+            scaled += _ZERO
+            np.add(even, odd, out=low)
+            np.subtract(even, odd, out=high)
+            states = out
+            rot = (rot + 1) % n
+            continue
+        if rot:
+            states, rot = _unrotate(states, rot, n), 0
+        states = _apply(states, gate, n)
+    return _unrotate(states, rot, n) if rot else states
 
 
 def run(circuit: Circuit, initial_basis_index: int = 0) -> np.ndarray:

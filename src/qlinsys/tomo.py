@@ -87,9 +87,9 @@ def density_from_state(psi) -> np.ndarray:
 
 
 def is_physical(rho) -> bool:
-    """Finite, Hermitian and unit trace within 1e-8, and no eigenvalue below -1e-8."""
+    """Non-empty, finite, Hermitian and unit trace within 1e-8, and no eigenvalue below -1e-8."""
     m = np.asarray(rho, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(m).all():
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size or not np.isfinite(m).all():
         return False
     adjoint = m.conj().T
     if np.max(np.abs(m - adjoint)) > _TOL:
@@ -186,11 +186,11 @@ def project_to_physical(rho) -> np.ndarray:
 
     This is a valid state but not in general the nearest one to rho.
     Physical inputs pass through unchanged up to rounding, so the projection
-    is idempotent.  rho must be a finite square matrix.
+    is idempotent.  rho must be a finite, non-empty square matrix.
     """
     m = np.asarray(rho, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise DimensionMismatchError(f"expected a non-empty square matrix, got shape {m.shape}")
     check_finite(m, "matrix entries must be finite")
     hermitian = (m + m.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(hermitian)

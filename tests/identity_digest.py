@@ -16,6 +16,9 @@ The set, each array hashed by dtype, shape and `tobytes`, everything else by
 * Every entry of the synthesis closure: key, circuit, unitary and sign.
 * The 48 catalog systems times 4 basis inputs: solution, state, 1024-shot
   counts, and each circuit's QASM.
+* H-heavy wide circuits at 4 to 10 qubits: ascending H layers between
+  phase flips, CZs and X gates, ending on a partial layer, so that runs of 8
+  or more qubits and unitaries of 4 or more end on a rotated layout.
 * A 10-qubit Grover run.
 * Sampled tomography of all 48 labels at the calibrated noise.
 
@@ -85,6 +88,28 @@ def feed_circuits(digest: Digest, rng) -> None:
                 digest.feed(block)
 
 
+def h_heavy_circuit(n: int, rng) -> sim.Circuit:
+    ops = []
+    for _ in range(int(rng.integers(2, 6))):
+        ops += [sim.h(q) for q in range(n)]
+        flips = rng.choice(2**n, size=int(rng.integers(1, 2**n + 1)), replace=False)
+        a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+        ops += [sim.phase_flip(int(i) for i in flips), sim.cz(a, b), sim.x(int(rng.integers(n)))]
+    ops += [sim.h(q) for q in range(int(rng.integers(1, n)))]
+    return sim.Circuit(n, tuple(ops))
+
+
+def feed_wide_circuits(digest: Digest, rng) -> None:
+    for n in range(4, 11):
+        for _ in range(8 if n <= 8 else 3):
+            circuit = h_heavy_circuit(n, rng)
+            digest.feed(circuit)
+            for j in rng.choice(2**n, size=4, replace=False):
+                digest.feed(sim.run(circuit, int(j)))
+            if n <= 8:
+                digest.feed(sim.unitary_of(circuit))
+
+
 def feed_synthesis(digest: Digest) -> None:
     for key, (circuit, unitary, sign) in synth._closure().items():
         digest.feed((key, circuit, sign))
@@ -115,6 +140,7 @@ def feed_catalog(digest: Digest) -> None:
 def main() -> None:
     digest = Digest()
     feed_circuits(digest, np.random.default_rng(2018))
+    feed_wide_circuits(digest, np.random.default_rng(1968))
     feed_synthesis(digest)
     feed_catalog(digest)
     iterations = grover.optimal_iterations(grover.geometry(1024, 1))

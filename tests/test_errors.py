@@ -38,6 +38,8 @@ CASES = {
         DimensionMismatchError,
         r"probabilities must be a vector, got shape \(1, 2\)",
     ),
+    "sim.apply_nan": (lambda: sim.apply_gate([np.nan, 0.0], sim.h(0)), ValidationError, "finite"),
+    "sim.apply_inf": (lambda: sim.apply_gate(np.array([[np.inf], [0.0]]), sim.x(0)), ValidationError, "finite"),
     "sim.apply_non_gate": (lambda: sim.apply_gate(np.ones(2), "h"), InvalidTargetError, "expected a Gate"),
     "sim.run_non_gate": (lambda: sim.run(sim.Circuit(1, (1,))), InvalidTargetError, "expected a Gate"),
     "sim.seed": (lambda: sim.sample_counts([0.5, 0.5], 10, 1.5), ValidationError, "seed must be an integer"),
@@ -123,6 +125,18 @@ CASES = {
     "grover.marked": (lambda: grover.build_grover_circuit(2, [2.7], 1), ValidationError, "index must be an integer"),
     "grover.marked_scalar": (lambda: grover.build_grover_circuit(2, 3, 1), InvalidTargetError, "must be sequences"),
     "grover.iterations": (lambda: grover.build_grover_circuit(2, {0}, -1), ValidationError, "non-negative"),
+    "grover.iterations_bound": (
+        lambda: grover.build_grover_circuit(3, {1}, 10**9),
+        ValidationError,
+        "iterations must be at most 1024",
+    ),
+    "tomo.depolarize_empty": (lambda: tomo.apply_depolarizing(np.zeros((0, 0)), 0.1), ValidationError, "physical"),
+    "tomo.expectations_empty": (lambda: tomo.pauli_expectations(np.zeros((0, 0))), ValidationError, "physical"),
+    "tomo.project_empty": (
+        lambda: tomo.project_to_physical(np.zeros((0, 0))),
+        DimensionMismatchError,
+        r"non-empty square matrix, got shape \(0, 0\)",
+    ),
     "synth.max_gates": (lambda: synth.synthesize(np.eye(4), max_gates=-1), ValidationError, "non-negative"),
 }
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qlinsys import grover, sim
-from qlinsys.errors import InvalidCountsError, InvalidMarkedSetError
+from qlinsys.errors import InvalidCountsError, InvalidMarkedSetError, ValidationError
 
 
 class TestGeometry:
@@ -131,3 +131,9 @@ class TestCircuits:
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
             grover.build_grover_circuit(2, {0}, -1)
+
+    def test_iterations_bounded(self):
+        circuit = grover.build_grover_circuit(1, {0}, grover.MAX_ITERATIONS)
+        assert len(circuit.ops) == 1 + 4 * grover.MAX_ITERATIONS
+        with pytest.raises(ValidationError, match="at most 1024"):
+            grover.build_grover_circuit(1, {0}, grover.MAX_ITERATIONS + 1)

@@ -383,6 +383,74 @@ class TestSmallCircuitUnitary:
             assert str(from_run.value) == str(from_basis.value)
 
 
+def wide_circuit(n, rng):
+    """Full, partial and descending H layers mixed with every other gate kind.
+
+    A partial layer stops the rotating layout part way round, so the next gate
+    or the end of the circuit finds the state rotated.
+    """
+    others = [gate for gate in every_gate(n, rng) if gate.kind != "h"]
+    ops = []
+    for _ in range(int(rng.integers(3, 9))):
+        shape = int(rng.integers(5))
+        if shape == 0:
+            ops += [sim.h(q) for q in range(n)]
+        elif shape == 1:
+            ops += [sim.h(q) for q in range(int(rng.integers(1, n)))]
+        elif shape == 2:
+            ops += [sim.h(q) for q in reversed(range(n))]
+        elif shape == 3:
+            ops.append(sim.h(int(rng.integers(n))))
+        else:
+            ops += [others[int(i)] for i in rng.choice(len(others), size=2, replace=False)]
+    if rng.random() < 0.5:
+        ops += [sim.h(q) for q in range(int(rng.integers(1, n)))]
+    return sim.Circuit(n, tuple(ops))
+
+
+def fold(block, circuit):
+    for gate in circuit.ops:
+        block = sim.apply_gate(block, gate)
+    return block
+
+
+class TestRotatingLayout:
+    """From 256 amplitudes up a circuit runs on a bit-rotating layout, with the bits of `apply_gate`."""
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_run_and_unitary_equal_the_apply_gate_fold(self, n):
+        rng = np.random.default_rng(110 + n)
+        for _ in range(6 if n <= 7 else 2):
+            circuit = wide_circuit(n, rng)
+            for j in rng.choice(2**n, size=min(2**n, 6), replace=False):
+                j = int(j)
+                assert sim.run(circuit, j).tobytes() == fold(sim.basis_state(n, j), circuit).tobytes(), j
+            if n <= 8:
+                eye = np.eye(2**n, dtype=complex)
+                assert sim.unitary_of(circuit).tobytes() == fold(eye, circuit).tobytes()
+
+    @pytest.mark.parametrize("n", range(7, 11))
+    def test_seeded_block_is_left_untouched(self, n):
+        # +-0, units and denormals, where two layouts could differ by a bit.
+        rng = np.random.default_rng(130 + n)
+        values = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 0.5])
+        block = np.empty((2**n, 3), dtype=complex)
+        block.real = rng.choice(values, size=block.shape)
+        block.imag = rng.choice(values, size=block.shape)
+        before = block.tobytes()
+        for _ in range(3):
+            circuit = wide_circuit(n, rng)
+            assert sim._apply_circuit(circuit, block).tobytes() == fold(block, circuit).tobytes()
+            assert block.tobytes() == before
+
+    def test_ascending_layers_need_no_other_kernel_call(self):
+        circuit = grover.build_grover_circuit(8, {5}, 3)
+        with mock.patch.object(sim, "_apply", wraps=sim._apply) as kernel:
+            state = sim.run(circuit, 0)
+        assert kernel.call_count == sum(gate.kind == "phaseflip" for gate in circuit.ops) == 6
+        assert state.tobytes() == fold(sim.basis_state(8, 0), circuit).tobytes()
+
+
 class TestBitstrings:
     @pytest.mark.parametrize(
         "index, n, expected", [(0, 2, "00"), (1, 2, "01"), (2, 2, "10"), (5, 4, "0101")]

@@ -126,6 +126,7 @@ class TestPhysicality:
             np.eye(4),  # trace 4
             np.diag([1.5, -0.5, 0.0, 0.0]),  # negative eigenvalue
             np.array([[0.5, 1j], [1j, 0.5]]),  # not Hermitian
+            np.zeros((0, 0)),  # empty
         ],
     )
     def test_unphysical_rejected(self, bad):
