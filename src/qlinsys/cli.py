@@ -310,6 +310,9 @@ def cmd_synth(args) -> int:
 
 def cmd_grover(args) -> int:
     marked = sorted({int(part) for part in args.marked.split(",")})
+    # A zero-iteration build checks --qubits and --marked in their own terms;
+    # `geometry` would word them as n_states and n_marked.
+    grover.build_grover_circuit(args.qubits, marked, 0)
     geom = grover.geometry(2**args.qubits, len(marked))
     iterations = args.iterations if args.iterations is not None else grover.optimal_iterations(geom)
     circuit = grover.build_grover_circuit(args.qubits, marked, iterations)

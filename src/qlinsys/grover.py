@@ -68,10 +68,11 @@ def build_grover_circuit(n_qubits: int, marked, iterations: int) -> sim.Circuit:
         )
 
     layer = [sim.h(q) for q in range(n_qubits)]
+    zero_flip = sim.phase_flip({0})
     ops = list(layer)
     for _ in range(iterations):
         ops.append(oracle)
         ops.extend(layer)
-        ops.append(sim.phase_flip({0}))
+        ops.append(zero_flip)
         ops.extend(layer)
     return sim.Circuit(n_qubits, tuple(ops))

@@ -24,9 +24,14 @@ as a constant-geometry FFT does: H on the qubit at bit 0 pairs adjacent
 amplitudes and writes sums to the low half and differences to the high half,
 so every operand is 1-D and the qubits rotate down one bit.  An ascending H
 layer rotates them back; any other gate, and the returned result, see the
-canonical layout.  Every amplitude gets exactly the operations `apply_gate`
-gives it, so the bits are those of a gate-by-gate fold.  A circuit checks its
-gates on its first run only; an invalid one raises on every run.
+canonical layout.  Only the first of consecutive H's adds the butterfly's +0:
+an H output holds no -0 and scaling keeps it so, while other gates can leave
+-0 (a negative real times -1 gets imaginary part -0).  A phase flip on
+the loop's own buffer negates in place; the caller's input is never written.
+Every amplitude otherwise gets exactly the operations `apply_gate` gives it,
+so the bits are those of a gate-by-gate fold.  A circuit checks each distinct
+gate object once, on its first run (a Gate is frozen, so a repeat checks the
+same); an invalid one raises on every run.
 On 3 qubits or fewer, where per-call overhead outweighs the arithmetic, a
 circuit's first `run` or `unitary_of` computes its whole unitary once and keeps
 it, read-only, on the circuit; every later `run` copies one of its columns and
@@ -128,8 +133,9 @@ class Circuit:
 
     @cached_property
     def _checked_ops(self) -> tuple[Gate, ...]:
-        """`ops`, each checked against `n_qubits` once; kept in __dict__, outside eq and hash."""
-        for gate in self.ops:
+        """`ops`, each distinct object checked against `n_qubits` once; kept in __dict__, outside eq and hash."""
+        # A frozen Gate repeated checks the same; first-occurrence order keeps the first invalid op raising.
+        for gate in {id(gate): gate for gate in self.ops}.values():
             _check_gate(gate, self.n_qubits)
         return self.ops
 
@@ -272,19 +278,25 @@ def _apply_circuit(circuit: Circuit, states: np.ndarray) -> np.ndarray:
     out = np.empty(states.shape, dtype=complex)
     pairs = scaled.reshape((half, 2, *states.shape[1:]))
     even, odd, low, high = pairs[:, 0], pairs[:, 1], out[:half], out[half:]
-    rot = 0
+    rot, after_h = 0, False
     for gate in circuit._checked_ops:
         if gate.kind == "h" and gate.targets[0] == rot:
             np.multiply(states, _H_SCALE, out=scaled)
-            scaled += _ZERO
+            # +0 only turns -0 into +0.  An H output has none (a sum or difference of parts that
+            # are not -0 is not -0), nor has its scaled copy, so only the first H of a run needs it.
+            if not after_h:
+                scaled += _ZERO
             np.add(even, odd, out=low)
             np.subtract(even, odd, out=high)
-            states = out
-            rot = (rot + 1) % n
+            states, rot, after_h = out, (rot + 1) % n, True
             continue
         if rot:
             states, rot = _unrotate(states, rot, n), 0
-        states = _apply(states, gate, n)
+        after_h = False
+        if gate.kind == "phaseflip" and states is out:
+            out[sorted(gate.flips)] *= -1.0  # `_apply`'s flip, on the loop's own buffer
+        else:
+            states = _apply(states, gate, n)
     return _unrotate(states, rot, n) if rot else states
 
 

@@ -19,7 +19,13 @@ The set, each array hashed by dtype, shape and `tobytes`, everything else by
 * H-heavy wide circuits at 4 to 10 qubits: ascending H layers between
   phase flips, CZs and X gates, ending on a partial layer, so that runs of 8
   or more qubits and unitaries of 4 or more end on a rotated layout.
-* A 10-qubit Grover run.
+* Z, CZ, X and phase flips placed part way through ascending H layers, and
+  between layers, at 8 to 10 qubits: runs on 4 basis inputs, one 8-qubit
+  `sim.unitary_of`, and `sim._apply_circuit` of every prefix on a block of an
+  all-ones column (a full layer leaves it with exact zeros for a flip to
+  sign) and three seeded columns, then that block itself, which no run may
+  change.
+* Grover runs at 8, 9 and 10 qubits with one and with two marked states.
 * Sampled tomography of all 48 labels at the calibrated noise.
 
 Not a pytest module: its name has no test_ prefix.
@@ -110,6 +116,44 @@ def feed_wide_circuits(digest: Digest, rng) -> None:
                 digest.feed(sim.unitary_of(circuit))
 
 
+def inner_gate_circuit(n: int, first_cut: int, rng) -> sim.Circuit:
+    """H layers, each with one Z, CZ, X or phase flip after its first `cut` gates.
+
+    The first layer's gate is a phase flip after `first_cut` gates: at 0 it
+    leads the circuit, at n it follows a full layer.
+    """
+    ops = []
+    for layer in range(int(rng.integers(2, 5))):
+        cut = first_cut if layer == 0 else int(rng.integers(n + 1))
+        a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+        size = int(rng.choice([1, int(rng.integers(1, 2**n + 1)), 2**n]))
+        flips = sim.phase_flip(int(i) for i in rng.choice(2**n, size=size, replace=False))
+        inner = flips if layer == 0 else (sim.z(a), sim.cz(a, b), sim.x(a), flips)[int(rng.integers(4))]
+        ops += [sim.h(q) for q in range(cut)] + [inner] + [sim.h(q) for q in range(cut, n)]
+    return sim.Circuit(n, tuple(ops))
+
+
+def feed_inner_gate_circuits(digest: Digest, rng) -> None:
+    for n in range(8, 11):
+        for i, first_cut in enumerate([0, n, int(rng.integers(1, n)), int(rng.integers(1, n))]):
+            circuit = inner_gate_circuit(n, first_cut, rng)
+            digest.feed(circuit)
+            for j in rng.choice(2**n, size=4, replace=False):
+                digest.feed(sim.run(circuit, int(j)))
+            if n == 8 and i == 0:
+                digest.feed(sim.unitary_of(circuit))
+            block = np.column_stack([np.ones(2**n, dtype=complex), seeded_block(n, rng)])
+            for k in range(1, len(circuit.ops) + 1):
+                digest.feed(sim._apply_circuit(sim.Circuit(n, circuit.ops[:k]), block))
+            digest.feed(block)
+
+
+def feed_grover(digest: Digest) -> None:
+    for n, marked in [(10, {37}), (8, {3, 200}), (9, {0, 511}), (10, {37, 700})]:
+        iterations = grover.optimal_iterations(grover.geometry(2**n, len(marked)))
+        digest.feed(sim.run(grover.build_grover_circuit(n, marked, iterations), 0))
+
+
 def feed_synthesis(digest: Digest) -> None:
     for key, (circuit, unitary, sign) in synth._closure().items():
         digest.feed((key, circuit, sign))
@@ -143,8 +187,8 @@ def main() -> None:
     feed_wide_circuits(digest, np.random.default_rng(1968))
     feed_synthesis(digest)
     feed_catalog(digest)
-    iterations = grover.optimal_iterations(grover.geometry(1024, 1))
-    digest.feed(sim.run(grover.build_grover_circuit(10, {37}, iterations), 0))
+    feed_grover(digest)
+    feed_inner_gate_circuits(digest, np.random.default_rng(2026))
     print(f"{digest.sha.hexdigest()}  ({digest.items} outputs)")
 
 

@@ -364,6 +364,17 @@ class TestGrover:
         code, _, _ = run_cli(capsys, "grover", "--qubits", "2", "--marked", "7")
         assert code == 3
 
+    @pytest.mark.parametrize("qubits", ["0", "11", "-1"])
+    def test_bad_qubits_are_named_as_the_flag(self, capsys, qubits):
+        code, _, err = run_cli(capsys, "grover", "--qubits", qubits)
+        assert code == 3
+        assert err == f"error: n_qubits must lie in 1..10, got {qubits}\n"
+
+    def test_too_many_marked_are_named_as_the_flag(self, capsys):
+        code, _, err = run_cli(capsys, "grover", "--qubits", "1", "--marked", "0,1,2")
+        assert code == 3
+        assert err == "error: marked indices [0, 1, 2] out of range for 1 qubits\n"
+
 
 A_1234 = family.FamilyLabel.parse("A_1234")
 

@@ -118,6 +118,13 @@ class TestCircuits:
         # H layer, then per iteration: oracle flip, H layer, zero flip, H layer.
         assert kinds == ["h"] * 3 + (["phaseflip"] + ["h"] * 3 + ["phaseflip"] + ["h"] * 3) * 2
 
+    @pytest.mark.parametrize("n_qubits", [1, 4, 10])
+    def test_repeated_gates_are_shared_objects(self, n_qubits):
+        # One object per H, the oracle and the zero flip, so a circuit checks n + 2 gates.
+        circuit = grover.build_grover_circuit(n_qubits, {0}, 3)
+        assert len({id(gate) for gate in circuit.ops}) == n_qubits + 2
+        assert circuit == sim.Circuit(n_qubits, tuple(sim.Gate(g.kind, g.targets, g.flips) for g in circuit.ops))
+
     @pytest.mark.parametrize("marked", [set(), {8}, {-1}])
     def test_bad_marked_sets(self, marked):
         with pytest.raises(InvalidMarkedSetError):

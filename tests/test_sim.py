@@ -313,6 +313,32 @@ class TestCircuitCheckedOnce:
             with pytest.raises(InvalidTargetError, match="expected a Gate"):
                 sim.unitary_of(circuit)
 
+    @pytest.mark.parametrize("n", [8, 10])
+    @pytest.mark.parametrize("iterations", [1, 3, 25])
+    def test_each_distinct_gate_object_is_checked_once(self, n, iterations):
+        # n H gates, the oracle and the zero flip, however many times they repeat.
+        circuit = grover.build_grover_circuit(n, {5, 200}, iterations)
+        with mock.patch.object(sim, "_check_gate", wraps=sim._check_gate) as check:
+            sim.run(circuit)
+        assert check.call_count == n + 2
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_a_repeated_invalid_gate_raises_on_every_run(self, n):
+        circuit = sim.Circuit(n, (sim.h(0),) + (sim.h(n),) * 100)
+        for _ in range(2):
+            with pytest.raises(InvalidTargetError) as raised:
+                sim.run(circuit)
+            assert str(raised.value) == f"target ({n},) out of range for {n} qubits"
+
+    def test_the_earlier_of_two_invalid_gates_raises(self):
+        late, early = sim.cz(0, 0), sim.x(3)
+        circuit = sim.Circuit(2, (sim.h(0), early, late, early, late))
+        with pytest.raises(InvalidTargetError, match=r"target \(3,\) out of range"):
+            sim.run(circuit)
+        circuit = sim.Circuit(2, (late, early, late))
+        with pytest.raises(InvalidTargetError, match="targets must be distinct"):
+            sim.unitary_of(circuit)
+
     def test_equality_and_hash_unchanged_by_a_run(self):
         ops = (sim.h(0), sim.cz(0, 1))
         ran, fresh = sim.Circuit(2, ops), sim.Circuit(2, ops)
@@ -408,6 +434,15 @@ def wide_circuit(n, rng):
     return sim.Circuit(n, tuple(ops))
 
 
+def seeded_block(n, rng):
+    """A (2**n, 3) block of +-0, units and denormals, where two layouts could differ by a bit."""
+    values = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 0.5])
+    block = np.empty((2**n, 3), dtype=complex)
+    block.real = rng.choice(values, size=block.shape)
+    block.imag = rng.choice(values, size=block.shape)
+    return block
+
+
 def fold(block, circuit):
     for gate in circuit.ops:
         block = sim.apply_gate(block, gate)
@@ -443,11 +478,66 @@ class TestRotatingLayout:
             assert sim._apply_circuit(circuit, block).tobytes() == fold(block, circuit).tobytes()
             assert block.tobytes() == before
 
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_gates_inside_an_h_layer_keep_the_fold_bits(self, n):
+        # A non-H gate part way through a layer meets a rotated state, the rest of
+        # that layer runs through `_apply`, and the next layer's first H must add
+        # +0 again: CZ, Z, X and flips leave -0.
+        rng = np.random.default_rng(150 + n)
+        block = seeded_block(n, rng)
+        for kind in ("z", "cz", "x", "phaseflip"):
+            ops = []
+            for _ in range(3):
+                cut = int(rng.integers(1, n))
+                a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+                inner = {
+                    "z": sim.z(a),
+                    "cz": sim.cz(a, b),
+                    "x": sim.x(a),
+                    "phaseflip": sim.phase_flip(int(i) for i in rng.choice(2**n, size=2**n // 3, replace=False)),
+                }[kind]
+                ops += [sim.h(q) for q in range(cut)] + [inner] + [sim.h(q) for q in range(cut, n)]
+            circuit = sim.Circuit(n, tuple(ops))
+            assert sim._apply_circuit(circuit, block).tobytes() == fold(block, circuit).tobytes(), kind
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_a_first_h_turns_minus_zeros_of_the_input_to_plus(self, n):
+        block = seeded_block(n, np.random.default_rng(160 + n))
+        for k in (1, 2, n):
+            circuit = sim.Circuit(n, tuple(sim.h(q) for q in range(k)))
+            assert sim._apply_circuit(circuit, block).tobytes() == fold(block, circuit).tobytes(), k
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_an_h_after_a_phase_flip_turns_its_minus_zeros_to_plus(self, n):
+        # Flipping an exact zero gives -0.  A full layer maps the all-ones column
+        # to one nonzero amplitude, so the in-place flip after it meets zeros.
+        layer = tuple(sim.h(q) for q in range(n))
+        flip_all = sim.phase_flip(range(2**n))
+        cases = [
+            (layer + (flip_all, sim.h(0)), np.ones((2**n, 1), dtype=complex)),
+            ((sim.h(0), flip_all, sim.h(0)), np.eye(2**n, 4, dtype=complex)),
+        ]
+        for ops, block in cases:
+            circuit = sim.Circuit(n, ops)
+            assert sim._apply_circuit(circuit, block).tobytes() == fold(block, circuit).tobytes(), len(ops)
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_a_leading_phase_flip_leaves_the_input_untouched(self, n):
+        rng = np.random.default_rng(170 + n)
+        block = seeded_block(n, rng)
+        before = block.tobytes()
+        flip = sim.phase_flip(range(0, 2**n, 3))
+        layer = tuple(sim.h(q) for q in range(n))
+        circuit = sim.Circuit(n, (flip,) + layer + (flip, sim.phase_flip(())) + layer)
+        result = sim._apply_circuit(circuit, block)
+        assert block.tobytes() == before
+        assert result.tobytes() == fold(block, circuit).tobytes()
+
     def test_ascending_layers_need_no_other_kernel_call(self):
         circuit = grover.build_grover_circuit(8, {5}, 3)
         with mock.patch.object(sim, "_apply", wraps=sim._apply) as kernel:
             state = sim.run(circuit, 0)
-        assert kernel.call_count == sum(gate.kind == "phaseflip" for gate in circuit.ops) == 6
+        assert kernel.call_count == 0
         assert state.tobytes() == fold(sim.basis_state(8, 0), circuit).tobytes()
 
 
