@@ -31,7 +31,7 @@ def _as_vector(vector, name: str) -> np.ndarray:
 
 def _orthonormal(a: np.ndarray) -> bool:
     """A^T A = I entrywise within 1e-10, for a matrix `_as_matrix` has validated."""
-    return bool(np.max(np.abs(a.T @ a - np.eye(a.shape[0]))) <= _TOL)
+    return bool(abs(a.T @ a - np.eye(a.shape[0])).max() <= _TOL)
 
 
 def check_orthonormal_columns(matrix) -> bool:

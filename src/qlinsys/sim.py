@@ -11,33 +11,19 @@ Conventions, fixed across the package:
   multinomial draw per probability row, row i seeded with seed + i, keeps
   identical (probs, shots, seed) inputs byte-for-byte reproducible.
 
-The gate kinds are the ones synthesis, tomography and Grover circuits use:
-H, X, Z, S-dagger, CX, CZ, and a phase flip on listed basis indices.
-States are plain complex ndarrays of length 2**n.  Gates also act on a
-block of shape (2**n, k), one state per column, exactly as on each column
-alone; `unitary_of` runs the identity block through the circuit in one pass.
-Circuits are immutable; applying one never mutates its input state.
-X, Z and S-dagger contract the target axis with einsum; H, most of a Grover
-circuit, is a butterfly with the same bits on wide states (see `_apply`).  A
-circuit run on 256 or more amplitudes keeps its state in a bit-rotating layout,
-as a constant-geometry FFT does: H on the qubit at bit 0 pairs adjacent
-amplitudes and writes sums to the low half and differences to the high half,
-so every operand is 1-D and the qubits rotate down one bit.  An ascending H
-layer rotates them back; any other gate, and the returned result, see the
-canonical layout.  Only the first of consecutive H's adds the butterfly's +0:
-an H output holds no -0 and scaling keeps it so, while other gates can leave
--0 (a negative real times -1 gets imaginary part -0).  A phase flip on
-the loop's own buffer negates in place; the caller's input is never written.
-Every amplitude otherwise gets exactly the operations `apply_gate` gives it,
-so the bits are those of a gate-by-gate fold.  A circuit checks each distinct
-gate object once, on its first run (a Gate is frozen, so a repeat checks the
-same); an invalid one raises on every run.
-On 3 qubits or fewer, where per-call overhead outweighs the arithmetic, a
-circuit's first `run` or `unitary_of` computes its whole unitary once and keeps
-it, read-only, on the circuit; every later `run` copies one of its columns and
-every later `unitary_of` copies it.  That costs one 2**n x 2**n complex array
-(at most 1 KiB) per small circuit that has run, freed with the circuit.  The
-bits are those of the gate-by-gate run: column j of `unitary_of` is run(circuit, j).
+The gate kinds are H, X, Z, S-dagger, CX, CZ, and a phase flip on listed
+basis indices.  States are complex ndarrays of length 2**n, and a gate acts
+on a (2**n, k) block one column at a time.  Circuits are immutable, and a run
+never writes its input.  Every output has the bits of a gate-by-gate
+`apply_gate` fold, where H, X, Z and S-dagger contract the target axis with
+einsum.  A circuit checks each distinct gate object once, on its first run.
+Two paths keep those bits:
+* 256 amplitudes or more: a bit-rotating layout, as a constant-geometry
+  FFT uses.  H on the qubit at bit 0 writes the sums of adjacent pairs to
+  the low half and their differences to the high half, so each operand is
+  1-D; an ascending H layer rotates the qubits back (see `_apply_circuit`).
+* 3 qubits or fewer: the first `run` or `unitary_of` keeps the circuit's
+  unitary, read-only (at most 1 KiB), and later calls copy from it.
 """
 
 from __future__ import annotations
@@ -69,10 +55,9 @@ _GATES_1Q = {
 GATE_KINDS = frozenset(_GATES_1Q) | {"cx", "cz", "phaseflip"}
 _H_SCALE = _GATES_1Q["h"][0, 0]  # complex128 scalars: a Python float costs a conversion per call
 _ZERO = np.complex128(0.0)
-# Amplitudes.  Below it one einsum call beats the butterfly's five, and a
-# circuit whose identity block is below it keeps its unitary (see `run`); from
-# it up a circuit runs on the rotating layout (see `_apply_circuit`).
-_BUTTERFLY_MIN = 256
+# Amplitudes.  A circuit whose identity block is below it keeps its unitary
+# (see `run`); a state or block this size or larger runs on the rotating layout.
+_WIDE_MIN = 256
 
 
 @dataclass(frozen=True)
@@ -231,16 +216,7 @@ def _apply(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
         # the target axis.
         q = gate.targets[0]
         shape = (2 ** (n - q - 1), 2, 2**q) + amps.shape[1:]
-        if gate.kind != "h" or amps.size < _BUTTERFLY_MIN:
-            return np.einsum("ab,ibj...->iaj...", _GATES_1Q[gate.kind], amps.reshape(shape)).reshape(amps.shape)
-        # H as a butterfly with einsum's bits: einsum forms (0 + g0*x0) + g1*x1,
-        # so +0 turns a -0 product into +0 as that zero start does; x + (-y) is x - y.
-        cube = np.multiply(amps, _H_SCALE).reshape(shape)
-        cube += _ZERO
-        out = np.empty_like(cube)
-        np.add(cube[:, 0], cube[:, 1], out=out[:, 0])
-        np.subtract(cube[:, 0], cube[:, 1], out=out[:, 1])
-        return out.reshape(amps.shape)
+        return np.einsum("ab,ibj...->iaj...", _GATES_1Q[gate.kind], amps.reshape(shape)).reshape(amps.shape)
 
     out = amps.copy()
     if gate.kind == "cx":
@@ -266,13 +242,14 @@ def _unrotate(amps: np.ndarray, rot: int, n: int) -> np.ndarray:
 
 def _apply_circuit(circuit: Circuit, states: np.ndarray) -> np.ndarray:
     n = circuit.n_qubits
-    if states.size < _BUTTERFLY_MIN:
+    if states.size < _WIDE_MIN:
         for gate in circuit._checked_ops:
             states = _apply(states, gate, n)
         return states
-    # Rotating layout (see the module docstring): logical qubit q sits at
-    # physical bit (q - rot) % n.  H on bit 0 is `_apply`'s butterfly on
-    # adjacent pairs, which moves that qubit to the top bit.
+    # Rotating layout: logical qubit q sits at physical bit (q - rot) % n.  H on
+    # bit 0 is a butterfly on adjacent pairs, which moves that qubit to the top
+    # bit.  It has einsum's bits: einsum forms (0 + g0*x0) + g1*x1, so adding +0
+    # turns a -0 product into +0 as that zero start does, and x + (-y) is x - y.
     half = states.shape[0] // 2
     scaled = np.empty(states.shape, dtype=complex)
     out = np.empty(states.shape, dtype=complex)
@@ -282,8 +259,8 @@ def _apply_circuit(circuit: Circuit, states: np.ndarray) -> np.ndarray:
     for gate in circuit._checked_ops:
         if gate.kind == "h" and gate.targets[0] == rot:
             np.multiply(states, _H_SCALE, out=scaled)
-            # +0 only turns -0 into +0.  An H output has none (a sum or difference of parts that
-            # are not -0 is not -0), nor has its scaled copy, so only the first H of a run needs it.
+            # An H output holds no -0 (a sum or difference of parts that are not -0 is not -0),
+            # nor does its scaled copy, so only the first H of a run needs the +0.
             if not after_h:
                 scaled += _ZERO
             np.add(even, odd, out=low)
@@ -307,7 +284,7 @@ def run(circuit: Circuit, initial_basis_index: int = 0) -> np.ndarray:
     unitary, computed on its first run; wider circuits run gate by gate.
     """
     n = circuit.n_qubits
-    if 4**n < _BUTTERFLY_MIN:
+    if 4**n < _WIDE_MIN:
         return circuit._unitary[:, _check_basis_index(n, initial_basis_index)].copy()
     return _apply_circuit(circuit, basis_state(n, initial_basis_index))
 
@@ -317,7 +294,7 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
 
     On 3 qubits or fewer this is a copy of the circuit's kept unitary.
     """
-    if 4**circuit.n_qubits < _BUTTERFLY_MIN:
+    if 4**circuit.n_qubits < _WIDE_MIN:
         return circuit._unitary.copy()
     return _apply_circuit(circuit, np.eye(2**circuit.n_qubits, dtype=complex))
 
@@ -363,14 +340,12 @@ def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
     if lowest < 0:
         raise NegativeProbabilityError(f"probabilities must be non-negative, min is {lowest}")
     rows = p if p.ndim == 2 else p[np.newaxis]
-    totals = rows.sum(axis=1).tolist()
-    deviation = max((abs(total - 1.0) for total in totals), default=0.0)
+    sums = rows.sum(axis=1)
+    deviation = max((abs(total - 1.0) for total in sums.tolist()), default=0.0)
     if deviation > 1e-6:
         raise NotNormalizedError(f"probability rows must sum to 1, worst is off by {deviation}")
-    counts = np.empty(rows.shape, dtype=np.int64)
-    for i, (row, total) in enumerate(zip(rows, totals)):
-        counts[i] = np.random.default_rng(seed + i).multinomial(shots, row / total)
-    return counts.reshape(p.shape)
+    draws = [np.random.default_rng(seed + i).multinomial(shots, row) for i, row in enumerate(rows / sums[:, None])]
+    return np.array(draws, dtype=np.int64).reshape(p.shape)
 
 
 def sample_distribution(probs, shots: int, seed: int) -> ShotTable:

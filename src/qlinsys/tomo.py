@@ -5,11 +5,14 @@ Pauli words: rho = (1/4) * sum_P <P> P.  Expectations come either from exact
 traces or from simulated counts in the nine {X, Y, Z}^2 measurement settings,
 with the X and Y axes reached through basis-rotation gates.  The fixed
 algebra is computed once at import: the sixteen word matrices as one stacked
-basis, the nine rotation unitaries, and the parity sign of every (word,
-outcome) pair.  The nine setting distributions come from one batched
-R rho R^dagger and are sampled in one block draw, setting i seeded with
-seed + i.  Reconstruction clips negative eigenvalues and renormalizes, so the
-output is always a valid state even for noisy input tables.
+basis, the nine rotation unitaries and their adjoints, and the parity sign of
+every (word, outcome) pair.  The nine setting distributions come from one
+batched R rho R^dagger and are sampled in one block draw, setting i seeded
+with seed + i.  Reconstruction is one ordered accumulation: the sixteen
+value * matrix products are summed over the stack's first axis from +0 in
+PAULI_WORDS order, the order and start of a word-by-word loop, so it matches
+that loop byte for byte.  It then clips negative eigenvalues and
+renormalizes, so the output is always a valid state even for noisy tables.
 
 The first letter of a Pauli word refers to qubit 1 (the most significant
 bit), matching the bitstring convention in `sim`.
@@ -83,7 +86,7 @@ def density_from_state(psi) -> np.ndarray:
     """Outer product |psi><psi| of a normalized state vector."""
     v = check_vector(np.asarray(psi, dtype=complex), "state")
     check_unit_norm(v, "state")
-    return np.outer(v, v.conj())
+    return v[:, None] * v.conj()  # np.outer's own product
 
 
 def is_physical(rho) -> bool:
@@ -92,9 +95,9 @@ def is_physical(rho) -> bool:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size or not np.isfinite(m).all():
         return False
     adjoint = m.conj().T
-    if np.max(np.abs(m - adjoint)) > _TOL:
+    if abs(m - adjoint).max() > _TOL:
         return False
-    trace = np.trace(m)
+    trace = m.trace()
     if abs(trace.real - 1.0) > _TOL or abs(trace.imag) > _TOL:
         return False
     return bool(np.linalg.eigvalsh((m + adjoint) / 2).min() >= -_TOL)
@@ -108,11 +111,14 @@ def _check_density(rho) -> np.ndarray:
 
 
 def apply_depolarizing(rho, p: float) -> np.ndarray:
-    """Mix the state with the maximally mixed one: (1 - p) rho + p I/d."""
+    """Mix the state with the maximally mixed one: (1 - p) rho + p I/d, for a real p in [0, 1]."""
+    if isinstance(p, bool) or not isinstance(p, (int, float, np.integer, np.floating)):
+        raise InvalidProbabilityError(f"depolarizing strength must be a real number, got {p!r}")
     if not 0.0 <= p <= 1.0:
         raise InvalidProbabilityError(f"depolarizing strength must lie in [0, 1], got {p}")
     m = _check_density(rho)
     dim = m.shape[0]
+    p = float(p)  # a float32 or float16 p would round 1 - p in its own precision and break the trace
     return (1.0 - p) * m + p * np.eye(dim) / dim
 
 
@@ -129,8 +135,9 @@ def _rotation_unitary(setting: str) -> np.ndarray:
     return sim.unitary_of(sim.Circuit(2, tuple(ops)))
 
 
-#: Measurement rotations, stacked in MEASUREMENT_SETTINGS order.
+#: Measurement rotations, stacked in MEASUREMENT_SETTINGS order, and their adjoints.
 _ROTATIONS = np.stack([_rotation_unitary(setting) for setting in MEASUREMENT_SETTINGS])
+_ROTATIONS_ADJ = _ROTATIONS.conj().transpose(0, 2, 1)
 
 #: For each Pauli word, the setting whose counts estimate it: I is read as Z.
 _WORD_SETTING = np.array(
@@ -140,8 +147,10 @@ _WORD_SETTING = np.array(
 #: _PARITY_SIGNS[w, outcome]: the sign word w gives an outcome of its setting.
 #: After rotation every measured letter reads as Z, so the signs are the
 #: diagonal of the word with X and Y replaced by Z.
-_PARITY_SIGNS = np.array(
-    [np.diag(pauli_word_matrix(word.replace("X", "Z").replace("Y", "Z"))).real for word in PAULI_WORDS]
+_PARITY_SIGNS = (
+    _PAULI_MATRICES[[PAULI_WORDS.index(w.replace("X", "Z").replace("Y", "Z")) for w in PAULI_WORDS]]
+    .diagonal(axis1=1, axis2=2)
+    .real.copy()
 )
 
 
@@ -164,19 +173,19 @@ def pauli_expectations(
         raise DimensionMismatchError(f"expected a 4x4 density matrix, got shape {m.shape}")
 
     if mode == "analytic":
-        traces = np.trace(m @ _PAULI_MATRICES, axis1=1, axis2=2).real
-        values = {word: float(v) for word, v in zip(PAULI_WORDS, traces)}
+        traces = (m @ _PAULI_MATRICES).trace(axis1=1, axis2=2).real
+        values = dict(zip(PAULI_WORDS, traces.tolist()))
         values["II"] = 1.0
         return ExpectationTable(values=values, mode="analytic")
 
     if mode != "sampled":
         raise ValidationError(f"mode must be 'analytic' or 'sampled', got {mode!r}")
 
-    rotated = _ROTATIONS @ m @ _ROTATIONS.conj().transpose(0, 2, 1)
-    probs = np.clip(np.real(np.diagonal(rotated, axis1=1, axis2=2)), 0.0, None)
+    rotated = _ROTATIONS @ m @ _ROTATIONS_ADJ
+    probs = rotated.diagonal(axis1=1, axis2=2).real.clip(0.0)
     freq = sim.sample_counts(probs, shots, seed) / shots
     expectations = (_PARITY_SIGNS * freq[_WORD_SETTING]).sum(axis=1)
-    values = {word: float(v) for word, v in zip(PAULI_WORDS, expectations)}
+    values = dict(zip(PAULI_WORDS, expectations.tolist()))
     values["II"] = 1.0
     return ExpectationTable(values=values, mode="sampled", shots=shots, seed=seed)
 
@@ -192,9 +201,14 @@ def project_to_physical(rho) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise DimensionMismatchError(f"expected a non-empty square matrix, got shape {m.shape}")
     check_finite(m, "matrix entries must be finite")
+    return _project(m)
+
+
+def _project(m: np.ndarray) -> np.ndarray:
+    """`project_to_physical` of a finite, non-empty square complex matrix."""
     hermitian = (m + m.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(hermitian)
-    vals = np.clip(vals, 0.0, None)
+    vals = vals.clip(0.0)
     total = float(vals.sum())
     if total <= 0.0:
         return np.eye(m.shape[0], dtype=complex) / m.shape[0]
@@ -204,16 +218,20 @@ def project_to_physical(rho) -> np.ndarray:
 def reconstruct(table: ExpectationTable) -> np.ndarray:
     """Linear inversion rho = (1/4) sum <P> P, projected back to a valid state.
 
-    The table must hold a finite value for each of the sixteen words.
+    The table must hold a finite real number for each of the sixteen words.
     """
     if set(table.values) != set(PAULI_WORDS):
         missing = set(PAULI_WORDS) - set(table.values)
         raise ValidationError(f"expectation table is incomplete, missing {sorted(missing)}")
-    check_finite(np.array(list(table.values.values())), "expectation values must be finite")
-    linear = np.zeros((4, 4), dtype=complex)
-    for word, matrix in zip(PAULI_WORDS, _PAULI_MATRICES):
-        linear += table.values[word] * matrix
-    return project_to_physical(linear / 4.0)
+    try:
+        values = np.array([table.values[word] for word in PAULI_WORDS])
+    except ValueError:  # entries of unequal shapes
+        values = None
+    if values is None or values.ndim != 1 or values.dtype.kind not in "biuf":
+        raise ValidationError("expectation values must be real numbers")
+    check_finite(values, "expectation values must be finite")
+    linear = np.add.reduce(values[:, None, None] * _PAULI_MATRICES, axis=0, initial=0j)
+    return _project(linear / 4.0)
 
 
 def fidelity(rho, psi, square_root: bool = False) -> float:

@@ -28,6 +28,16 @@ The set, each array hashed by dtype, shape and `tobytes`, everything else by
 * Grover runs at 8, 9 and 10 qubits with one and with two marked states.
 * Sampled tomography of all 48 labels at the calibrated noise.
 
+A second line digests the tomography layer on its own, so the first keeps
+its historical value:
+
+* `tomo.reconstruct` and `tomo.project_to_physical` on seeded tables and
+  4x4 matrices of +-0, +-1, +-denormals, 1/2, 1e-300 and -1/4 (II often
+  negative or zero), and of uniform values.
+* Analytic expectations of seeded mixed states.
+* `sim.sample_counts` on a probability vector and on blocks of 0, 1 and 9
+  rows.
+
 Not a pytest module: its name has no test_ prefix.
 """
 
@@ -42,6 +52,7 @@ import numpy as np  # noqa: E402
 from qlinsys import family, grover, linsys, qasm, sim, synth, tomo  # noqa: E402
 
 SEEDED_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 0.5])
+TABLE_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 0.5, 1e-300, -0.25])
 
 
 class Digest:
@@ -181,6 +192,25 @@ def feed_catalog(digest: Digest) -> None:
         digest.feed(tomo.fidelity(rebuilt, x))
 
 
+def feed_tomography(digest: Digest, rng) -> None:
+    for k in range(3000):
+        values = rng.uniform(-1.0, 1.0, size=16) if k % 3 == 2 else rng.choice(TABLE_VALUES, size=16)
+        table = tomo.ExpectationTable(dict(zip(tomo.PAULI_WORDS, values.tolist())), "analytic")
+        digest.feed(tomo.reconstruct(table))
+        matrix = np.empty((4, 4), dtype=complex)
+        matrix.real = rng.choice(TABLE_VALUES, size=(4, 4))
+        matrix.imag = rng.choice(TABLE_VALUES, size=(4, 4))
+        digest.feed(tomo.project_to_physical(matrix))
+    for _ in range(500):
+        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = raw @ raw.conj().T
+        digest.feed(tomo.pauli_expectations(rho / np.trace(rho).real))
+    for seed, rows in enumerate([None, 0, 1, 9] * 50):
+        block = rng.random(4 if rows is None else (rows, 4))
+        block /= block.sum(axis=-1, keepdims=True)
+        digest.feed(sim.sample_counts(block, int(rng.integers(1, 2048)), seed))
+
+
 def main() -> None:
     digest = Digest()
     feed_circuits(digest, np.random.default_rng(2018))
@@ -190,6 +220,9 @@ def main() -> None:
     feed_grover(digest)
     feed_inner_gate_circuits(digest, np.random.default_rng(2026))
     print(f"{digest.sha.hexdigest()}  ({digest.items} outputs)")
+    tomography = Digest()
+    feed_tomography(tomography, np.random.default_rng(1124))
+    print(f"{tomography.sha.hexdigest()}  ({tomography.items} tomography outputs)")
 
 
 if __name__ == "__main__":

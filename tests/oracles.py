@@ -5,9 +5,10 @@ they share no code path with the package: agreement between the two is
 evidence, not tautology.  The synthesis group is enumerated from numpy
 literals of the vocabulary, and two-qubit tomography is rebuilt from numpy
 literals of the Pauli and basis-change matrices, again without importing the
-package.  CX and CZ are also written as index-array gathers and masks, and H
-as the einsum contraction, the formulations the simulator's slice kernel and
-butterfly replaced, so the two can be compared byte for byte.
+package.  CX and CZ are also written as index-array gathers and masks, the
+formulations the simulator's slice kernel replaced, and H as the einsum
+contraction that its rotating-layout butterfly must match, so the two can be
+compared byte for byte.
 """
 
 import numpy as np
@@ -191,6 +192,18 @@ def tomography_reconstruct(values):
     if total <= 0.0:
         return np.eye(4, dtype=complex) / 4
     return (vecs * (vals / total)) @ vecs.conj().T
+
+
+def leading_sign_pattern(rho):
+    """Signs (+1, -1, or 0) of the real parts of rho's dominant eigenvector.
+
+    The eigenvector's global phase is removed first by turning its
+    largest-magnitude entry real and positive.
+    """
+    _, vecs = np.linalg.eigh(np.asarray(rho))
+    v = vecs[:, -1]
+    v = v * np.conj(v[np.argmax(np.abs(v))])
+    return [1 if re > 0 else -1 if re < 0 else 0 for re in v.real.tolist()]
 
 
 def cx_by_index(amps, control, target):

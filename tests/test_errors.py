@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from qlinsys import family, grover, linsys, sim, synth, tomo
-from qlinsys.errors import DimensionMismatchError, InvalidCountsError, InvalidTargetError, ValidationError
+from qlinsys.errors import (
+    DimensionMismatchError,
+    InvalidCountsError,
+    InvalidProbabilityError,
+    InvalidTargetError,
+    ValidationError,
+)
 
 
 def _render_rows_that_are_not_half_signs():
@@ -138,6 +144,27 @@ CASES = {
         r"non-empty square matrix, got shape \(0, 0\)",
     ),
     "synth.max_gates": (lambda: synth.synthesize(np.eye(4), max_gates=-1), ValidationError, "non-negative"),
+    "tomo.depolarize_nan": (
+        lambda: tomo.apply_depolarizing(np.eye(4) / 4, np.nan),
+        InvalidProbabilityError,
+        r"must lie in \[0, 1\], got nan",
+    ),
+    **{
+        f"tomo.depolarize_{name}": (
+            lambda p=p: tomo.apply_depolarizing(np.eye(4) / 4, p),
+            InvalidProbabilityError,
+            "depolarizing strength must be a real number",
+        )
+        for name, p in [("bool", True), ("np_bool", np.True_), ("str", "0.1"), ("none", None), ("complex", 1 + 0j)]
+    },
+    **{
+        f"tomo.reconstruct_{name}": (
+            lambda value=value: tomo.reconstruct(_table_with("XY", value)),
+            ValidationError,
+            "expectation values must be real numbers",
+        )
+        for name, value in [("complex", 1j), ("str", "x"), ("none", None), ("list", [0.1]), ("array", np.zeros(1))]
+    },
 }
 
 

@@ -270,7 +270,7 @@ class TestBlockKernel:
     def test_h_keeps_einsum_zero_signs_after_a_phase_flip(self):
         # A phase flip leaves -0 in the state; the contraction turns it into +0.
         state = sim.run(sim.Circuit(8, (sim.phase_flip(range(256)),)))
-        assert state.size >= sim._BUTTERFLY_MIN
+        assert state.size >= sim._WIDE_MIN
         assert np.signbit(state.real[1:]).all()
         for q in range(8):
             assert sim.apply_gate(state, sim.h(q)).tobytes() == h_by_einsum(state, q).tobytes()
@@ -677,6 +677,13 @@ class TestSampling:
             assert got.shape == (9, 4)
             assert np.array_equal(got, rows)
             assert np.array_equal(got.sum(axis=1), np.full(9, shots))
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_short_blocks_keep_their_shape(self, rows):
+        block = np.full((rows, 4), 0.25)
+        got = sim.sample_counts(block, 12, 5)
+        assert got.shape == (rows, 4) and got.dtype == np.int64
+        assert got.tolist() == [sim.sample_counts(np.full(4, 0.25), 12, 5).tolist()][:rows]
 
     def test_distribution_counts_are_python_ints(self):
         table = sim.sample_distribution([0.25, 0.25, 0.5, 0.0], 100, 3)

@@ -12,7 +12,7 @@ from qlinsys.errors import (
     ValidationError,
 )
 
-from oracles import tomography_expectations, tomography_reconstruct
+from oracles import leading_sign_pattern, tomography_expectations, tomography_reconstruct
 
 UNIFORM_STATE = np.full(4, 0.5, dtype=complex)
 SIGNED_STATE = np.array([0.5, -0.5, -0.5, 0.5], dtype=complex)
@@ -31,6 +31,21 @@ def _random_mixed_states(count, seed):
         raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = raw @ raw.conj().T
         yield rho / np.trace(rho).real
+
+
+#: Values where a vectorized sum and a word-by-word loop could differ by a bit.
+ADVERSARIAL_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 0.5, 1e-300, -0.25])
+
+
+def _adversarial_tables(count, seed):
+    """Tables of adversarial values, and of uniform ones, with II often negative or zero."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        if k % 2:
+            values = rng.uniform(-1.0, 1.0, size=16)
+        else:
+            values = rng.choice(ADVERSARIAL_VALUES, size=16)
+        yield dict(zip(tomo.PAULI_WORDS, values.tolist()))
 
 
 def _trace_expectation(rho, word):
@@ -172,6 +187,18 @@ class TestDepolarizing:
         noisy = tomo.apply_depolarizing(rho, tomo.CALIBRATED_DEPOLARIZING_P)
         assert tomo.fidelity(noisy, UNIFORM_STATE) == pytest.approx(0.9878, abs=1e-4)
 
+    @pytest.mark.parametrize("p", [1, np.int64(1), np.float64(1.0), np.float32(1.0)])
+    def test_numpy_and_integer_strengths_accepted(self, p):
+        rho = tomo.density_from_state(SIGNED_STATE)
+        assert tomo.apply_depolarizing(rho, p).tobytes() == tomo.apply_depolarizing(rho, 1.0).tobytes()
+
+    @pytest.mark.parametrize("p", [np.float16(0.1), np.float32(0.1), np.longdouble(0.1)])
+    def test_narrow_and_wide_float_strengths_act_as_their_double(self, p):
+        rho = tomo.density_from_state(SIGNED_STATE)
+        noisy = tomo.apply_depolarizing(rho, p)
+        assert noisy.dtype == complex and tomo.is_physical(noisy)
+        assert noisy.tobytes() == tomo.apply_depolarizing(rho, float(p)).tobytes()
+
     @pytest.mark.parametrize("p", [-0.01, 1.01])
     def test_strength_range(self, p):
         with pytest.raises(InvalidProbabilityError):
@@ -302,6 +329,26 @@ class TestReconstruct:
         rebuilt = tomo.reconstruct(tomo.ExpectationTable(values=values, mode="analytic"))
         np.testing.assert_allclose(rebuilt, np.eye(4) / 4, atol=1e-12)
 
+    def test_adversarial_tables_match_the_sequential_oracle_byte_for_byte(self):
+        for k, values in enumerate(_adversarial_tables(2000, seed=77)):
+            rebuilt = tomo.reconstruct(tomo.ExpectationTable(values=values, mode="analytic"))
+            want = tomography_reconstruct([values[w] for w in tomo.PAULI_WORDS])
+            assert rebuilt.tobytes() == want.tobytes(), (k, values)
+
+    def test_integer_bool_and_numpy_values_are_accepted(self):
+        floats = {word: 0.0 for word in tomo.PAULI_WORDS}
+        floats.update(II=1.0, ZZ=-1.0)
+        want = tomo.reconstruct(tomo.ExpectationTable(values=floats, mode="analytic")).tobytes()
+        for convert in (int, np.float32, np.int64):
+            values = {word: convert(v) for word, v in floats.items()}
+            assert tomo.reconstruct(tomo.ExpectationTable(values=values, mode="analytic")).tobytes() == want
+        # Bools are real numbers too, read as 0 and 1 whether or not the table mixes in floats.
+        identity = tomo.reconstruct(tomo.ExpectationTable(values={**floats, "ZZ": 0.0}, mode="analytic")).tobytes()
+        for other in (False, 0.0):
+            values = {word: other for word in tomo.PAULI_WORDS}
+            values["II"] = True
+            assert tomo.reconstruct(tomo.ExpectationTable(values=values, mode="analytic")).tobytes() == identity
+
     def test_incomplete_table_rejected(self):
         table = tomo.ExpectationTable(values={"II": 1.0}, mode="analytic")
         with pytest.raises(ValueError):
@@ -394,3 +441,34 @@ class TestFidelity:
         rho = tomo.density_from_state(UNIFORM_STATE) * scale
         with pytest.raises(ValidationError, match="outside"):
             tomo.fidelity(rho, UNIFORM_STATE)
+
+
+class TestSignRecoveryAcrossCatalog:
+    """Every catalog system and basis input: tomography recovers the solution's signs up to a global sign."""
+
+    @staticmethod
+    def _solutions():
+        for spec in family.enumerate_family():
+            for b in range(4):
+                yield str(spec.label), b, linsys.solve(spec.matrix, np.eye(4)[b])
+
+    @staticmethod
+    def _recovered(rho, x):
+        signs = leading_sign_pattern(rho)
+        want = np.sign(x).astype(int).tolist()
+        return signs == want or signs == [-s for s in want]
+
+    def test_analytic_recovers_every_sign_pattern(self):
+        for label, b, x in self._solutions():
+            assert 0 not in np.sign(x), (label, b)
+            pure = tomo.density_from_state(x)
+            for rho in (pure, tomo.apply_depolarizing(pure, tomo.CALIBRATED_DEPOLARIZING_P)):
+                rebuilt = tomo.reconstruct(tomo.pauli_expectations(rho))
+                assert self._recovered(rebuilt, x), (label, b)
+
+    def test_sampled_at_the_calibrated_noise_recovers_every_sign_pattern(self):
+        for k, (label, b, x) in enumerate(self._solutions()):
+            noisy = tomo.apply_depolarizing(tomo.density_from_state(x), tomo.CALIBRATED_DEPOLARIZING_P)
+            for seed in (9 * k, 5000 + 9 * k):
+                table = tomo.pauli_expectations(noisy, mode="sampled", shots=1024, seed=seed)
+                assert self._recovered(tomo.reconstruct(table), x), (label, b, seed)
