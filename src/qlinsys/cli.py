@@ -20,23 +20,12 @@ import numpy as np
 from . import family, grover, linsys, qasm, sim, synth, tomo
 from .errors import QlinsysError, SynthesisNotFoundError, ValidationError, check_finite
 
-#: The eight circuits of the published comparison table, in row order.
-TABLE1_LABELS = (
-    "A_1324",
-    "A_2413",
-    "A_3124",
-    "A_4213",
-    "B_1342",
-    "B_2413",
-    "B_3142",
-    "B_4213",
-)
-
-#: Outcome percentages from a 1024-shot hardware run of the eight circuits
-#: above on a 5-qubit device, as published (outcomes 0000..0011).  Row
-#: B_1342 is reproduced verbatim even though it sums to 97%, apparently a
-#: misprint of 27.832 in the second column.  Display-only: tests never use
-#: these as oracles for simulated counts.
+#: The eight circuits of the published comparison table, in row order, with
+#: outcome percentages from a 1024-shot hardware run of each on a 5-qubit
+#: device, as published (outcomes 0000..0011).  Row B_1342 is reproduced
+#: verbatim even though it sums to 97%, apparently a misprint of 27.832 in
+#: the second column.  Display-only: tests never use these as oracles for
+#: simulated counts.
 REFERENCE_PERCENT = {
     "A_1324": (21.875, 24.805, 27.051, 26.27),
     "A_2413": (24.023, 25.781, 23.926, 26.27),
@@ -126,7 +115,7 @@ def cmd_family_list(args) -> int:
             [
                 {
                     "label": str(spec.label),
-                    "subset": spec.subset,
+                    "subset": spec.label.subset,
                     "matrix": [[float(v) for v in row] for row in spec.matrix],
                     "y": [float(v) for v in spec.y],
                     "equations": list(spec.equations),
@@ -136,7 +125,7 @@ def cmd_family_list(args) -> int:
         )
     else:
         for spec in specs:
-            print(f"{spec.label}  {spec.subset}  {' | '.join(spec.equations)}")
+            print(f"{spec.label}  {spec.label.subset}  {' | '.join(spec.equations)}")
     return 0
 
 
@@ -189,10 +178,10 @@ def _sampled_run(
     return sim.sample_distribution(np.real(np.diag(rho)), shots, seed)
 
 
-def _percent_row(table: sim.ShotTable) -> str:
-    """The table's outcome percentages as comma-separated fields."""
+def _percent_row(table: sim.ShotTable, field: str = "{:.3f}", sep: str = ",") -> str:
+    """The table's outcome percentages, each formatted by `field`, joined by `sep`."""
     freq = table.frequencies
-    return ",".join(f"{100.0 * freq[b]:.3f}" for b in _OUTCOMES_2Q)
+    return sep.join(field.format(100.0 * freq[b]) for b in _OUTCOMES_2Q)
 
 
 def _counts_payload(name: str, table: sim.ShotTable) -> dict:
@@ -219,14 +208,13 @@ def cmd_run(args) -> int:
         print(f"{name},{_percent_row(table)}")
     else:
         print(f"{'circuit':<10}" + "".join(f"{b + '/' + p:>12}" for b, p in zip(_OUTCOMES_2Q, _PADDED)))
-        freq = table.frequencies
-        print(f"{name:<10}" + "".join(f"{100.0 * freq[b]:>11.3f}%" for b in _OUTCOMES_2Q))
+        print(f"{name:<10}" + _percent_row(table, "{:>11.3f}%", ""))
     return 0
 
 
 def cmd_table1(args) -> int:
     rows = []
-    for offset, name in enumerate(TABLE1_LABELS):
+    for offset, name in enumerate(REFERENCE_PERCENT):
         matrix = family.matrix_for(family.FamilyLabel.parse(name))
         # Per-row seeds stay distinct but reproducible from the single flag.
         rows.append((name, _sampled_run(matrix, 0, args.shots, args.seed + offset)))

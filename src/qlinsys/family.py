@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError, check_vector
+from .errors import ValidationError, check_int
 
 # Class A columns: each pair differs in exactly two positions.
 _COLUMNS_A = (
@@ -33,7 +33,10 @@ _COLUMNS_B = (
     (1, -1, -1, -1),
 )
 
-_LABEL_RE = re.compile(r"^([AB])_([1-4]{4})$")
+#: Each class's four columns, scaled to +-1/2, in index order 1..4.
+_CLASS_COLUMNS = {"A": np.array(_COLUMNS_A) / 2.0, "B": np.array(_COLUMNS_B) / 2.0}
+
+_LABEL_RE = re.compile(r"([AB])_([1-4]{4})")
 
 
 @dataclass(frozen=True)
@@ -46,12 +49,15 @@ class FamilyLabel:
     def __post_init__(self):
         if self.kind not in ("A", "B"):
             raise ValidationError(f"column class must be 'A' or 'B', got {self.kind!r}")
+        if not np.iterable(self.perm):
+            raise ValidationError(f"{self.perm!r} is not a permutation of (1, 2, 3, 4)")
+        object.__setattr__(self, "perm", tuple(check_int(p, "permutation entry") for p in self.perm))
         if sorted(self.perm) != [1, 2, 3, 4]:
             raise ValidationError(f"{self.perm} is not a permutation of (1, 2, 3, 4)")
 
     @classmethod
     def parse(cls, text: str) -> "FamilyLabel":
-        m = _LABEL_RE.match(text)
+        m = _LABEL_RE.fullmatch(text) if isinstance(text, str) else None
         if m is None:
             raise ValidationError(f"malformed label {text!r}, expected e.g. 'A_1234'")
         return cls(m.group(1), tuple(int(c) for c in m.group(2)))
@@ -74,38 +80,18 @@ class LinearSystemSpec:
     y: np.ndarray
     equations: tuple[str, ...]
 
-    @property
-    def subset(self) -> str:
-        return self.label.subset
-
-
-def base_columns(kind: str) -> list[np.ndarray]:
-    """The four reference columns of class 'A' or 'B', in index order 1..4."""
-    if kind == "A":
-        raw = _COLUMNS_A
-    elif kind == "B":
-        raw = _COLUMNS_B
-    else:
-        raise ValidationError(f"column class must be 'A' or 'B', got {kind!r}")
-    return [np.array(col, dtype=float) / 2.0 for col in raw]
-
 
 def matrix_for(label: FamilyLabel) -> np.ndarray:
     """Build the matrix named by `label`; the result is marked read-only."""
-    cols = base_columns(label.kind)
+    cols = _CLASS_COLUMNS[label.kind]
     out = np.column_stack([cols[p - 1] for p in label.perm])
     out.setflags(write=False)
     return out
 
 
-def equations_for(label: FamilyLabel, y=None) -> list[str]:
-    """Render the system A x = y with denominators cleared, one string per row."""
+def equations_for(label: FamilyLabel) -> list[str]:
+    """Render the system A x = e1 with denominators cleared, one string per row."""
     a = matrix_for(label)
-    rhs = np.zeros(4) if y is None else check_vector(np.asarray(y, dtype=float), "y")
-    if y is None:
-        rhs[0] = 1.0
-    if rhs.size != 4:
-        raise DimensionMismatchError(f"y must have length 4, got {rhs.size}")
     lines = []
     for i in range(4):
         coeffs = 2.0 * a[i]
@@ -118,7 +104,7 @@ def equations_for(label: FamilyLabel, y=None) -> list[str]:
                 terms.append(f"x{j + 1}" if c > 0 else f"-x{j + 1}")
             else:
                 terms.append(f"{sign} x{j + 1}")
-        lines.append(f"{' '.join(terms)} = {2.0 * rhs[i]:g}")
+        lines.append(f"{' '.join(terms)} = {2 if i == 0 else 0}")
     return lines
 
 

@@ -23,20 +23,9 @@ def _as_matrix(matrix) -> np.ndarray:
     return out
 
 
-def _as_vector(vector, name: str) -> np.ndarray:
-    out = check_vector(np.asarray(vector, dtype=float), name)
-    check_finite(out, "vector entries must be finite")
-    return out
-
-
 def _orthonormal(a: np.ndarray) -> bool:
     """A^T A = I entrywise within 1e-10, for a matrix `_as_matrix` has validated."""
     return bool(abs(a.T @ a - np.eye(a.shape[0])).max() <= _TOL)
-
-
-def check_orthonormal_columns(matrix) -> bool:
-    """Return True when A^T A = I entrywise within 1e-10; unit columns follow."""
-    return _orthonormal(_as_matrix(matrix))
 
 
 def inverse_operator(matrix) -> np.ndarray:
@@ -59,7 +48,8 @@ def solve(matrix, y) -> np.ndarray:
     and the residual A x - y vanishes to rounding error.
     """
     a = _as_matrix(matrix)
-    rhs = _as_vector(y, "right-hand side")
+    rhs = check_vector(np.asarray(y, dtype=float), "right-hand side")
+    check_finite(rhs, "vector entries must be finite")
     if rhs.size != a.shape[0]:
         raise DimensionMismatchError(
             f"right-hand side has length {rhs.size}, matrix is {a.shape[0]}x{a.shape[1]}"
@@ -68,18 +58,6 @@ def solve(matrix, y) -> np.ndarray:
         raise NotOrthonormalError("matrix columns are not orthonormal")
     check_unit_norm(rhs, "right-hand side")
     return a.T @ rhs
-
-
-def residual(matrix, x, y) -> float:
-    """Max-norm of A x - y; zero means x solves the system exactly."""
-    a = _as_matrix(matrix)
-    xv = _as_vector(x, "x")
-    yv = _as_vector(y, "y")
-    if xv.size != a.shape[1] or yv.size != a.shape[0]:
-        raise DimensionMismatchError(
-            f"matrix is {a.shape[0]}x{a.shape[1]}, got x of length {xv.size} and y of length {yv.size}"
-        )
-    return float(np.max(np.abs(a @ xv - yv)))
 
 
 def load_matrix(path) -> np.ndarray:

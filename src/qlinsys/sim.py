@@ -358,7 +358,3 @@ def sample_distribution(probs, shots: int, seed: int) -> ShotTable:
         counts={bitstring(i, n): c for i, c in enumerate(counts.tolist())},
     )
 
-
-def sample(state, shots: int, seed: int) -> ShotTable:
-    """Sample measurement outcomes of `state` in the computational basis."""
-    return sample_distribution(probabilities(state), shots, seed)

@@ -31,7 +31,6 @@ from .errors import (
     NotOrthogonalError,
     SynthesisNotFoundError,
     ValidationError,
-    check_finite,
     check_int,
 )
 
@@ -136,18 +135,3 @@ def synthesize_family(max_gates: int = DEFAULT_MAX_GATES) -> dict:
         results[spec.label] = synthesize(target, max_gates)
     return results
 
-
-def verify(circuit: sim.Circuit, matrix) -> float:
-    """Best-over-sign deviation of U_circuit * A from the identity.
-
-    A non-finite matrix raises ValidationError rather than returning NaN.
-    """
-    a = np.asarray(matrix, dtype=float)
-    dim = 2**circuit.n_qubits
-    if a.shape != (dim, dim):
-        raise DimensionMismatchError(f"matrix shape {a.shape} does not match {circuit.n_qubits} qubits")
-    check_finite(a, "matrix must be finite")
-    u = sim.unitary_of(circuit)
-    eye = np.eye(dim)
-    deviations = (np.max(np.abs(s * u @ a - eye)) for s in (1.0, -1.0))
-    return float(min(deviations))

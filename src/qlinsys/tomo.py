@@ -75,13 +75,6 @@ class ExpectationTable:
     seed: int | None = None
 
 
-def pauli_word_matrix(word: str) -> np.ndarray:
-    """A fresh copy of the word's 4x4 matrix, so the shared basis stays intact."""
-    if len(word) != 2 or any(c not in _PAULI_1Q for c in word):
-        raise ValidationError(f"expected a two-letter word over IXYZ, got {word!r}")
-    return _PAULI_MATRICES[4 * "IXYZ".index(word[0]) + "IXYZ".index(word[1])].copy()
-
-
 def density_from_state(psi) -> np.ndarray:
     """Outer product |psi><psi| of a normalized state vector."""
     v = check_vector(np.asarray(psi, dtype=complex), "state")

@@ -15,7 +15,7 @@ import numpy as np
 
 from qlinsys import cli, family, grover, linsys, qasm, sim, synth, tomo
 
-from oracles import gauss_solve, mat_mul, max_abs_diff
+from oracles import gauss_solve, mat_mul, mat_vec, max_abs_diff
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -45,7 +45,7 @@ def test_family_completeness():
     specs = family.enumerate_family()
     assert len(specs) == 48
     assert len({spec.matrix.tobytes() for spec in specs}) == 48
-    subsets = Counter(spec.subset for spec in specs)
+    subsets = Counter(spec.label.subset for spec in specs)
     assert subsets == Counter(
         {name: 6 for name in ("A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4")}
     )
@@ -60,7 +60,7 @@ def test_worked_example():
     matrix = family.matrix_for(family.FamilyLabel.parse("A_1234"))
     x = linsys.solve(matrix, E1)
     assert np.max(np.abs(x - 0.5)) <= 1e-15
-    assert linsys.residual(matrix, x, E1) == 0.0
+    assert max_abs_diff(mat_vec(matrix, x), E1) == 0.0
     probs = sim.probabilities(x.astype(complex))
     assert np.max(np.abs(probs - 0.25)) <= 1e-15
     reference = gauss_solve(matrix.tolist(), E1.tolist())
@@ -86,14 +86,14 @@ def test_synthesis_coverage():
 @criterion(4, "table1 statistics: 3-sigma band at 1024 shots, tight band at 1e5")
 def test_table1_statistics():
     start = time.perf_counter()
-    for offset, name in enumerate(cli.TABLE1_LABELS):
+    for offset, name in enumerate(cli.REFERENCE_PERCENT):
         label = family.FamilyLabel.parse(name)
         result = synth.synthesize(linsys.inverse_operator(family.matrix_for(label)))
         state = sim.run(result.circuit, 0)
-        table = sim.sample(state, 1024, 0 + offset)
+        table = sim.sample_distribution(sim.probabilities(state), 1024, 0 + offset)
         for freq in table.frequencies.values():
             assert abs(freq - 0.25) <= 0.0406
-        wide = sim.sample(state, 100_000, 0 + offset)
+        wide = sim.sample_distribution(sim.probabilities(state), 100_000, 0 + offset)
         for freq in wide.frequencies.values():
             assert abs(freq - 0.25) <= 0.012
     assert time.perf_counter() - start < 5.0

@@ -142,6 +142,22 @@ class TestRun:
         _, out, _ = run_cli(capsys, "run", "--label", "A_1324", "--output", "json")
         assert out == (GOLDEN / "run_a1324_default.json").read_text()
 
+    @pytest.mark.parametrize(
+        "output, expected",
+        [
+            (
+                "table",
+                "circuit        00/0000     01/0001     10/0010     11/0011\n"
+                "A_1324         26.855%     24.512%     24.707%     23.926%\n",
+            ),
+            ("csv", "circuit,0000,0001,0010,0011\nA_1324,26.855,24.512,24.707,23.926\n"),
+        ],
+        ids=["table", "csv"],
+    )
+    def test_row_formats(self, capsys, output, expected):
+        _, out, _ = run_cli(capsys, "run", "--label", "A_1324", "--output", output)
+        assert out == expected
+
     def test_noise_golden(self, capsys):
         _, out, _ = run_cli(capsys, "run", "--label", "A_1342", "--noise", "0.1", "--output", "json")
         assert out.encode() == (GOLDEN / "run_a1342_noise.json").read_bytes()
@@ -193,7 +209,7 @@ class TestRun:
         for spec in family.enumerate_family():
             result = synth.synthesize(linsys.inverse_operator(spec.matrix))
             state = sim.run(result.circuit, 0)
-            table = sim.sample(state, 100_000, 0)
+            table = sim.sample_distribution(sim.probabilities(state), 100_000, 0)
             x = linsys.solve(spec.matrix, spec.y)
             for index, bits in enumerate(("00", "01", "10", "11")):
                 assert abs(table.frequencies[bits] - x[index] ** 2) <= 0.01
@@ -211,7 +227,7 @@ class TestTable1:
         assert len(lines) == 9
         assert lines[0].startswith("circuit,0000,0001,0010,0011,ref_")
         labels = [line.split(",")[0] for line in lines[1:]]
-        assert labels == list(cli.TABLE1_LABELS)
+        assert labels == list(cli.REFERENCE_PERCENT)
 
     def test_band_at_default_seed(self, capsys):
         _, out, _ = run_cli(capsys, "table1", "--output", "json")

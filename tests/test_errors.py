@@ -58,15 +58,10 @@ CASES = {
         DimensionMismatchError,
         r"right-hand side must be a vector, got shape \(2, 2\)",
     ),
-    "linsys.residual_shape": (
-        lambda: linsys.residual(np.eye(4), [[1, 0], [0, 0]], [1, 0, 0, 0]),
-        DimensionMismatchError,
-        "x must be a vector",
-    ),
     "linsys.vector": (
-        lambda: linsys.residual(np.eye(4), [np.nan, 0, 0, 0], [1, 0, 0, 0]),
+        lambda: linsys.solve(np.eye(4), [np.nan, 0, 0, 0]),
         ValidationError,
-        "finite",
+        "vector entries must be finite",
     ),
     "tomo.state_shape": (
         lambda: tomo.density_from_state([[1, 0], [0, 0]]),
@@ -78,7 +73,6 @@ CASES = {
         DimensionMismatchError,
         "state must be a vector",
     ),
-    "tomo.word": (lambda: tomo.pauli_word_matrix("XQ"), ValidationError, "two-letter word"),
     "tomo.density": (lambda: tomo.apply_depolarizing(np.eye(4), 0.1), ValidationError, "physical"),
     "tomo.mode": (lambda: tomo.pauli_expectations(np.eye(4) / 4, mode="guess"), ValidationError, "mode"),
     "tomo.table": (
@@ -97,17 +91,19 @@ CASES = {
     "family.label_kind": (lambda: family.FamilyLabel("C", (1, 2, 3, 4)), ValidationError, "column class"),
     "family.label_perm": (lambda: family.FamilyLabel("A", (1, 1, 2, 3)), ValidationError, "permutation"),
     "family.parse": (lambda: family.FamilyLabel.parse("A-1234"), ValidationError, "malformed"),
-    "family.base_columns": (lambda: family.base_columns("C"), ValidationError, "column class"),
-    "family.y_length": (
-        lambda: family.equations_for(family.FamilyLabel.parse("A_1234"), [1, 0, 0]),
-        DimensionMismatchError,
-        "length 4",
+    "family.parse_newline": (lambda: family.FamilyLabel.parse("A_1234\n"), ValidationError, "malformed"),
+    "family.parse_none": (lambda: family.FamilyLabel.parse(None), ValidationError, "malformed label None"),
+    "family.label_perm_float": (
+        lambda: family.FamilyLabel("A", (1.0, 2, 3, 4)),
+        ValidationError,
+        "permutation entry must be an integer, got 1.0",
     ),
-    "family.y_shape": (
-        lambda: family.equations_for(family.FamilyLabel.parse("A_1234"), [[1, 0], [0, 0]]),
-        DimensionMismatchError,
-        "y must be a vector",
+    "family.label_perm_bool": (
+        lambda: family.FamilyLabel("A", (True, 2, 3, 4)),
+        ValidationError,
+        "permutation entry must be an integer, got True",
     ),
+    "family.label_perm_scalar": (lambda: family.FamilyLabel("A", 1234), ValidationError, "not a permutation"),
     "family.rows": (_render_rows_that_are_not_half_signs, ValidationError, "entries"),
     "grover.probability": (
         lambda: grover.success_probability(grover.geometry(4, 1), -1),

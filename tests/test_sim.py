@@ -578,25 +578,26 @@ class TestSqrtReadout:
 
 class TestSampling:
     def test_deterministic_state_gives_all_counts(self):
-        table = sim.sample(sim.basis_state(2, 2), 100, 0)
+        table = sim.sample_distribution(sim.probabilities(sim.basis_state(2, 2)), 100, 0)
         assert table.counts == {"00": 0, "01": 0, "10": 100, "11": 0}
 
     def test_counts_sum_to_shots(self):
         state = np.full(4, 0.5, dtype=complex)
-        table = sim.sample(state, 1024, 3)
+        table = sim.sample_distribution(sim.probabilities(state), 1024, 3)
         assert sum(table.counts.values()) == 1024
         assert table.shots == 1024
         assert table.seed == 3
 
     def test_same_seed_same_counts(self):
         state = np.full(4, 0.5, dtype=complex)
-        a = sim.sample(state, 1024, 42)
-        b = sim.sample(state, 1024, 42)
+        a = sim.sample_distribution(sim.probabilities(state), 1024, 42)
+        b = sim.sample_distribution(sim.probabilities(state), 1024, 42)
         assert a.counts == b.counts
 
     def test_different_seeds_differ(self):
         state = np.full(4, 0.5, dtype=complex)
-        assert sim.sample(state, 1024, 0).counts != sim.sample(state, 1024, 1).counts
+        probs = sim.probabilities(state)
+        assert sim.sample_distribution(probs, 1024, 0).counts != sim.sample_distribution(probs, 1024, 1).counts
 
     def test_frequencies(self):
         table = sim.ShotTable(10, 0, {"0": 4, "1": 6})
@@ -606,13 +607,13 @@ class TestSampling:
     def test_uniform_band_at_1024_shots(self, seed):
         # Three-sigma binomial band around 1/4: 3 * sqrt(.25 * .75 / 1024).
         state = np.full(4, 0.5, dtype=complex)
-        table = sim.sample(state, 1024, seed)
+        table = sim.sample_distribution(sim.probabilities(state), 1024, seed)
         for freq in table.frequencies.values():
             assert abs(freq - 0.25) <= 0.0406
 
     def test_large_sample_converges(self):
         state = np.full(4, 0.5, dtype=complex)
-        table = sim.sample(state, 100_000, 0)
+        table = sim.sample_distribution(sim.probabilities(state), 100_000, 0)
         for freq in table.frequencies.values():
             assert abs(freq - 0.25) <= 0.012
 
@@ -620,13 +621,13 @@ class TestSampling:
     def test_chi_square_against_uniform(self, seed):
         scipy_stats = pytest.importorskip("scipy.stats")
         state = np.full(4, 0.5, dtype=complex)
-        table = sim.sample(state, 1024, seed)
+        table = sim.sample_distribution(sim.probabilities(state), 1024, seed)
         _, p = scipy_stats.chisquare(list(table.counts.values()))
         assert p > 0.001
 
     def test_shots_must_be_positive(self):
         with pytest.raises(ValueError):
-            sim.sample(sim.basis_state(2, 0), 0, 0)
+            sim.sample_distribution(sim.probabilities(sim.basis_state(2, 0)), 0, 0)
 
     def test_negative_probabilities_rejected(self):
         with pytest.raises(NegativeProbabilityError):

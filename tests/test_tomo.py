@@ -68,27 +68,14 @@ class TestPauliWords:
         }
 
     def test_word_matrices_are_hermitian_involutions(self):
-        for word in tomo.PAULI_WORDS:
-            m = tomo.pauli_word_matrix(word)
+        for word, m in zip(tomo.PAULI_WORDS, tomo._PAULI_MATRICES, strict=True):
+            np.testing.assert_array_equal(m, np.kron(_PAULI_1Q[word[0]], _PAULI_1Q[word[1]]))
             np.testing.assert_allclose(m, m.conj().T, atol=1e-15)
             np.testing.assert_allclose(m @ m, np.eye(4), atol=1e-15)
 
     def test_words_are_trace_orthogonal(self):
-        for a, b in itertools.combinations(tomo.PAULI_WORDS, 2):
-            product = tomo.pauli_word_matrix(a) @ tomo.pauli_word_matrix(b)
-            assert abs(np.trace(product)) <= 1e-12
-
-    def test_bad_word(self):
-        with pytest.raises(ValueError):
-            tomo.pauli_word_matrix("XQ")
-
-    def test_mutating_a_word_matrix_leaves_reconstruction_unchanged(self):
-        table = tomo.pauli_expectations(tomo.density_from_state(SIGNED_STATE))
-        before = tomo.reconstruct(table)
-        for word in tomo.PAULI_WORDS:
-            tomo.pauli_word_matrix(word)[:] = 7.0
-        assert tomo.reconstruct(table).tobytes() == before.tobytes()
-        np.testing.assert_array_equal(tomo.pauli_word_matrix("XY"), np.kron(_PAULI_1Q["X"], _PAULI_1Q["Y"]))
+        for a, b in itertools.combinations(tomo._PAULI_MATRICES, 2):
+            assert abs(np.trace(a @ b)) <= 1e-12
 
 
 class TestDensityFromState:
