@@ -58,6 +58,12 @@ CASES = {
         DimensionMismatchError,
         r"right-hand side must be a vector, got shape \(2, 2\)",
     ),
+    # The vector-shape rule that residual applied to x now guards solve's y; a scalar y breaks it too.
+    "linsys.residual_shape": (
+        lambda: linsys.solve(np.eye(4), 1.0),
+        DimensionMismatchError,
+        r"right-hand side must be a vector, got shape \(\)",
+    ),
     "linsys.vector": (
         lambda: linsys.solve(np.eye(4), [np.nan, 0, 0, 0]),
         ValidationError,
@@ -90,6 +96,8 @@ CASES = {
     ),
     "family.label_kind": (lambda: family.FamilyLabel("C", (1, 2, 3, 4)), ValidationError, "column class"),
     "family.label_perm": (lambda: family.FamilyLabel("A", (1, 1, 2, 3)), ValidationError, "permutation"),
+    # Base columns exist for the classes "A" and "B" only, and class names are case-sensitive.
+    "family.base_columns": (lambda: family.FamilyLabel("a", (1, 2, 3, 4)), ValidationError, "column class"),
     "family.parse": (lambda: family.FamilyLabel.parse("A-1234"), ValidationError, "malformed"),
     "family.parse_newline": (lambda: family.FamilyLabel.parse("A_1234\n"), ValidationError, "malformed"),
     "family.parse_none": (lambda: family.FamilyLabel.parse(None), ValidationError, "malformed label None"),

@@ -65,6 +65,13 @@ class TestBaseColumns:
         catalog = {tuple(col) for col in EXPECTED_A} | {tuple(col) for col in EXPECTED_B}
         assert catalog == candidates
 
+    def test_unknown_class_rejected(self):
+        with pytest.raises(ValueError):
+            family.FamilyLabel("C", (1, 2, 3, 4))
+        with pytest.raises(ValueError):
+            family.FamilyLabel.parse("C_1234")
+        assert {spec.label.kind for spec in family.enumerate_family()} == {"A", "B"}
+
 
 class TestFamilyLabel:
     def test_parse_roundtrip(self):
