@@ -13,19 +13,23 @@ import numpy as np
 from .errors import DimensionMismatchError, NotOrthonormalError, check_finite, check_unit_norm, check_vector
 
 _TOL = 1e-10  # entrywise bound on A^T A - I
+_MAX_ENTRY = 2.0  # a larger entry puts its column's norm above 2; no smaller ones overflow A^T A
 
 
-def _as_matrix(matrix) -> np.ndarray:
+def _as_matrix(matrix) -> tuple[np.ndarray, bool]:
+    """The matrix as floats, and whether its entries are within _MAX_ENTRY, which only finite ones can be."""
     out = np.asarray(matrix, dtype=float)
-    if out.ndim != 2 or out.shape[0] != out.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {out.shape}")
-    check_finite(out, "matrix entries must be finite")
-    return out
+    if out.ndim != 2 or out.shape[0] != out.shape[1] or not out.size:
+        raise DimensionMismatchError(f"expected a non-empty square matrix, got shape {out.shape}")
+    bounded = bool(abs(out).max() <= _MAX_ENTRY)
+    if not bounded:
+        check_finite(out, "matrix entries must be finite")
+    return out, bounded
 
 
-def _orthonormal(a: np.ndarray) -> bool:
-    """A^T A = I entrywise within 1e-10, for a matrix `_as_matrix` has validated."""
-    return bool(abs(a.T @ a - np.eye(a.shape[0])).max() <= _TOL)
+def _orthonormal(a: np.ndarray, bounded: bool) -> bool:
+    """A^T A = I entrywise within 1e-10, for a matrix and bound from `_as_matrix`."""
+    return bounded and bool(abs(a.T @ a - np.eye(a.shape[0])).max() <= _TOL)
 
 
 def inverse_operator(matrix) -> np.ndarray:
@@ -34,8 +38,8 @@ def inverse_operator(matrix) -> np.ndarray:
     The result is a fresh array, so mutating it cannot corrupt the input.
     Applying the operation twice returns the original matrix exactly.
     """
-    a = _as_matrix(matrix)
-    if not _orthonormal(a):
+    a, bounded = _as_matrix(matrix)
+    if not _orthonormal(a, bounded):
         raise NotOrthonormalError("matrix columns are not orthonormal; transpose is not an inverse")
     return a.T.copy()
 
@@ -47,14 +51,12 @@ def solve(matrix, y) -> np.ndarray:
     x = A^T y.  Because A preserves inner products, x is again a unit vector
     and the residual A x - y vanishes to rounding error.
     """
-    a = _as_matrix(matrix)
+    a, bounded = _as_matrix(matrix)
     rhs = check_vector(np.asarray(y, dtype=float), "right-hand side")
     check_finite(rhs, "vector entries must be finite")
     if rhs.size != a.shape[0]:
-        raise DimensionMismatchError(
-            f"right-hand side has length {rhs.size}, matrix is {a.shape[0]}x{a.shape[1]}"
-        )
-    if not _orthonormal(a):
+        raise DimensionMismatchError(f"right-hand side has length {rhs.size}, matrix is {a.shape[0]}x{a.shape[1]}")
+    if not _orthonormal(a, bounded):
         raise NotOrthonormalError("matrix columns are not orthonormal")
     check_unit_norm(rhs, "right-hand side")
     return a.T @ rhs

@@ -12,17 +12,10 @@ def circuit_to_qasm(circuit: sim.Circuit) -> str:
     Output is deterministic: same circuit, same bytes.
     """
     n = circuit.n_qubits
-    lines = [
-        "OPENQASM 2.0;",
-        'include "qelib1.inc";',
-        f"qreg q[{n}];",
-        f"creg c[{n}];",
-    ]
+    text = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{n}];\ncreg c[{n}];\n'
     for gate in circuit.ops:
         # Every kind but phaseflip is already its qelib1 name.
         if gate.kind == "phaseflip":
             raise UnsupportedGateError(f"gate kind {gate.kind!r} has no OpenQASM 2.0 form")
-        operands = ",".join(f"q[{q}]" for q in gate.targets)
-        lines.append(f"{gate.kind} {operands};")
-    lines.append("measure q -> c;")
-    return "\n".join(lines) + "\n"
+        text += f"{gate.kind} {','.join(['q[%d]' % q for q in gate.targets])};\n"
+    return text + "measure q -> c;\n"

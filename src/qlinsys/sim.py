@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -300,9 +300,15 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
 
 
 def probabilities(state) -> np.ndarray:
+    """Squared magnitudes of a finite state whose squares do not overflow."""
     amps = np.asarray(state, dtype=complex)
     _qubit_count(amps)
-    return np.abs(amps) ** 2
+    magnitudes = abs(amps)
+    peak = float(magnitudes.max())  # its square is finite exactly when every entry and square is
+    if not peak * peak < math.inf:
+        check_finite(amps, "state entries must be finite")
+        raise ValidationError(f"state magnitudes must have finite squares, largest is {peak}")
+    return magnitudes**2
 
 
 def amplitudes_from_probabilities(probs) -> np.ndarray:
@@ -324,9 +330,9 @@ def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
 
     Row i of a block is drawn from its own generator seeded with seed + i, so
     a block gives exactly the counts of k separate calls with those seeds.
-    Each row must be finite, non-negative and sum to 1 within 1e-6; it is
-    divided by its own sum before the draw.  The seed must be a non-negative
-    integer.
+    Rules, in the order checked: the shape; shots, an integer of at least 1;
+    the seed, a non-negative integer; entries finite, then non-negative; each
+    row sums to 1 within 1e-6.  Each row is divided by its sum for the draw.
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim not in (1, 2):
@@ -335,26 +341,30 @@ def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
         raise ValidationError("shots must be at least 1")
     if check_int(seed, "seed") < 0:
         raise ValidationError("seed must be non-negative")
-    check_finite(p, "probabilities must be finite")
+    # Rows that pass both tests are finite, so only a failing input pays for the
+    # finiteness pass.  The sum waits for the minimum, as inf + -inf warns.
     lowest = p.min(initial=0.0)
-    if lowest < 0:
+    if not lowest >= 0:
+        check_finite(p, "probabilities must be finite")
         raise NegativeProbabilityError(f"probabilities must be non-negative, min is {lowest}")
-    rows = p if p.ndim == 2 else p[np.newaxis]
-    sums = rows.sum(axis=1)
-    deviation = max((abs(total - 1.0) for total in sums.tolist()), default=0.0)
-    if deviation > 1e-6:
+    sums = p.sum(axis=-1, keepdims=True)
+    deviation = max((abs(total - 1.0) for total in sums.ravel().tolist()), default=0.0)
+    if not deviation <= 1e-6:
+        check_finite(p, "probabilities must be finite")
         raise NotNormalizedError(f"probability rows must sum to 1, worst is off by {deviation}")
-    draws = [np.random.default_rng(seed + i).multinomial(shots, row) for i, row in enumerate(rows / sums[:, None])]
+    if p.ndim == 1:
+        return np.random.default_rng(seed).multinomial(shots, p / sums)
+    draws = [np.random.default_rng(seed + i).multinomial(shots, row) for i, row in enumerate(p / sums)]
     return np.array(draws, dtype=np.int64).reshape(p.shape)
+
+
+@lru_cache(maxsize=1)
+def _bitstrings(n_qubits: int) -> tuple[str, ...]:
+    """`bitstring` of every basis index, for the width sampled last."""
+    return tuple(bitstring(i, n_qubits) for i in range(2**n_qubits))
 
 
 def sample_distribution(probs, shots: int, seed: int) -> ShotTable:
     p = np.asarray(probs, dtype=float)
     n = _qubit_count(p)
-    counts = sample_counts(p, shots, seed)
-    return ShotTable(
-        shots=shots,
-        seed=seed,
-        counts={bitstring(i, n): c for i, c in enumerate(counts.tolist())},
-    )
-
+    return ShotTable(shots, seed, dict(zip(_bitstrings(n), sample_counts(p, shots, seed).tolist())))

@@ -26,13 +26,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import sim
-from .errors import (
-    DimensionMismatchError,
-    NotOrthogonalError,
-    SynthesisNotFoundError,
-    ValidationError,
-    check_int,
-)
+from .errors import DimensionMismatchError, NotOrthogonalError, SynthesisNotFoundError, ValidationError, check_int
 
 #: Search vocabulary, in tie-breaking order.
 VOCABULARY: tuple[sim.Gate, ...] = (
@@ -50,6 +44,9 @@ VOCABULARY: tuple[sim.Gate, ...] = (
 DEFAULT_MAX_GATES = 8
 
 _TOL = 1e-10  # entrywise bound on a target's orthogonality and on its match
+_MAX_ENTRY = 2.0  # a larger entry puts its column's norm above 2; no smaller ones overflow t^T t
+_EYE = np.eye(4)
+_EYE.flags.writeable = False  # also the empty circuit's stored unitary
 
 #: Negates each int8 code byte (two's complement), mapping U's key to -U's.
 _NEGATED = bytes(-b & 0xFF for b in range(256))
@@ -65,10 +62,9 @@ class SynthesisResult:
     max_deviation: float
 
 
-def _keys(matrices: np.ndarray) -> list[bytes]:
-    """Exact int8 keys sign(m) round(4 m^2) of one 4x4 or a (k, 4, 4) stack."""
-    blob = np.rint(4.0 * matrices * np.abs(matrices)).astype(np.int8).tobytes()
-    return [blob[i : i + 16] for i in range(0, len(blob), 16)]
+def _key(matrices: np.ndarray) -> bytes:
+    """Exact int8 key sign(m) round(4 m^2) of one 4x4, or the keys of a (k, 4, 4) stack end to end."""
+    return np.rint(4.0 * matrices * abs(matrices)).astype(np.int8).tobytes()
 
 
 @functools.cache
@@ -82,21 +78,21 @@ def _closure() -> MappingProxyType:
         table[key.translate(_NEGATED)] = (circuit, unitary, -1)
         return ops, unitary
 
-    eye = np.eye(4)
-    frontier = [insert((), eye, _keys(eye)[0])]
+    frontier = [insert((), _EYE, _key(_EYE))]
     while frontier:
         block = np.hstack([u for _, u in frontier])
         # Copies, so that no stored unitary keeps a whole complex block alive.
         images = [sim.apply_gate(block, gate).real.copy() for gate in VOCABULARY]
-        keys = [_keys(image.reshape(4, -1, 4).transpose(1, 0, 2)) for image in images]
+        blobs = [_key(image.reshape(4, -1, 4).transpose(1, 0, 2)) for image in images]
         # Both signs of an element go in together, so a key is present exactly
         # when its element is, whichever sign the candidate carries.
         grown = []
         for i, (ops, _) in enumerate(frontier):
-            for gate, image, image_keys in zip(VOCABULARY, images, keys):
-                if image_keys[i] not in table:
+            for gate, image, blob in zip(VOCABULARY, images, blobs):
+                key = blob[16 * i : 16 * i + 16]
+                if key not in table:
                     unitary = image[:, 4 * i : 4 * i + 4].copy()
-                    grown.append(insert(ops + (gate,), unitary, image_keys[i]))
+                    grown.append(insert(ops + (gate,), unitary, key))
         frontier = grown
     return MappingProxyType(table)
 
@@ -110,16 +106,16 @@ def synthesize(target, max_gates: int = DEFAULT_MAX_GATES) -> SynthesisResult:
     t = np.asarray(target, dtype=float)
     if t.shape != (4, 4):
         raise DimensionMismatchError(f"target must be 4x4, got shape {t.shape}")
-    # Written so that a NaN deviation fails the check too.
-    if not np.max(np.abs(t.T @ t - np.eye(4))) <= _TOL:
+    # Written so that a NaN or infinite entry fails the check too.
+    if not (abs(t).max() <= _MAX_ENTRY and abs(t.T @ t - _EYE).max() <= _TOL):
         raise NotOrthogonalError("synthesis target must be orthogonal")
     if check_int(max_gates, "max_gates") < 0:
         raise ValidationError("max_gates must be non-negative")
-    hit = _closure().get(_keys(t)[0])
+    hit = _closure().get(_key(t))
     if hit is not None and len(hit[0].ops) <= max_gates:
         circuit, realized, sign = hit
         # realized + t is bit for bit realized - sign * t, with no multiply.
-        deviation = float(np.max(np.abs(realized - t if sign == 1 else realized + t)))
+        deviation = float(abs(realized - t if sign == 1 else realized + t).max())
         if deviation <= _TOL:
             return SynthesisResult(circuit, len(circuit.ops), sign, deviation)
     raise SynthesisNotFoundError(f"no circuit with at most {max_gates} gates reaches the target")

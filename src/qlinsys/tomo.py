@@ -16,6 +16,12 @@ renormalizes, so the output is always a valid state even for noisy tables.
 
 The first letter of a Pauli word refers to qubit 1 (the most significant
 bit), matching the bitstring convention in `sim`.
+
+Sampled sign recovery has an envelope.  Of 960 runs (the 192 catalog
+solutions, seeds 10007 + 5k + j for pair k, j < 5), these many miss +-sign(x)
+at 4, 16, 64, 128 and 1024 shots per setting: 2, 0, 0, 0, 0 at the
+calibrated p; 26, 0, 0, 0, 0 at p = 0.1; 148, 0, 0, 0, 0 at 0.3; 367, 37, 0,
+0, 0 at 0.5; 714, 516, 151, 24, 0 at 0.8.
 """
 
 from __future__ import annotations

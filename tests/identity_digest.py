@@ -38,6 +38,22 @@ its historical value:
 * `sim.sample_counts` on a probability vector and on blocks of 0, 1 and 9
   rows.
 
+A third line digests off-catalog inputs to the functions that validate and
+convert on the paper's one-system path, each call's result or its error
+class and message:
+
+* `synth.synthesize` of every catalog target plus seeded noise at scales
+  from 1e-13 to 1e-10 per entry, so `max_deviation` is nonzero and some
+  targets miss a bound: both signs, with a gate budget one below and at the
+  gate count.
+* `linsys.inverse_operator` and `linsys.solve` of seeded orthogonal 4x4 and
+  8x8 matrices, some perturbed past the orthonormality bound.
+* `sim.probabilities` of seeded states at 1 to 10 qubits, some entries
+  zeroed, and `sim.sample_distribution` of them, by the repr of its table,
+  whose counts dict shows its key order.
+* `qasm.circuit_to_qasm` of random circuits over h, x, z, sdg, cx and cz at
+  1 to 5 qubits, a few with a phase flip, which has no QASM form.
+
 Not a pytest module: its name has no test_ prefix.
 """
 
@@ -211,6 +227,58 @@ def feed_tomography(digest: Digest, rng) -> None:
         digest.feed(sim.sample_counts(block, int(rng.integers(1, 2048)), seed))
 
 
+def outcome(fn, *args):
+    """fn(*args), or the class and message of the error it raised."""
+    try:
+        return fn(*args)
+    except Exception as error:
+        return type(error).__name__, str(error)
+
+
+def qasm_circuit(n: int, rng) -> sim.Circuit:
+    ops = []
+    for _ in range(int(rng.integers(41))):
+        kind = int(rng.integers(6 if n >= 2 else 4))
+        if kind < 4:
+            ops.append((sim.h, sim.x, sim.z, sim.sdg)[kind](int(rng.integers(n))))
+        else:
+            a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+            ops.append((sim.cx, sim.cz)[kind - 4](a, b))
+    if rng.random() < 0.1:
+        ops.insert(int(rng.integers(len(ops) + 1)), sim.phase_flip([int(rng.integers(2**n))]))
+    return sim.Circuit(n, tuple(ops))
+
+
+def feed_off_catalog(digest: Digest, rng) -> None:
+    for spec in family.enumerate_family():
+        target = linsys.inverse_operator(spec.matrix)
+        count = synth.synthesize(target).gate_count
+        for _ in range(6):
+            perturbed = target + rng.uniform(-1.0, 1.0, size=(4, 4)) * 10.0 ** rng.uniform(-13, -10)
+            for signed in (perturbed, -perturbed):
+                for budget in (count - 1, count):
+                    digest.feed(outcome(synth.synthesize, signed, budget))
+    for n in (4, 8):
+        for k in range(100):
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            if k % 4 == 3:
+                q = q + rng.uniform(-1e-10, 1e-10, size=(n, n))
+            digest.feed(outcome(linsys.inverse_operator, q))
+            digest.feed(outcome(linsys.solve, q, np.eye(n)[k % n]))
+    for n in range(1, 11):
+        for _ in range(20):
+            amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            zeroed = rng.random(2**n) < 0.3
+            zeroed[int(rng.integers(2**n))] = False
+            amps[zeroed] = 0.0
+            probs = sim.probabilities(amps / np.linalg.norm(amps))
+            digest.feed(probs)
+            digest.feed(sim.sample_distribution(probs, int(rng.integers(1, 4096)), int(rng.integers(2**31))))
+    for n in range(1, 6):
+        for _ in range(60):
+            digest.feed(outcome(qasm.circuit_to_qasm, qasm_circuit(n, rng)))
+
+
 def main() -> None:
     digest = Digest()
     feed_circuits(digest, np.random.default_rng(2018))
@@ -223,6 +291,9 @@ def main() -> None:
     tomography = Digest()
     feed_tomography(tomography, np.random.default_rng(1124))
     print(f"{tomography.sha.hexdigest()}  ({tomography.items} tomography outputs)")
+    off_catalog = Digest()
+    feed_off_catalog(off_catalog, np.random.default_rng(1313))
+    print(f"{off_catalog.sha.hexdigest()}  ({off_catalog.items} off-catalog outputs)")
 
 
 if __name__ == "__main__":

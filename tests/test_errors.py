@@ -11,6 +11,10 @@ from qlinsys.errors import (
     InvalidCountsError,
     InvalidProbabilityError,
     InvalidTargetError,
+    NegativeProbabilityError,
+    NotNormalizedError,
+    NotOrthogonalError,
+    NotOrthonormalError,
     ValidationError,
 )
 
@@ -18,6 +22,23 @@ from qlinsys.errors import (
 def _render_rows_that_are_not_half_signs():
     with mock.patch.object(family, "matrix_for", return_value=np.eye(4)):
         family.equations_for(family.FamilyLabel.parse("A_1234"))
+
+
+def _diag(*values):
+    return np.diag(np.array(values, dtype=float))
+
+
+#: Non-finite and huge inputs for the validators on the one-system path.
+#: Each 4-tuple also fills a 4x4 diagonal, whose other entries are 0 and 1.
+_BAD_VALUES = {
+    "nan": (np.nan, 0.0, 0.0, 0.0),
+    "inf": (np.inf, 0.0, 0.0, 0.0),
+    "-inf": (-np.inf, 0.0, 0.0, 0.0),
+    "inf_-inf": (np.inf, -np.inf, 0.0, 0.0),
+    "nan_-1": (np.nan, -1.0, 1.0, 1.0),
+}
+_NOT_ORTHONORMAL = "^matrix columns are not orthonormal; transpose is not an inverse$"
+_EMPTY = r"^expected a non-empty square matrix, got shape \(0, 0\)$"
 
 
 def _table_with(word, value):
@@ -148,6 +169,143 @@ CASES = {
         r"non-empty square matrix, got shape \(0, 0\)",
     ),
     "synth.max_gates": (lambda: synth.synthesize(np.eye(4), max_gates=-1), ValidationError, "non-negative"),
+    # The one-system path: linsys, synth, sim.probabilities and sampling.
+    **{
+        f"linsys.inverse_{name}": (
+            lambda v=v: linsys.inverse_operator(_diag(*v)),
+            ValidationError,
+            "^matrix entries must be finite$",
+        )
+        for name, v in _BAD_VALUES.items()
+    },
+    "linsys.inverse_huge": (lambda: linsys.inverse_operator(np.full((4, 4), 1e200)), NotOrthonormalError, _NOT_ORTHONORMAL),
+    "linsys.inverse_empty": (lambda: linsys.inverse_operator(np.zeros((0, 0))), DimensionMismatchError, _EMPTY),
+    "linsys.solve_empty": (lambda: linsys.solve(np.zeros((0, 0)), []), DimensionMismatchError, _EMPTY),
+    "linsys.solve_huge": (
+        lambda: linsys.solve(np.full((4, 4), 1e200), [1, 0, 0, 0]),
+        NotOrthonormalError,
+        "^matrix columns are not orthonormal$",
+    ),
+    # Every right-hand-side rule comes before the orthonormality test, and the matrix's finiteness before them all.
+    "linsys.solve_huge_nan_rhs": (
+        lambda: linsys.solve(np.full((4, 4), 1e200), [np.nan, 0, 0, 0]),
+        ValidationError,
+        "^vector entries must be finite$",
+    ),
+    "linsys.solve_huge_short_rhs": (
+        lambda: linsys.solve(np.full((4, 4), 1e200), [1, 0]),
+        DimensionMismatchError,
+        r"^right-hand side has length 2, matrix is 4x4$",
+    ),
+    "linsys.solve_inf_nan_rhs": (
+        lambda: linsys.solve(np.full((4, 4), np.inf), [np.nan, 0, 0, 0]),
+        ValidationError,
+        "^matrix entries must be finite$",
+    ),
+    **{
+        f"synth.target_{name}": (
+            lambda v=v: synth.synthesize(_diag(*v)),
+            NotOrthogonalError,
+            "^synthesis target must be orthogonal$",
+        )
+        for name, v in {**_BAD_VALUES, "huge": (1e200, 1.0, 1.0, 1.0)}.items()
+    },
+    "synth.target_full_huge": (
+        lambda: synth.synthesize(np.full((4, 4), 1e200)),
+        NotOrthogonalError,
+        "^synthesis target must be orthogonal$",
+    ),
+    # Orthogonality comes before the budget's type.
+    "synth.target_before_budget": (
+        lambda: synth.synthesize(3 * np.eye(4), 2.5),
+        NotOrthogonalError,
+        "^synthesis target must be orthogonal$",
+    ),
+    "synth.target_empty": (
+        lambda: synth.synthesize(np.zeros((0, 0))),
+        DimensionMismatchError,
+        r"^target must be 4x4, got shape \(0, 0\)$",
+    ),
+    **{
+        f"sim.probabilities_{name}": (
+            lambda v=v: sim.probabilities(v),
+            ValidationError,
+            "^state entries must be finite$",
+        )
+        for name, v in {**_BAD_VALUES, "nan_imag": (complex(0, np.nan), 1, 0, 0)}.items()
+    },
+    "sim.probabilities_huge": (
+        lambda: sim.probabilities([1e200, 0.0]),
+        ValidationError,
+        r"^state magnitudes must have finite squares, largest is 1e\+200$",
+    ),
+    "sim.probabilities_length": (
+        lambda: sim.probabilities([np.nan, 0.0, 0.0]),
+        DimensionMismatchError,
+        "^state length 3 is not a power of two$",
+    ),
+    **{
+        f"sim.sample_{name}": (
+            lambda v=v: sim.sample_counts(v, 10, 0),
+            ValidationError,
+            "^probabilities must be finite$",
+        )
+        for name, v in _BAD_VALUES.items()
+    },
+    "sim.sample_huge": (
+        lambda: sim.sample_counts([1e200, 0.0], 10, 0),
+        NotNormalizedError,
+        r"^probability rows must sum to 1, worst is off by 1e\+200$",
+    ),
+    "sim.sample_negative": (
+        lambda: sim.sample_counts([-0.5, 1.5], 10, 0),
+        NegativeProbabilityError,
+        "^probabilities must be non-negative, min is -0.5$",
+    ),
+    "sim.sample_empty": (
+        lambda: sim.sample_counts(np.zeros(0), 10, 0),
+        NotNormalizedError,
+        "^probability rows must sum to 1, worst is off by 1.0$",
+    ),
+    **{
+        f"sim.sample_block_{name}": (
+            lambda row=row: sim.sample_counts([[0.5, 0.5], row, [0.5, 0.5]], 10, 0),
+            error,
+            message,
+        )
+        for name, row, error, message in [
+            ("nan", [np.nan, 0.5], ValidationError, "^probabilities must be finite$"),
+            ("inf", [np.inf, 0.0], ValidationError, "^probabilities must be finite$"),
+            ("negative", [-0.5, 1.5], NegativeProbabilityError, "^probabilities must be non-negative, min is -0.5$"),
+            (
+                "sum",
+                [0.5, 0.6],
+                NotNormalizedError,
+                "^probability rows must sum to 1, worst is off by 0.10000000000000009$",
+            ),
+        ]
+    },
+    # Shape, shots and seed come before the entries.
+    "sim.sample_shots_first": (
+        lambda: sim.sample_counts([np.nan, 1.0], 0, 0),
+        ValidationError,
+        "^shots must be at least 1$",
+    ),
+    "sim.sample_seed_first": (
+        lambda: sim.sample_counts([np.nan, 1.0], 10, -1),
+        ValidationError,
+        "^seed must be non-negative$",
+    ),
+    "sim.distribution_inf": (
+        lambda: sim.sample_distribution([np.inf, 0.0], 10, 0),
+        ValidationError,
+        "^probabilities must be finite$",
+    ),
+    "sim.distribution_empty": (
+        lambda: sim.sample_distribution([], 10, 0),
+        DimensionMismatchError,
+        "^state length 0 is not a power of two$",
+    ),
     "tomo.depolarize_nan": (
         lambda: tomo.apply_depolarizing(np.eye(4) / 4, np.nan),
         InvalidProbabilityError,
@@ -176,5 +334,6 @@ CASES = {
 def test_raises_a_validation_error(site):
     call, error, message = CASES[site]
     assert issubclass(error, ValidationError)
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=message) as raised:
         call()
+    assert type(raised.value) is error

@@ -459,3 +459,19 @@ class TestSignRecoveryAcrossCatalog:
             for seed in (9 * k, 5000 + 9 * k):
                 table = tomo.pauli_expectations(noisy, mode="sampled", shots=1024, seed=seed)
                 assert self._recovered(tomo.reconstruct(table), x), (label, b, seed)
+
+    @staticmethod
+    def _sampled_recovery(label, b, p, shots, seed):
+        x = linsys.solve(family.matrix_for(family.FamilyLabel.parse(label)), np.eye(4)[b])
+        noisy = tomo.apply_depolarizing(tomo.density_from_state(x), p)
+        table = tomo.pauli_expectations(noisy, mode="sampled", shots=shots, seed=seed)
+        return TestSignRecoveryAcrossCatalog._recovered(tomo.reconstruct(table), x)
+
+    def test_calibrated_noise_recovers_with_four_shots_per_setting(self):
+        # Inside the envelope in the tomo docstring.
+        assert self._sampled_recovery("A_1234", 0, tomo.CALIBRATED_DEPOLARIZING_P, 4, 0)
+
+    def test_half_depolarized_with_sixteen_shots_can_lose_the_signs(self):
+        # Outside the envelope; 1024 shots of the same state and seed recover the signs.
+        assert not self._sampled_recovery("A_1324", 0, 0.5, 16, 76)
+        assert self._sampled_recovery("A_1324", 0, 0.5, 1024, 76)
