@@ -199,7 +199,7 @@ def cmd_run(args) -> int:
     if args.y is not None:
         basis = _basis_index(_vector_arg(args.y, matrix.shape[0]))
     else:
-        basis = args.basis
+        basis = 0 if args.basis is None else args.basis
     table = _sampled_run(matrix, basis, args.shots, args.seed, args.max_gates, args.noise)
     if args.output == "json":
         _print_json(_counts_payload(name, table))
@@ -353,8 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="synthesize, simulate, and sample a circuit", parents=[sampling, noisy, budget]
     )
     _add_system_flags(p_run)
-    p_run.add_argument("--y", metavar="VEC", help="basis-vector right-hand side (inline CSV or file)")
-    p_run.add_argument("--basis", type=int, default=0, help="initial basis index (default 0)")
+    # argparse lets a flag given at its default past the group, so --basis defaults to None.
+    initial = p_run.add_mutually_exclusive_group()
+    initial.add_argument("--y", metavar="VEC", help="basis-vector right-hand side (inline CSV or file)")
+    initial.add_argument("--basis", type=int, help="initial basis index (default 0)")
     p_run.add_argument("--output", choices=("table", "json", "csv"), default="table")
     p_run.set_defaults(func=cmd_run)
 

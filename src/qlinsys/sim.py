@@ -17,13 +17,12 @@ on a (2**n, k) block one column at a time.  Circuits are immutable, and a run
 never writes its input.  Every output has the bits of a gate-by-gate
 `apply_gate` fold, where H, X, Z and S-dagger contract the target axis with
 einsum.  A circuit checks each distinct gate object once, on its first run.
-Two paths keep those bits:
-* 256 amplitudes or more: a bit-rotating layout, as a constant-geometry
-  FFT uses.  H on the qubit at bit 0 writes the sums of adjacent pairs to
-  the low half and their differences to the high half, so each operand is
-  1-D; an ascending H layer rotates the qubits back (see `_apply_circuit`).
-* 3 qubits or fewer: the first `run` or `unitary_of` keeps the circuit's
-  unitary, read-only (at most 1 KiB), and later calls copy from it.
+One loop keeps those bits, on a bit-rotating layout as a constant-geometry
+FFT uses: H on the qubit at bit 0 writes the sums of adjacent pairs to the
+low half and their differences to the high half, so each operand is 1-D; an
+ascending H layer rotates the qubits back (see `_apply_circuit`).  On 3
+qubits or fewer the first `run` or `unitary_of` keeps the circuit's unitary,
+read-only (at most 1 KiB), and later calls copy from it.
 """
 
 from __future__ import annotations
@@ -55,9 +54,8 @@ _GATES_1Q = {
 GATE_KINDS = frozenset(_GATES_1Q) | {"cx", "cz", "phaseflip"}
 _H_SCALE = _GATES_1Q["h"][0, 0]  # complex128 scalars: a Python float costs a conversion per call
 _ZERO = np.complex128(0.0)
-# Amplitudes.  A circuit whose identity block is below it keeps its unitary
-# (see `run`); a state or block this size or larger runs on the rotating layout.
-_WIDE_MIN = 256
+# The widest circuit that keeps its unitary (see `run`): 8x8 complex, 1 KiB.
+_UNITARY_MAX_QUBITS = 3
 
 
 @dataclass(frozen=True)
@@ -242,10 +240,6 @@ def _unrotate(amps: np.ndarray, rot: int, n: int) -> np.ndarray:
 
 def _apply_circuit(circuit: Circuit, states: np.ndarray) -> np.ndarray:
     n = circuit.n_qubits
-    if states.size < _WIDE_MIN:
-        for gate in circuit._checked_ops:
-            states = _apply(states, gate, n)
-        return states
     # Rotating layout: logical qubit q sits at physical bit (q - rot) % n.  H on
     # bit 0 is a butterfly on adjacent pairs, which moves that qubit to the top
     # bit.  It has einsum's bits: einsum forms (0 + g0*x0) + g1*x1, so adding +0
@@ -284,7 +278,7 @@ def run(circuit: Circuit, initial_basis_index: int = 0) -> np.ndarray:
     unitary, computed on its first run; wider circuits run gate by gate.
     """
     n = circuit.n_qubits
-    if 4**n < _WIDE_MIN:
+    if n <= _UNITARY_MAX_QUBITS:
         return circuit._unitary[:, _check_basis_index(n, initial_basis_index)].copy()
     return _apply_circuit(circuit, basis_state(n, initial_basis_index))
 
@@ -294,7 +288,7 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
 
     On 3 qubits or fewer this is a copy of the circuit's kept unitary.
     """
-    if 4**circuit.n_qubits < _WIDE_MIN:
+    if circuit.n_qubits <= _UNITARY_MAX_QUBITS:
         return circuit._unitary.copy()
     return _apply_circuit(circuit, np.eye(2**circuit.n_qubits, dtype=complex))
 

@@ -189,22 +189,12 @@ def pauli_expectations(
     return ExpectationTable(values=values, mode="sampled", shots=shots, seed=seed)
 
 
-def project_to_physical(rho) -> np.ndarray:
-    """Clip negative eigenvalues to zero and renormalize the trace to 1.
-
-    This is a valid state but not in general the nearest one to rho.
-    Physical inputs pass through unchanged up to rounding, so the projection
-    is idempotent.  rho must be a finite, non-empty square matrix.
-    """
-    m = np.asarray(rho, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
-        raise DimensionMismatchError(f"expected a non-empty square matrix, got shape {m.shape}")
-    check_finite(m, "matrix entries must be finite")
-    return _project(m)
-
-
 def _project(m: np.ndarray) -> np.ndarray:
-    """`project_to_physical` of a finite, non-empty square complex matrix."""
+    """Clip the negative eigenvalues of m's Hermitian part to zero and renormalize the trace to 1.
+
+    m is finite, non-empty and square.  The result is a valid state, not in general the nearest
+    one; a physical m comes back unchanged up to rounding.
+    """
     hermitian = (m + m.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(hermitian)
     vals = vals.clip(0.0)

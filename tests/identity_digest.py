@@ -6,6 +6,14 @@ digest as its parent.  Run it from the root of each checkout:
     python3 tests/identity_digest.py
 
 It imports the package from this checkout's `src`, never an installed copy.
+So to compare with the parent commit, check the parent out beside this tree,
+copy this script into it, and run the same script in both:
+
+    git worktree add ../parent HEAD~1
+    cp tests/identity_digest.py ../parent/tests/
+    python3 tests/identity_digest.py
+    (cd ../parent && python3 tests/identity_digest.py)
+
 The set, each array hashed by dtype, shape and `tobytes`, everything else by
 `repr`:
 
@@ -17,8 +25,8 @@ The set, each array hashed by dtype, shape and `tobytes`, everything else by
 * The 48 catalog systems times 4 basis inputs: solution, state, 1024-shot
   counts, and each circuit's QASM.
 * H-heavy wide circuits at 4 to 10 qubits: ascending H layers between
-  phase flips, CZs and X gates, ending on a partial layer, so that runs of 8
-  or more qubits and unitaries of 4 or more end on a rotated layout.
+  phase flips, CZs and X gates, ending on a partial layer, so that runs and
+  unitaries end on a rotated layout, which every circuit width uses.
 * Z, CZ, X and phase flips placed part way through ascending H layers, and
   between layers, at 8 to 10 qubits: runs on 4 basis inputs, one 8-qubit
   `sim.unitary_of`, and `sim._apply_circuit` of every prefix on a block of an
@@ -31,7 +39,7 @@ The set, each array hashed by dtype, shape and `tobytes`, everything else by
 A second line digests the tomography layer on its own, so the first keeps
 its historical value:
 
-* `tomo.reconstruct` and `tomo.project_to_physical` on seeded tables and
+* `tomo.reconstruct` on seeded tables, and its projection `tomo._project` on
   4x4 matrices of +-0, +-1, +-denormals, 1/2, 1e-300 and -1/4 (II often
   negative or zero), and of uniform values.
 * Analytic expectations of seeded mixed states.
@@ -216,7 +224,7 @@ def feed_tomography(digest: Digest, rng) -> None:
         matrix = np.empty((4, 4), dtype=complex)
         matrix.real = rng.choice(TABLE_VALUES, size=(4, 4))
         matrix.imag = rng.choice(TABLE_VALUES, size=(4, 4))
-        digest.feed(tomo.project_to_physical(matrix))
+        digest.feed(tomo._project(matrix))
     for _ in range(500):
         raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = raw @ raw.conj().T

@@ -179,6 +179,14 @@ class TestRun:
         _, out_y, _ = run_cli(capsys, "run", "--label", "A_1234", "--y", "0,0,1,0", "--output", "json")
         assert json.loads(out_basis)["counts"] == json.loads(out_y)["counts"]
 
+    @pytest.mark.parametrize("basis", ["0", "2"])
+    def test_y_and_basis_together_are_a_usage_error(self, capsys, basis):
+        # --basis 0 is the default value, which argparse would let past the group.
+        with pytest.raises(SystemExit) as raised:
+            cli.main(["run", "--label", "A_1234", "--basis", basis, "--y", "1,0,0,0"])
+        assert raised.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_non_basis_y_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "run", "--label", "A_1234", "--y", "0.5,0.5,0.5,0.5")
         assert code == 3
@@ -411,7 +419,7 @@ PARSED_DEFAULTS = {
         "label": A_1234,
         "matrix": None,
         "y": None,
-        "basis": 0,
+        "basis": None,
         "shots": 1024,
         "seed": 0,
         "noise": 0.0,

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qlinsys import family, grover, linsys, sim, synth, tomo
+from qlinsys import family, grover, linsys, qasm, sim, synth, tomo
 from qlinsys.errors import (
     DimensionMismatchError,
     InvalidCountsError,
@@ -109,12 +109,6 @@ CASES = {
     ),
     "tomo.reconstruct_nan": (lambda: tomo.reconstruct(_table_with("XZ", np.nan)), ValidationError, "finite"),
     "tomo.reconstruct_inf": (lambda: tomo.reconstruct(_table_with("YY", -np.inf)), ValidationError, "finite"),
-    "tomo.project_nan": (lambda: tomo.project_to_physical(np.full((4, 4), np.nan)), ValidationError, "finite"),
-    "tomo.project_shape": (
-        lambda: tomo.project_to_physical(np.ones((3, 4))),
-        DimensionMismatchError,
-        r"square matrix, got shape \(3, 4\)",
-    ),
     "family.label_kind": (lambda: family.FamilyLabel("C", (1, 2, 3, 4)), ValidationError, "column class"),
     "family.label_perm": (lambda: family.FamilyLabel("A", (1, 1, 2, 3)), ValidationError, "permutation"),
     # Base columns exist for the classes "A" and "B" only, and class names are case-sensitive.
@@ -163,10 +157,16 @@ CASES = {
     ),
     "tomo.depolarize_empty": (lambda: tomo.apply_depolarizing(np.zeros((0, 0)), 0.1), ValidationError, "physical"),
     "tomo.expectations_empty": (lambda: tomo.pauli_expectations(np.zeros((0, 0))), ValidationError, "physical"),
-    "tomo.project_empty": (
-        lambda: tomo.project_to_physical(np.zeros((0, 0))),
-        DimensionMismatchError,
-        r"non-empty square matrix, got shape \(0, 0\)",
+    # A QASM export checks the gates as `sim.run` does.
+    "qasm.target_range": (
+        lambda: qasm.circuit_to_qasm(sim.Circuit(1, (sim.cx(0, 1),))),
+        InvalidTargetError,
+        r"^target \(0, 1\) out of range for 1 qubits$",
+    ),
+    "qasm.not_a_gate": (
+        lambda: qasm.circuit_to_qasm(sim.Circuit(1, (1,))),
+        InvalidTargetError,
+        "^expected a Gate, got 1$",
     ),
     "synth.max_gates": (lambda: synth.synthesize(np.eye(4), max_gates=-1), ValidationError, "non-negative"),
     # The one-system path: linsys, synth, sim.probabilities and sampling.

@@ -268,9 +268,8 @@ class TestBlockKernel:
                 assert amps.tobytes() == before
 
     def test_h_keeps_einsum_zero_signs_after_a_phase_flip(self):
-        # A phase flip leaves -0 in the state; the contraction turns it into +0.
+        # A phase flip of exact zeros leaves -0 in the state; the contraction turns it into +0.
         state = sim.run(sim.Circuit(8, (sim.phase_flip(range(256)),)))
-        assert state.size >= sim._WIDE_MIN
         assert np.signbit(state.real[1:]).all()
         for q in range(8):
             assert sim.apply_gate(state, sim.h(q)).tobytes() == h_by_einsum(state, q).tobytes()
@@ -450,9 +449,12 @@ def fold(block, circuit):
 
 
 class TestRotatingLayout:
-    """From 256 amplitudes up a circuit runs on a bit-rotating layout, with the bits of `apply_gate`."""
+    """Every circuit runs on a bit-rotating layout, with the bits of the `apply_gate` fold.
 
-    @pytest.mark.parametrize("n", range(4, 11))
+    `wide_circuit` needs 2 qubits; `TestSmallCircuitUnitary` covers one.
+    """
+
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_run_and_unitary_equal_the_apply_gate_fold(self, n):
         rng = np.random.default_rng(110 + n)
         for _ in range(6 if n <= 7 else 2):
@@ -464,7 +466,7 @@ class TestRotatingLayout:
                 eye = np.eye(2**n, dtype=complex)
                 assert sim.unitary_of(circuit).tobytes() == fold(eye, circuit).tobytes()
 
-    @pytest.mark.parametrize("n", range(7, 11))
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_seeded_block_is_left_untouched(self, n):
         # +-0, units and denormals, where two layouts could differ by a bit.
         rng = np.random.default_rng(130 + n)
@@ -478,7 +480,7 @@ class TestRotatingLayout:
             assert sim._apply_circuit(circuit, block).tobytes() == fold(block, circuit).tobytes()
             assert block.tobytes() == before
 
-    @pytest.mark.parametrize("n", [8, 9, 10])
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 10])
     def test_gates_inside_an_h_layer_keep_the_fold_bits(self, n):
         # A non-H gate part way through a layer meets a rotated state, the rest of
         # that layer runs through `_apply`, and the next layer's first H must add
@@ -500,14 +502,14 @@ class TestRotatingLayout:
             circuit = sim.Circuit(n, tuple(ops))
             assert sim._apply_circuit(circuit, block).tobytes() == fold(block, circuit).tobytes(), kind
 
-    @pytest.mark.parametrize("n", [8, 10])
+    @pytest.mark.parametrize("n", [2, 3, 8, 10])
     def test_a_first_h_turns_minus_zeros_of_the_input_to_plus(self, n):
         block = seeded_block(n, np.random.default_rng(160 + n))
         for k in (1, 2, n):
             circuit = sim.Circuit(n, tuple(sim.h(q) for q in range(k)))
             assert sim._apply_circuit(circuit, block).tobytes() == fold(block, circuit).tobytes(), k
 
-    @pytest.mark.parametrize("n", [8, 10])
+    @pytest.mark.parametrize("n", [2, 3, 8, 10])
     def test_an_h_after_a_phase_flip_turns_its_minus_zeros_to_plus(self, n):
         # Flipping an exact zero gives -0.  A full layer maps the all-ones column
         # to one nonzero amplitude, so the in-place flip after it meets zeros.
@@ -521,7 +523,7 @@ class TestRotatingLayout:
             circuit = sim.Circuit(n, ops)
             assert sim._apply_circuit(circuit, block).tobytes() == fold(block, circuit).tobytes(), len(ops)
 
-    @pytest.mark.parametrize("n", [8, 10])
+    @pytest.mark.parametrize("n", [2, 3, 8, 10])
     def test_a_leading_phase_flip_leaves_the_input_untouched(self, n):
         rng = np.random.default_rng(170 + n)
         block = seeded_block(n, rng)

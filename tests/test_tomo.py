@@ -351,17 +351,18 @@ class TestReconstruct:
 
 
 class TestProjection:
+    """`reconstruct` clips negative eigenvalues and renormalizes."""
+
     def test_physical_input_unchanged(self):
         rho = tomo.density_from_state(SIGNED_STATE)
-        np.testing.assert_allclose(tomo.project_to_physical(rho), rho, atol=1e-10)
+        np.testing.assert_allclose(tomo.reconstruct(tomo.pauli_expectations(rho)), rho, atol=1e-10)
 
     def test_idempotent(self):
         rng = np.random.default_rng(17)
-        raw = rng.normal(size=(4, 4))
-        raw = (raw + raw.T) / 2
-        raw /= np.trace(raw)
-        once = tomo.project_to_physical(raw)
-        twice = tomo.project_to_physical(once)
+        values = dict(zip(tomo.PAULI_WORDS, rng.uniform(-1, 1, size=16).tolist()))
+        values["II"] = 1.0
+        once = tomo.reconstruct(tomo.ExpectationTable(values=values, mode="analytic"))
+        twice = tomo.reconstruct(tomo.pauli_expectations(once))
         assert np.max(np.abs(twice - once)) <= 1e-10
         assert tomo.is_physical(once)
 
