@@ -89,9 +89,7 @@ def _vector_arg(text: str, expected: int) -> np.ndarray:
 
 def _basis_index(vec: np.ndarray) -> int:
     index = int(np.argmax(np.abs(vec)))
-    target = np.zeros(vec.size)
-    target[index] = 1.0
-    if np.max(np.abs(vec - target)) > 1e-12:
+    if np.max(np.abs(vec - np.eye(vec.size)[index])) > 1e-12:
         raise ValidationError(
             "running a circuit needs a computational-basis y; use 'solve' for general right-hand sides"
         )
@@ -131,11 +129,7 @@ def cmd_family_list(args) -> int:
 
 def cmd_solve(args) -> int:
     name, matrix = _resolve_system(args)
-    if args.y is None:
-        y = np.zeros(matrix.shape[0])
-        y[0] = 1.0
-    else:
-        y = _vector_arg(args.y, matrix.shape[0])
+    y = np.eye(matrix.shape[0])[0] if args.y is None else _vector_arg(args.y, matrix.shape[0])
     x = linsys.solve(matrix, y)
     probs = np.abs(x) ** 2
     readout = sim.amplitudes_from_probabilities(probs)
@@ -235,9 +229,7 @@ def cmd_table1(args) -> int:
 
 def cmd_tomo(args) -> int:
     name, matrix = _resolve_system(args)
-    y = np.zeros(matrix.shape[0])
-    y[0] = 1.0
-    x = linsys.solve(matrix, y)
+    x = linsys.solve(matrix, np.eye(matrix.shape[0])[0])
     rho = tomo.apply_depolarizing(tomo.density_from_state(x), args.noise)
     mode = "analytic" if args.analytic else "sampled"
     table = tomo.pauli_expectations(rho, mode=mode, shots=args.shots, seed=args.seed)

@@ -91,19 +91,10 @@ def matrix_for(label: FamilyLabel) -> np.ndarray:
 
 def equations_for(label: FamilyLabel) -> list[str]:
     """Render the system A x = e1 with denominators cleared, one string per row."""
-    a = matrix_for(label)
     lines = []
-    for i in range(4):
-        coeffs = 2.0 * a[i]
-        if np.max(np.abs(np.abs(coeffs) - 1.0)) > 1e-12:
-            raise ValidationError("equation rendering expects rows with entries +-1/2")
-        terms = []
-        for j, c in enumerate(coeffs):
-            sign = "+" if c > 0 else "-"
-            if not terms:
-                terms.append(f"x{j + 1}" if c > 0 else f"-x{j + 1}")
-            else:
-                terms.append(f"{sign} x{j + 1}")
+    for i, row in enumerate(matrix_for(label)):
+        terms = [f"{'+' if c > 0 else '-'} x{j + 1}" for j, c in enumerate(row)]
+        terms[0] = "x1" if row[0] > 0 else "-x1"
         lines.append(f"{' '.join(terms)} = {2 if i == 0 else 0}")
     return lines
 

@@ -8,9 +8,18 @@ in the package.  Orthonormality and unit norm are checked to a fixed 1e-10.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
-from .errors import DimensionMismatchError, NotOrthonormalError, check_finite, check_unit_norm, check_vector
+from .errors import (
+    DimensionMismatchError,
+    NotOrthonormalError,
+    ValidationError,
+    check_finite,
+    check_unit_norm,
+    check_vector,
+)
 
 _TOL = 1e-10  # entrywise bound on A^T A - I
 _MAX_ENTRY = 2.0  # a larger entry puts its column's norm above 2; no smaller ones overflow A^T A
@@ -62,14 +71,26 @@ def solve(matrix, y) -> np.ndarray:
     return a.T @ rhs
 
 
+def _load_csv(path) -> np.ndarray:
+    """The numbers in a CSV file; ValidationError, naming the file, if it holds none or a row is not numbers."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # numpy only warns on a file with no data
+        try:
+            return np.loadtxt(path, delimiter=",", dtype=float)
+        except UserWarning:
+            raise ValidationError(f"{path} holds no numbers") from None
+        except ValueError as exc:
+            raise ValidationError(f"{path} is not a CSV of numbers: {exc}") from None
+
+
 def load_matrix(path) -> np.ndarray:
     """Read a matrix from a CSV file, one row per line."""
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
+    return np.atleast_2d(_load_csv(path))
 
 
 def load_vector(path) -> np.ndarray:
     """Read a vector from a CSV file: a single row, or one entry per line."""
-    data = np.loadtxt(path, delimiter=",", dtype=float)
+    data = _load_csv(path)
     if data.ndim > 1:
         raise DimensionMismatchError(f"expected a vector, file holds shape {data.shape}")
     return np.atleast_1d(data)

@@ -13,7 +13,7 @@ def circuit_to_qasm(circuit: sim.Circuit) -> str:
     """
     n = circuit.n_qubits
     text = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{n}];\ncreg c[{n}];\n'
-    for gate in circuit._checked_ops:  # the checks `sim.run` makes, cached on the circuit
+    for gate in circuit.ops:
         # Every kind but phaseflip is already its qelib1 name.
         if gate.kind == "phaseflip":
             raise UnsupportedGateError(f"gate kind {gate.kind!r} has no OpenQASM 2.0 form")

@@ -13,16 +13,17 @@ Conventions, fixed across the package:
 
 The gate kinds are H, X, Z, S-dagger, CX, CZ, and a phase flip on listed
 basis indices.  States are complex ndarrays of length 2**n, and a gate acts
-on a (2**n, k) block one column at a time.  Circuits are immutable, and a run
-never writes its input.  Every output has the bits of a gate-by-gate
-`apply_gate` fold, where H, X, Z and S-dagger contract the target axis with
-einsum.  A circuit checks each distinct gate object once, on its first run.
-One loop keeps those bits, on a bit-rotating layout as a constant-geometry
-FFT uses: H on the qubit at bit 0 writes the sums of adjacent pairs to the
-low half and their differences to the high half, so each operand is 1-D; an
-ascending H layer rotates the qubits back (see `_apply_circuit`).  On 3
-qubits or fewer the first `run` or `unitary_of` keeps the circuit's unitary,
-read-only (at most 1 KiB), and later calls copy from it.
+on a (2**n, k) block one column at a time.  Gates and circuits are immutable
+and checked when built: a gate its shape, a circuit each distinct gate
+object against its width, once.  A run never writes its input.  Every output
+has the bits of a gate-by-gate `apply_gate` fold, where H, X, Z and S-dagger
+contract the target axis with einsum.  One loop keeps those bits, on a
+bit-rotating layout as a constant-geometry FFT uses: H on the qubit at bit 0
+writes the sums of adjacent pairs to the low half and their differences to
+the high half, so each operand is 1-D; an ascending H layer rotates the
+qubits back (see `_apply_circuit`).  On 3 qubits or fewer the first `run` or
+`unitary_of` keeps the circuit's unitary, read-only (at most 1 KiB), and
+later calls copy from it.
 """
 
 from __future__ import annotations
@@ -73,6 +74,13 @@ class Gate:
             raise InvalidTargetError(f"{self.kind} targets and flips must be sequences of integers")
         object.__setattr__(self, "targets", tuple(check_int(q, "gate target") for q in self.targets))
         object.__setattr__(self, "flips", frozenset(check_int(i, "phase-flip index") for i in self.flips))
+        expected = {"phaseflip": 0, "cx": 2, "cz": 2}.get(self.kind, 1)
+        if len(self.targets) != expected:
+            if not expected:
+                raise InvalidTargetError("phaseflip addresses basis indices, not qubits")
+            raise InvalidTargetError(f"{self.kind} takes {expected} target(s), got {len(self.targets)}")
+        if len(set(self.targets)) != expected:
+            raise InvalidTargetError(f"{self.kind} targets must be distinct, got {self.targets}")
 
 
 def h(qubit: int) -> Gate:
@@ -113,18 +121,13 @@ class Circuit:
         if check_int(self.n_qubits, "n_qubits") < 1:
             raise ValidationError("a circuit needs at least one qubit")
         object.__setattr__(self, "ops", tuple(self.ops))
-
-    @cached_property
-    def _checked_ops(self) -> tuple[Gate, ...]:
-        """`ops`, each distinct object checked against `n_qubits` once; kept in __dict__, outside eq and hash."""
         # A frozen Gate repeated checks the same; first-occurrence order keeps the first invalid op raising.
         for gate in {id(gate): gate for gate in self.ops}.values():
             _check_gate(gate, self.n_qubits)
-        return self.ops
 
     @cached_property
     def _unitary(self) -> np.ndarray:
-        """The read-only matrix that small-circuit runs copy from; kept in __dict__ like `_checked_ops`."""
+        """The read-only matrix that small-circuit runs copy from; kept in __dict__, outside eq and hash."""
         u = _apply_circuit(self, np.eye(2**self.n_qubits, dtype=complex))
         u.flags.writeable = False
         return u
@@ -157,17 +160,9 @@ def _check_gate(gate: Gate, n_qubits: int) -> None:
     if not isinstance(gate, Gate):
         raise InvalidTargetError(f"expected a Gate, got {gate!r}")
     if gate.kind == "phaseflip":
-        if gate.targets:
-            raise InvalidTargetError("phaseflip addresses basis indices, not qubits")
         if not all(0 <= i < 2**n_qubits for i in gate.flips):
             raise InvalidTargetError(f"phaseflip index out of range for {n_qubits} qubits")
-        return
-    expected = 2 if gate.kind in ("cx", "cz") else 1
-    if len(gate.targets) != expected:
-        raise InvalidTargetError(f"{gate.kind} takes {expected} target(s), got {len(gate.targets)}")
-    if len(set(gate.targets)) != len(gate.targets):
-        raise InvalidTargetError(f"{gate.kind} targets must be distinct, got {gate.targets}")
-    if not all(0 <= q < n_qubits for q in gate.targets):
+    elif not all(0 <= q < n_qubits for q in gate.targets):
         raise InvalidTargetError(f"target {gate.targets} out of range for {n_qubits} qubits")
 
 
@@ -250,7 +245,7 @@ def _apply_circuit(circuit: Circuit, states: np.ndarray) -> np.ndarray:
     pairs = scaled.reshape((half, 2, *states.shape[1:]))
     even, odd, low, high = pairs[:, 0], pairs[:, 1], out[:half], out[half:]
     rot, after_h = 0, False
-    for gate in circuit._checked_ops:
+    for gate in circuit.ops:
         if gate.kind == "h" and gate.targets[0] == rot:
             np.multiply(states, _H_SCALE, out=scaled)
             # An H output holds no -0 (a sum or difference of parts that are not -0 is not -0),

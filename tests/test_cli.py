@@ -111,6 +111,15 @@ class TestSolve:
         assert code == 3
         assert "orthonormal" in err
 
+    def test_empty_matrix_file_exits_3_with_warnings_as_errors(self, tmp_path):
+        # numpy warns on a file with no data; the loader turns that into a validation error.
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        argv = [sys.executable, "-W", "error", "-m", "qlinsys.cli", "solve", "--matrix", str(path)]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stderr == f"error: {path} holds no numbers\n"
+
     def test_unnormalized_rhs_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--label", "A_1234", "--y", "1,1,0,0")
         assert code == 3

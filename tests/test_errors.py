@@ -1,6 +1,7 @@
 """Every user-triggerable error derives from ValidationError, message intact."""
 
-from unittest import mock
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -19,9 +20,13 @@ from qlinsys.errors import (
 )
 
 
-def _render_rows_that_are_not_half_signs():
-    with mock.patch.object(family, "matrix_for", return_value=np.eye(4)):
-        family.equations_for(family.FamilyLabel.parse("A_1234"))
+def _load_csv(load, text):
+    """`load` of a fresh file m.csv that holds `text`."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "m.csv")
+        with open(path, "w") as handle:
+            handle.write(text)
+        load(path)
 
 
 def _diag(*values):
@@ -127,7 +132,6 @@ CASES = {
         "permutation entry must be an integer, got True",
     ),
     "family.label_perm_scalar": (lambda: family.FamilyLabel("A", 1234), ValidationError, "not a permutation"),
-    "family.rows": (_render_rows_that_are_not_half_signs, ValidationError, "entries"),
     "grover.probability": (
         lambda: grover.success_probability(grover.geometry(4, 1), -1),
         ValidationError,
@@ -168,6 +172,21 @@ CASES = {
         InvalidTargetError,
         "^expected a Gate, got 1$",
     ),
+    # A CSV file that holds no numbers, or a row that is not numbers, is named in the error, with no numpy warning.
+    **{
+        f"linsys.{load.__name__}_{name}": (
+            lambda load=load, text=text: _load_csv(load, text),
+            ValidationError,
+            rf"m\.csv {message}",
+        )
+        for load in (linsys.load_matrix, linsys.load_vector)
+        for name, text, message in [
+            ("empty", "", "holds no numbers$"),
+            ("blank", "\n\n", "holds no numbers$"),
+            ("ragged", "1,2\n3\n", "is not a CSV of numbers: "),
+            ("text", "1,a\n", "is not a CSV of numbers: "),
+        ]
+    },
     "synth.max_gates": (lambda: synth.synthesize(np.eye(4), max_gates=-1), ValidationError, "non-negative"),
     # The one-system path: linsys, synth, sim.probabilities and sampling.
     **{

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qlinsys import grover, sim
+from qlinsys import grover, qasm, sim
 from qlinsys.errors import (
     InvalidTargetError,
     NegativeProbabilityError,
@@ -137,18 +137,28 @@ class TestGateValidation:
     @pytest.mark.parametrize(
         "gate",
         [
-            sim.h(2),
-            sim.cx(0, 2),
-            sim.cx(1, 1),
-            sim.Gate("h", (0, 1)),
-            sim.Gate("cx", (0,)),
-            sim.Gate("phaseflip", (0,), frozenset({0})),
-            sim.phase_flip({4}),
+            # (factory, message): a shape rule raises when the gate is built, a
+            # width rule when a 2-qubit circuit or apply_gate meets the gate.
+            (lambda: sim.h(2), r"^target \(2,\) out of range for 2 qubits$"),
+            (lambda: sim.cx(0, 2), r"^target \(0, 2\) out of range for 2 qubits$"),
+            (lambda: sim.cx(1, 1), r"^cx targets must be distinct, got \(1, 1\)$"),
+            (lambda: sim.Gate("h", (0, 1)), r"^h takes 1 target\(s\), got 2$"),
+            (lambda: sim.Gate("cx", (0,)), r"^cx takes 2 target\(s\), got 1$"),
+            (lambda: sim.Gate("phaseflip", (0,), frozenset({0})), "^phaseflip addresses basis indices, not qubits$"),
+            (lambda: sim.phase_flip({4}), "^phaseflip index out of range for 2 qubits$"),
         ],
     )
     def test_rejected_on_two_qubits(self, gate):
-        with pytest.raises(InvalidTargetError):
-            sim.apply_gate(np.zeros(4, dtype=complex) + 0.5, gate)
+        make, message = gate
+        if "out of range" not in message:
+            with pytest.raises(InvalidTargetError, match=message):
+                make()
+            return
+        built = make()
+        with pytest.raises(InvalidTargetError, match=message):
+            sim.Circuit(2, (built,))
+        with pytest.raises(InvalidTargetError, match=message):
+            sim.apply_gate(np.zeros(4, dtype=complex) + 0.5, built)
 
     def test_bad_initial_index(self):
         with pytest.raises(ValueError):
@@ -284,20 +294,13 @@ class TestBlockKernel:
 
 
 class TestCircuitCheckedOnce:
-    def test_invalid_circuit_raises_on_every_run(self):
-        circuit = sim.Circuit(2, (sim.h(0), sim.h(2)))
-        for _ in range(2):
-            with pytest.raises(InvalidTargetError, match="out of range"):
-                sim.run(circuit)
-            with pytest.raises(InvalidTargetError, match="out of range"):
-                sim.unitary_of(circuit)
-
-    def test_valid_circuit_is_checked_on_its_first_run_only(self):
-        circuit = sim.Circuit(2, (sim.h(0), sim.cx(0, 1), sim.phase_flip({3})))
-        first = sim.run(circuit)
+    def test_a_built_circuit_is_not_checked_again(self):
+        circuit = sim.Circuit(2, (sim.h(0), sim.cx(0, 1), sim.cz(0, 1)))
         with mock.patch.object(sim, "_check_gate", side_effect=AssertionError("checked again")):
+            first = sim.run(circuit)
             assert sim.run(circuit).tobytes() == first.tobytes()
             sim.unitary_of(circuit)
+            qasm.circuit_to_qasm(circuit)
             # apply_gate keeps its own check.
             with pytest.raises(AssertionError, match="checked again"):
                 sim.apply_gate(first, sim.h(0))
@@ -305,38 +308,36 @@ class TestCircuitCheckedOnce:
     @pytest.mark.parametrize("n", [2, 4])
     @pytest.mark.parametrize("op", [1, "h", None])
     def test_an_op_that_is_not_a_gate_raises_on_every_run(self, n, op):
-        circuit = sim.Circuit(n, (sim.h(0), op))
+        # No circuit can hold it, so every run of one stops where the circuit is built.
         for _ in range(2):
             with pytest.raises(InvalidTargetError, match="expected a Gate"):
-                sim.run(circuit)
+                sim.run(sim.Circuit(n, (sim.h(0), op)))
             with pytest.raises(InvalidTargetError, match="expected a Gate"):
-                sim.unitary_of(circuit)
+                sim.unitary_of(sim.Circuit(n, (sim.h(0), op)))
 
     @pytest.mark.parametrize("n", [8, 10])
     @pytest.mark.parametrize("iterations", [1, 3, 25])
     def test_each_distinct_gate_object_is_checked_once(self, n, iterations):
         # n H gates, the oracle and the zero flip, however many times they repeat.
-        circuit = grover.build_grover_circuit(n, {5, 200}, iterations)
         with mock.patch.object(sim, "_check_gate", wraps=sim._check_gate) as check:
+            circuit = grover.build_grover_circuit(n, {5, 200}, iterations)
             sim.run(circuit)
         assert check.call_count == n + 2
 
     @pytest.mark.parametrize("n", [2, 8])
     def test_a_repeated_invalid_gate_raises_on_every_run(self, n):
-        circuit = sim.Circuit(n, (sim.h(0),) + (sim.h(n),) * 100)
+        # The circuit is checked as it is built, so every run of one stops there.
         for _ in range(2):
             with pytest.raises(InvalidTargetError) as raised:
-                sim.run(circuit)
+                sim.run(sim.Circuit(n, (sim.h(0),) + (sim.h(n),) * 100))
             assert str(raised.value) == f"target ({n},) out of range for {n} qubits"
 
     def test_the_earlier_of_two_invalid_gates_raises(self):
-        late, early = sim.cz(0, 0), sim.x(3)
-        circuit = sim.Circuit(2, (sim.h(0), early, late, early, late))
-        with pytest.raises(InvalidTargetError, match=r"target \(3,\) out of range"):
-            sim.run(circuit)
-        circuit = sim.Circuit(2, (late, early, late))
-        with pytest.raises(InvalidTargetError, match="targets must be distinct"):
-            sim.unitary_of(circuit)
+        late, early = sim.cz(0, 4), sim.x(3)
+        with pytest.raises(InvalidTargetError, match=r"^target \(3,\) out of range"):
+            sim.Circuit(2, (sim.h(0), early, late, early, late))
+        with pytest.raises(InvalidTargetError, match=r"^target \(0, 4\) out of range"):
+            sim.Circuit(2, (late, early, late))
 
     def test_equality_and_hash_unchanged_by_a_run(self):
         ops = (sim.h(0), sim.cz(0, 1))
