@@ -15,15 +15,12 @@ The gate kinds are H, X, Z, S-dagger, CX, CZ, and a phase flip on listed
 basis indices.  States are complex ndarrays of length 2**n, and a gate acts
 on a (2**n, k) block one column at a time.  Gates and circuits are immutable
 and checked when built: a gate its shape, a circuit each distinct gate
-object against its width, once.  A run never writes its input.  Every output
-has the bits of a gate-by-gate `apply_gate` fold, where H, X, Z and S-dagger
-contract the target axis with einsum.  One loop keeps those bits, on a
-bit-rotating layout as a constant-geometry FFT uses: H on the qubit at bit 0
-writes the sums of adjacent pairs to the low half and their differences to
-the high half, so each operand is 1-D; an ascending H layer rotates the
-qubits back (see `_apply_circuit`).  On 3 qubits or fewer the first `run` or
-`unitary_of` keeps the circuit's unitary, read-only (at most 1 KiB), and
-later calls copy from it.
+object against its width, once.  A run never writes its input.  H is the
+unscaled Walsh-Hadamard butterfly (a + b, a - b), and a run's k H gates are
+scaled once by sqrt(1/2)**k, which rounds only if k is odd: a real Clifford
+circuit, as each catalog circuit is, gives exact states (see
+`_apply_circuit`).  `apply_gate` is the one-gate run.  On 3 qubits or fewer
+the first `run` or `unitary_of` keeps the unitary (at most 1 KiB) to copy.
 """
 
 from __future__ import annotations
@@ -46,15 +43,14 @@ from .errors import (
 )
 
 _GATES_1Q = {
-    "h": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
     "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
 }
 
-GATE_KINDS = frozenset(_GATES_1Q) | {"cx", "cz", "phaseflip"}
-_H_SCALE = _GATES_1Q["h"][0, 0]  # complex128 scalars: a Python float costs a conversion per call
-_ZERO = np.complex128(0.0)
+GATE_KINDS = frozenset(_GATES_1Q) | {"h", "cx", "cz", "phaseflip"}
+# The double nearest 1/sqrt(2); 1 / math.sqrt(2) is one ulp below it.
+_SQRT_HALF = math.sqrt(0.5)
 # The widest circuit that keeps its unitary (see `run`): 8x8 complex, 1 KiB.
 _UNITARY_MAX_QUBITS = 3
 
@@ -74,6 +70,8 @@ class Gate:
             raise InvalidTargetError(f"{self.kind} targets and flips must be sequences of integers")
         object.__setattr__(self, "targets", tuple(check_int(q, "gate target") for q in self.targets))
         object.__setattr__(self, "flips", frozenset(check_int(i, "phase-flip index") for i in self.flips))
+        if self.flips and self.kind != "phaseflip":
+            raise InvalidTargetError(f"{self.kind} takes no phase-flip indices")
         expected = {"phaseflip": 0, "cx": 2, "cz": 2}.get(self.kind, 1)
         if len(self.targets) != expected:
             if not expected:
@@ -81,6 +79,10 @@ class Gate:
             raise InvalidTargetError(f"{self.kind} takes {expected} target(s), got {len(self.targets)}")
         if len(set(self.targets)) != expected:
             raise InvalidTargetError(f"{self.kind} targets must be distinct, got {self.targets}")
+
+    @cached_property
+    def _flip_index(self) -> np.ndarray:  # the sorted flips that a run negates; outside eq and hash
+        return np.array(sorted(self.flips), dtype=np.intp)
 
 
 def h(qubit: int) -> Gate:
@@ -184,16 +186,15 @@ def bitstring(index: int, n_qubits: int) -> str:
 
 
 def apply_gate(state, gate: Gate) -> np.ndarray:
-    """Apply one gate to a (2**n,) state or a (2**n, k) block of state columns.
-
-    Returns the new state or block; the input is left untouched.  Every entry
-    must be finite.
-    """
+    """One gate on a (2**n,) state or (2**n, k) block of finite columns, as a new array: the one-gate `run`."""
     amps = np.asarray(state, dtype=complex)
     n = _qubit_count(amps, ndims=(1, 2))
     check_finite(amps, "state entries must be finite")
-    _check_gate(gate, n)
-    return _apply(amps, gate, n)
+    circuit = Circuit(n, (gate,))
+    peak = float(max(abs(amps.real).max(), abs(amps.imag).max())) if gate.kind == "h" else 0.0
+    if not 2.0 * peak < math.inf:  # H adds before it scales
+        raise ValidationError(f"H needs state parts of at most half the largest double, largest is {peak}")
+    return _apply_circuit(circuit, amps)
 
 
 def _pair_view(amps: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
@@ -203,7 +204,7 @@ def _pair_view(amps: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
 
 
 def _apply(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    """One checked gate on a validated complex state or block, as a new array."""
+    """One checked gate other than H on a validated complex state or block, as a new array."""
     if gate.kind in _GATES_1Q:
         # Reshape to (high bits, target bit, low bits[, columns]) and contract
         # the target axis.
@@ -223,47 +224,58 @@ def _apply(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
         pairs[:, 1, :, 1] = moved
     elif gate.kind == "cz":
         _pair_view(out, *gate.targets, n)[:, 1, :, 1] *= -1.0
-    elif gate.flips:
-        out[sorted(gate.flips)] *= -1.0
+    else:
+        out[gate._flip_index] *= -1.0
     return out
 
 
-def _unrotate(amps: np.ndarray, rot: int, n: int) -> np.ndarray:
-    """A copy of a rotated-layout array in the canonical layout (see `_apply_circuit`)."""
-    return amps.reshape((2**rot, 2 ** (n - rot), *amps.shape[1:])).swapaxes(0, 1).reshape(amps.shape)
+def _rotate(amps: np.ndarray, d: int, n: int) -> np.ndarray:
+    """A copy with the physical bits shifted down by d, cyclically (see `_apply_circuit`)."""
+    return amps.reshape((2 ** (n - d), 2**d, *amps.shape[1:])).swapaxes(0, 1).reshape(amps.shape)
+
+
+def _halves(amps: np.ndarray) -> tuple:
+    """`amps` with views of its even and odd rows (adjacent pairs) and of its low and high halves."""
+    half = len(amps) // 2
+    return amps, amps[0::2], amps[1::2], amps[:half], amps[half:]
 
 
 def _apply_circuit(circuit: Circuit, states: np.ndarray) -> np.ndarray:
     n = circuit.n_qubits
-    # Rotating layout: logical qubit q sits at physical bit (q - rot) % n.  H on
-    # bit 0 is a butterfly on adjacent pairs, which moves that qubit to the top
-    # bit.  It has einsum's bits: einsum forms (0 + g0*x0) + g1*x1, so adding +0
-    # turns a -0 product into +0 as that zero start does, and x + (-y) is x - y.
-    half = states.shape[0] // 2
-    scaled = np.empty(states.shape, dtype=complex)
-    out = np.empty(states.shape, dtype=complex)
-    pairs = scaled.reshape((half, 2, *states.shape[1:]))
-    even, odd, low, high = pairs[:, 0], pairs[:, 1], out[:half], out[half:]
-    rot, after_h = 0, False
+    # Rotating layout, as in a constant-geometry FFT: logical qubit q sits at
+    # physical bit (q - rot) % n.  H on the qubit at bit 0 writes a + b of each
+    # adjacent pair to the low half and a - b to the high half, from one owned
+    # buffer into the other, moving that qubit to the top bit.  One copy brings
+    # any other H's qubit to bit 0, or the canonical layout for other gates.
+    # Scaling is part by part: a complex multiply by a real can flip a zero's
+    # sign.  Each H grows the norm by sqrt(2); every 1024th scales by 2**-512.
+    given, held, spare = states, None, None  # views of the owned buffer holding `states`, and of a free one
+    rot = k = 0
     for gate in circuit.ops:
-        if gate.kind == "h" and gate.targets[0] == rot:
-            np.multiply(states, _H_SCALE, out=scaled)
-            # An H output holds no -0 (a sum or difference of parts that are not -0 is not -0),
-            # nor does its scaled copy, so only the first H of a run needs the +0.
-            if not after_h:
-                scaled += _ZERO
-            np.add(even, odd, out=low)
-            np.subtract(even, odd, out=high)
-            states, rot, after_h = out, (rot + 1) % n, True
-            continue
-        if rot:
-            states, rot = _unrotate(states, rot, n), 0
-        after_h = False
-        if gate.kind == "phaseflip" and states is out:
-            out[sorted(gate.flips)] *= -1.0  # `_apply`'s flip, on the loop's own buffer
+        bit = gate.targets[0] if gate.kind == "h" else 0
+        if rot != bit:
+            states, rot = _rotate(states, (bit - rot) % n, n), bit
+            held, spare = None, held or spare
+        if gate.kind == "h":
+            source = held or _halves(states)
+            target = spare or _halves(np.empty(states.shape, dtype=complex))
+            np.add(source[1], source[2], out=target[3])
+            np.subtract(source[1], source[2], out=target[4])
+            states, held, spare, rot, k = target[0], target, held, (rot + 1) % n, k + 1
+            if not k % 1024:
+                parts = states.view(np.float64)
+                parts *= 2.0**-512
+        elif gate.kind == "phaseflip" and states is not given:
+            states[gate._flip_index] *= -1.0  # `_apply`'s flip, on an array the loop owns
         else:
-            states = _apply(states, gate, n)
-    return _unrotate(states, rot, n) if rot else states
+            states, held, spare = _apply(states, gate, n), None, held or spare
+    if rot:
+        states = _rotate(states, n - rot, n)
+    m = k % 1024
+    if m:
+        parts = states.view(np.float64)
+        parts *= math.ldexp(_SQRT_HALF if m % 2 else 1.0, -(m // 2))
+    return states
 
 
 def run(circuit: Circuit, initial_basis_index: int = 0) -> np.ndarray:
@@ -336,7 +348,8 @@ def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
     if not lowest >= 0:
         check_finite(p, "probabilities must be finite")
         raise NegativeProbabilityError(f"probabilities must be non-negative, min is {lowest}")
-    sums = p.sum(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # a sum that overflows is inf, which the next test rejects
+        sums = p.sum(axis=-1, keepdims=True)
     deviation = max((abs(total - 1.0) for total in sums.ravel().tolist()), default=0.0)
     if not deviation <= 1e-6:
         check_finite(p, "probabilities must be finite")

@@ -6,15 +6,16 @@ circuit that hits a target is one of minimal gate count (ties broken by
 vocabulary order).  The reachable set is a finite group of 1152 elements up
 to sign, every one within 7 gates.  The table is built once, to closure, and
 shared read-only; a gate budget only filters it.  Each depth applies each gate
-once, through the `sim` kernel, to the frontier's unitaries in one block, so a
-stored unitary is exactly the real part of `sim.unitary_of` of its circuit.
-Group entries lie in {0, +-1/2, +-1/sqrt(2), +-1}, so sign(m) round(4 m^2) as
-int8 is an exact key.  Each element is stored under the keys of both U and -U,
-with U and the sign of the key, so a lookup does no canonicalization.  Keys
-are coarse off the group, so a hit counts only when sign * U equals the
-target within 1e-10, the orthogonality bound; as nonzero entries are at least
-1/2, no target is that close to both U and -U.  A call is one lookup and
-simulates nothing.
+once, through `sim.apply_gate`, to the frontier's unitaries in one block.
+Group entries lie in {0, +-1/2, +-1/sqrt(2), +-1}, so c = sign(m) round(4 m^2)
+as int8 is an exact key, and a stored unitary is decoded from it exactly,
+sign(c) sqrt(|c| / 4), with the sign of zero that `sim.unitary_of` of its
+circuit gives, which it equals bit for bit.  Each element is stored under the
+keys of both U and -U, with U and the sign of the key, so a lookup does no
+canonicalization.  Keys are coarse off the group, so a hit counts only when
+sign * U equals the target within 1e-10, the orthogonality bound; as nonzero
+entries are at least 1/2, no target is that close to both U and -U.  A call is
+one lookup and simulates nothing.
 """
 
 from __future__ import annotations
@@ -81,18 +82,19 @@ def _closure() -> MappingProxyType:
     frontier = [insert((), _EYE, _key(_EYE))]
     while frontier:
         block = np.hstack([u for _, u in frontier])
-        # Copies, so that no stored unitary keeps a whole complex block alive.
-        images = [sim.apply_gate(block, gate).real.copy() for gate in VOCABULARY]
-        blobs = [_key(image.reshape(4, -1, 4).transpose(1, 0, 2)) for image in images]
+        # Each entry decoded from its key code c, sign(c) sqrt(|c| / 4), with the image's sign, which a
+        # zero also has exactly: H's rounding is undone, and exact entries and all keys are unchanged.
+        raw = (sim.apply_gate(block, gate).real.reshape(4, -1, 4).transpose(1, 0, 2) for gate in VOCABULARY)
+        images = [np.copysign(np.sqrt(np.rint(4 * m * m) / 4), m) for m in raw]  # no complex image outlives it
+        blobs = [_key(image) for image in images]
         # Both signs of an element go in together, so a key is present exactly
         # when its element is, whichever sign the candidate carries.
         grown = []
         for i, (ops, _) in enumerate(frontier):
-            for gate, image, blob in zip(VOCABULARY, images, blobs):
+            for gate, unitaries, blob in zip(VOCABULARY, images, blobs):
                 key = blob[16 * i : 16 * i + 16]
                 if key not in table:
-                    unitary = image[:, 4 * i : 4 * i + 4].copy()
-                    grown.append(insert(ops + (gate,), unitary, key))
+                    grown.append(insert(ops + (gate,), unitaries[i].copy(), key))
         frontier = grown
     return MappingProxyType(table)
 

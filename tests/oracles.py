@@ -6,9 +6,11 @@ evidence, not tautology.  The synthesis group is enumerated from numpy
 literals of the vocabulary, and two-qubit tomography is rebuilt from numpy
 literals of the Pauli and basis-change matrices, again without importing the
 package.  CX and CZ are also written as index-array gathers and masks, the
-formulations the simulator's slice kernel replaced, and H as the einsum
-contraction that its rotating-layout butterfly must match, so the two can be
-compared byte for byte.
+formulations the simulator's slice kernel replaced, and a whole circuit as a
+gate-by-gate fold over index arrays with H as the unscaled butterfly and one
+exact scale at the end, the arithmetic the simulator's rotating layout must
+match byte for byte.  H as the einsum contraction with 1/sqrt(2) is kept as
+a rounding reference.
 """
 
 import numpy as np
@@ -227,3 +229,68 @@ def h_by_einsum(amps, qubit):
     n = amps.shape[0].bit_length() - 1
     cube = amps.reshape((2 ** (n - qubit - 1), 2, 2**qubit) + amps.shape[1:])
     return np.einsum("ab,ibj...->iaj...", _H_1Q, cube).reshape(amps.shape)
+
+
+#: X, Z and S-dagger, contracted with einsum as the simulator does.
+_ONE_QUBIT = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
+}
+
+
+def one_qubit_by_einsum(amps, matrix, qubit):
+    n = amps.shape[0].bit_length() - 1
+    cube = amps.reshape((2 ** (n - qubit - 1), 2, 2**qubit) + amps.shape[1:])
+    return np.einsum("ab,ibj...->iaj...", matrix, cube).reshape(amps.shape)
+
+
+def butterfly_by_index(amps, qubit):
+    """H without its 1/sqrt(2): index i with the qubit clear gets a_i + a_j, and j = i | (1 << qubit) gets a_i - a_j."""
+    idx = np.arange(amps.shape[0])
+    clear = idx[((idx >> qubit) & 1) == 0]
+    out = np.empty_like(amps)
+    out[clear] = amps[clear] + amps[clear | (1 << qubit)]
+    out[clear | (1 << qubit)] = amps[clear] - amps[clear | (1 << qubit)]
+    return out
+
+
+def flip_by_index(amps, flips):
+    out = amps.copy()
+    out[sorted(flips)] *= -1.0
+    return out
+
+
+def scale_parts(amps, factor):
+    """Real and imaginary parts each times a real factor, so no zero changes sign."""
+    out = amps.copy()
+    out.real *= factor
+    out.imag *= factor
+    return out
+
+
+def run_by_index(amps, gates):
+    """A circuit's gates, each with .kind, .targets and .flips, folded over a state or block.
+
+    H is the unscaled butterfly.  After every 1024th H, before the norm can
+    overflow, the amplitudes are multiplied by 2**-512; at the end, with m the
+    H count modulo 1024, by 2**-(m // 2), and by sqrt(1/2) too if m is odd, as
+    one factor.  Powers of two scale exactly, so only that sqrt(1/2) rounds.
+    """
+    count = 0
+    for gate in gates:
+        if gate.kind == "h":
+            amps = butterfly_by_index(amps, gate.targets[0])
+            count += 1
+            if count % 1024 == 0:
+                amps = scale_parts(amps, 2.0**-512)
+        elif gate.kind in _ONE_QUBIT:
+            amps = one_qubit_by_einsum(amps, _ONE_QUBIT[gate.kind], gate.targets[0])
+        elif gate.kind == "cx":
+            amps = cx_by_index(amps, *gate.targets)
+        elif gate.kind == "cz":
+            amps = cz_by_index(amps, *gate.targets)
+        else:
+            amps = flip_by_index(amps, gate.flips)
+    m = count % 1024
+    return scale_parts(amps, 0.5 ** (m // 2) * (np.sqrt(0.5) if m % 2 else 1.0))

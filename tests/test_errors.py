@@ -62,6 +62,7 @@ CASES = {
     "sim.phase_flip": (lambda: sim.phase_flip([1.9]), ValidationError, "phase-flip index must be an integer"),
     "sim.gate_scalar_targets": (lambda: sim.Gate("h", 0), InvalidTargetError, "must be sequences"),
     "sim.phase_flip_scalar": (lambda: sim.phase_flip(3), InvalidTargetError, "must be sequences"),
+    "sim.flips_on_h": (lambda: sim.Gate("h", (0,), {99}), InvalidTargetError, "^h takes no phase-flip indices$"),
     "sim.Circuit_width": (lambda: sim.Circuit(2.5), ValidationError, "n_qubits must be an integer"),
     "sim.readout_nan": (lambda: sim.amplitudes_from_probabilities([np.nan, 1.0]), ValidationError, "finite"),
     "sim.readout_inf": (lambda: sim.amplitudes_from_probabilities([np.inf, 0.0]), ValidationError, "finite"),
@@ -73,6 +74,17 @@ CASES = {
     "sim.apply_nan": (lambda: sim.apply_gate([np.nan, 0.0], sim.h(0)), ValidationError, "finite"),
     "sim.apply_inf": (lambda: sim.apply_gate(np.array([[np.inf], [0.0]]), sim.x(0)), ValidationError, "finite"),
     "sim.apply_non_gate": (lambda: sim.apply_gate(np.ones(2), "h"), InvalidTargetError, "expected a Gate"),
+    # H adds before it scales, so a part above half the largest double would overflow.
+    "sim.apply_h_overflow": (
+        lambda: sim.apply_gate([1e308, 1e308], sim.h(0)),
+        ValidationError,
+        r"^H needs state parts of at most half the largest double, largest is 1e\+308$",
+    ),
+    "sim.apply_h_overflow_imag": (
+        lambda: sim.apply_gate(np.array([[0.0], [-1e308j]]), sim.h(0)),
+        ValidationError,
+        r"^H needs state parts of at most half the largest double, largest is 1e\+308$",
+    ),
     "sim.run_non_gate": (lambda: sim.run(sim.Circuit(1, (1,))), InvalidTargetError, "expected a Gate"),
     "sim.seed": (lambda: sim.sample_counts([0.5, 0.5], 10, 1.5), ValidationError, "seed must be an integer"),
     "sim.seed_none": (lambda: sim.sample_counts([0.5, 0.5], 10, None), ValidationError, "seed must be an integer"),
@@ -275,6 +287,12 @@ CASES = {
         lambda: sim.sample_counts([1e200, 0.0], 10, 0),
         NotNormalizedError,
         r"^probability rows must sum to 1, worst is off by 1e\+200$",
+    ),
+    # The sum overflows; pytest turns numpy's overflow warning into an error, as -W error does.
+    "sim.sample_overflow": (
+        lambda: sim.sample_counts([1e308, 1e308], 10, 0),
+        NotNormalizedError,
+        "^probability rows must sum to 1, worst is off by inf$",
     ),
     "sim.sample_negative": (
         lambda: sim.sample_counts([-0.5, 1.5], 10, 0),

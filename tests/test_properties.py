@@ -4,6 +4,10 @@ Hypothesis runs a fixed example sequence (derandomize=True, no example
 database), so a failure reproduces on every run.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qlinsys import sim, synth, tomo
+
+from oracles import run_by_index
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -93,6 +99,15 @@ def test_block_runs_keep_unit_norms_and_equal_column_runs(case):
 
 
 @FIXED
+@given(circuits_with_blocks())
+def test_circuit_runs_equal_the_index_oracle(case):
+    circuit, block = case
+    before = block.tobytes()
+    assert sim._apply_circuit(circuit, block).tobytes() == run_by_index(block, circuit.ops).tobytes()
+    assert block.tobytes() == before
+
+
+@FIXED
 @given(st.lists(st.sampled_from(synth.VOCABULARY), max_size=10))
 def test_synthesis_of_a_vocabulary_circuit_is_no_longer(ops):
     unitary = np.real(sim.unitary_of(sim.Circuit(2, ops)))
@@ -100,3 +115,28 @@ def test_synthesis_of_a_vocabulary_circuit_is_no_longer(ops):
     assert result.gate_count <= len(ops)
     realized = np.real(sim.unitary_of(result.circuit))
     assert np.max(np.abs(realized - result.matched_sign * unitary)) <= 1e-12
+
+
+PROBE = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_plain():
+    pass
+"""
+
+
+def test_a_failing_property_test_leaves_the_rest_of_the_session_running(tmp_path):
+    # Under this repository's warning filters; the probe's failure report must not end the run.
+    (tmp_path / "test_probe.py").write_text(PROBE)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    argv = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config), "--rootdir", str(tmp_path)]
+    done = subprocess.run(
+        [sys.executable, *argv, "test_probe.py"], cwd=tmp_path, capture_output=True, text=True, timeout=300
+    )
+    assert "1 failed, 1 passed" in done.stdout, done.stdout[-3000:]

@@ -1,11 +1,12 @@
 import math
+import sys
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from qlinsys import grover, qasm, sim
+from qlinsys import family, grover, linsys, qasm, sim, synth
 from qlinsys.errors import (
     InvalidTargetError,
     NegativeProbabilityError,
@@ -13,7 +14,7 @@ from qlinsys.errors import (
     ValidationError,
 )
 
-from oracles import cx_by_index, cz_by_index, h_by_einsum
+from oracles import cx_by_index, cz_by_index, h_by_einsum, run_by_index
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -261,8 +262,9 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_h_equals_the_einsum_reference(self, n):
-        # Signed zeros, units and denormals in both parts, where a butterfly
-        # and a contraction could differ by a bit; then a generic state.
+        # H is the butterfly (a + b, a - b) times sqrt(1/2): the index oracle's
+        # bits, and the contraction with 1/sqrt(2) up to rounding.  Signed zeros,
+        # units and denormals in both parts; then a generic state.
         rng = np.random.default_rng(90 + n)
         values = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, -2.5e-300, INV_SQRT2])
         for shape in [(2**n,), (2**n, 3)]:
@@ -274,15 +276,34 @@ class TestBlockKernel:
             for amps in (seeded, generic):
                 before = amps.tobytes()
                 for q in range(n):
-                    assert sim.apply_gate(amps, sim.h(q)).tobytes() == h_by_einsum(amps, q).tobytes(), (shape, q)
+                    out = sim.apply_gate(amps, sim.h(q))
+                    assert out.tobytes() == run_by_index(amps, [sim.h(q)]).tobytes(), (shape, q)
+                    np.testing.assert_allclose(out, h_by_einsum(amps, q), rtol=0, atol=1e-15 * abs(amps).max())
                 assert amps.tobytes() == before
 
-    def test_h_keeps_einsum_zero_signs_after_a_phase_flip(self):
-        # A phase flip of exact zeros leaves -0 in the state; the contraction turns it into +0.
+    def test_h_keeps_the_oracle_zero_signs_after_a_phase_flip(self):
+        # A phase flip of exact zeros leaves -0 in the state, and -0 + -0 stays -0.
         state = sim.run(sim.Circuit(8, (sim.phase_flip(range(256)),)))
         assert np.signbit(state.real[1:]).all()
         for q in range(8):
-            assert sim.apply_gate(state, sim.h(q)).tobytes() == h_by_einsum(state, q).tobytes()
+            out = sim.apply_gate(state, sim.h(q))
+            assert out.tobytes() == run_by_index(state, [sim.h(q)]).tobytes()
+            assert np.signbit(out.real[out.real == 0]).any()
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_apply_gate_equals_the_one_gate_run(self, n):
+        for gate in every_gate(n, np.random.default_rng(100 + n)):
+            for j in range(2**n):
+                alone = sim.run(sim.Circuit(n, (gate,)), j)
+                assert sim.apply_gate(sim.basis_state(n, j), gate).tobytes() == alone.tobytes(), (gate, j)
+
+    def test_h_takes_parts_up_to_half_the_largest_double_and_other_gates_any_finite_part(self):
+        half = sys.float_info.max / 2
+        out = sim.apply_gate([half, half], sim.h(0))
+        assert out.tobytes() == np.array([sys.float_info.max * math.sqrt(0.5), 0], dtype=complex).tobytes()
+        huge = np.array([1e308, -1e308j])
+        for gate in (sim.x(0), sim.z(0), sim.sdg(0), sim.phase_flip({0})):
+            assert np.isfinite(sim.apply_gate(huge, gate)).all()
 
     def test_three_dimensional_input_rejected(self):
         with pytest.raises(ValueError):
@@ -355,6 +376,7 @@ class TestSmallCircuitUnitary:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_run_equals_the_gate_by_gate_loop(self, n):
+        # The loop is the index oracle's fold, unscaled H then one scale.
         rng = np.random.default_rng(60 + n)
         gates = every_gate(n, rng)
         # Ending on CZ and a phase flip leaves -0 entries, which the copy must keep.
@@ -365,9 +387,7 @@ class TestSmallCircuitUnitary:
             ops = [gates[int(i)] for i in rng.permutation(len(gates))]
             circuit = sim.Circuit(n, tuple(ops + tail if trial % 2 else ops))
             for j in range(2**n):
-                state = sim.basis_state(n, j)
-                for gate in circuit.ops:
-                    state = sim.apply_gate(state, gate)
+                state = run_by_index(sim.basis_state(n, j), circuit.ops)
                 for _ in range(2):
                     assert sim.run(circuit, j).tobytes() == state.tobytes(), (trial, j)
                 signed_zeros += int(np.sum(np.signbit(state.real) & (state.real == 0)))
@@ -449,23 +469,32 @@ def fold(block, circuit):
     return block
 
 
-class TestRotatingLayout:
-    """Every circuit runs on a bit-rotating layout, with the bits of the `apply_gate` fold.
+def oracle(block, circuit):
+    return run_by_index(block, circuit.ops)
 
+
+class TestRotatingLayout:
+    """Every circuit runs on a bit-rotating layout, with the bits of the index oracle's fold.
+
+    That fold runs H as the unscaled butterfly and scales once at the end, so
+    it rounds at most once where an `apply_gate` fold rounds at every H.
     `wide_circuit` needs 2 qubits; `TestSmallCircuitUnitary` covers one.
     """
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_run_and_unitary_equal_the_apply_gate_fold(self, n):
+        # Bit for bit the oracle's fold; within rounding the `apply_gate` fold.
         rng = np.random.default_rng(110 + n)
         for _ in range(6 if n <= 7 else 2):
             circuit = wide_circuit(n, rng)
             for j in rng.choice(2**n, size=min(2**n, 6), replace=False):
                 j = int(j)
-                assert sim.run(circuit, j).tobytes() == fold(sim.basis_state(n, j), circuit).tobytes(), j
+                state = sim.run(circuit, j)
+                assert state.tobytes() == oracle(sim.basis_state(n, j), circuit).tobytes(), j
+                np.testing.assert_allclose(state, fold(sim.basis_state(n, j), circuit), rtol=0, atol=1e-12)
             if n <= 8:
                 eye = np.eye(2**n, dtype=complex)
-                assert sim.unitary_of(circuit).tobytes() == fold(eye, circuit).tobytes()
+                assert sim.unitary_of(circuit).tobytes() == oracle(eye, circuit).tobytes()
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_seeded_block_is_left_untouched(self, n):
@@ -478,14 +507,14 @@ class TestRotatingLayout:
         before = block.tobytes()
         for _ in range(3):
             circuit = wide_circuit(n, rng)
-            assert sim._apply_circuit(circuit, block).tobytes() == fold(block, circuit).tobytes()
+            assert sim._apply_circuit(circuit, block).tobytes() == oracle(block, circuit).tobytes()
             assert block.tobytes() == before
 
     @pytest.mark.parametrize("n", [2, 3, 8, 9, 10])
     def test_gates_inside_an_h_layer_keep_the_fold_bits(self, n):
-        # A non-H gate part way through a layer meets a rotated state, the rest of
-        # that layer runs through `_apply`, and the next layer's first H must add
-        # +0 again: CZ, Z, X and flips leave -0.
+        # A non-H gate part way through a layer meets a rotated state, and the
+        # rest of the layer first moves its next qubit to bit 0: CZ, Z, X and
+        # flips also leave -0 for the butterfly to add.
         rng = np.random.default_rng(150 + n)
         block = seeded_block(n, rng)
         for kind in ("z", "cz", "x", "phaseflip"):
@@ -501,17 +530,21 @@ class TestRotatingLayout:
                 }[kind]
                 ops += [sim.h(q) for q in range(cut)] + [inner] + [sim.h(q) for q in range(cut, n)]
             circuit = sim.Circuit(n, tuple(ops))
-            assert sim._apply_circuit(circuit, block).tobytes() == fold(block, circuit).tobytes(), kind
+            assert sim._apply_circuit(circuit, block).tobytes() == oracle(block, circuit).tobytes(), kind
 
     @pytest.mark.parametrize("n", [2, 3, 8, 10])
-    def test_a_first_h_turns_minus_zeros_of_the_input_to_plus(self, n):
+    def test_a_first_h_keeps_the_oracle_zero_signs_of_the_input(self, n):
+        # The butterfly adds no +0, so -0 + -0 = -0 of the input survives.
         block = seeded_block(n, np.random.default_rng(160 + n))
+        block.real[:2] = -0.0  # the pair that H on qubit 0 adds into row 0
         for k in (1, 2, n):
             circuit = sim.Circuit(n, tuple(sim.h(q) for q in range(k)))
-            assert sim._apply_circuit(circuit, block).tobytes() == fold(block, circuit).tobytes(), k
+            out = sim._apply_circuit(circuit, block)
+            assert out.tobytes() == oracle(block, circuit).tobytes(), k
+        assert np.signbit(sim._apply_circuit(sim.Circuit(n, (sim.h(0),)), block).real[0]).all()
 
     @pytest.mark.parametrize("n", [2, 3, 8, 10])
-    def test_an_h_after_a_phase_flip_turns_its_minus_zeros_to_plus(self, n):
+    def test_an_h_after_a_phase_flip_keeps_the_oracle_zero_signs(self, n):
         # Flipping an exact zero gives -0.  A full layer maps the all-ones column
         # to one nonzero amplitude, so the in-place flip after it meets zeros.
         layer = tuple(sim.h(q) for q in range(n))
@@ -522,7 +555,9 @@ class TestRotatingLayout:
         ]
         for ops, block in cases:
             circuit = sim.Circuit(n, ops)
-            assert sim._apply_circuit(circuit, block).tobytes() == fold(block, circuit).tobytes(), len(ops)
+            out = sim._apply_circuit(circuit, block)
+            assert out.tobytes() == oracle(block, circuit).tobytes(), len(ops)
+            assert np.signbit(out.real[out.real == 0]).any(), len(ops)
 
     @pytest.mark.parametrize("n", [2, 3, 8, 10])
     def test_a_leading_phase_flip_leaves_the_input_untouched(self, n):
@@ -534,14 +569,42 @@ class TestRotatingLayout:
         circuit = sim.Circuit(n, (flip,) + layer + (flip, sim.phase_flip(())) + layer)
         result = sim._apply_circuit(circuit, block)
         assert block.tobytes() == before
-        assert result.tobytes() == fold(block, circuit).tobytes()
+        assert result.tobytes() == oracle(block, circuit).tobytes()
 
     def test_ascending_layers_need_no_other_kernel_call(self):
         circuit = grover.build_grover_circuit(8, {5}, 3)
         with mock.patch.object(sim, "_apply", wraps=sim._apply) as kernel:
             state = sim.run(circuit, 0)
         assert kernel.call_count == 0
-        assert state.tobytes() == fold(sim.basis_state(8, 0), circuit).tobytes()
+        assert state.tobytes() == oracle(sim.basis_state(8, 0), circuit).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_the_norm_is_rescaled_every_1024_h_gates(self, n):
+        # 2,500 H gates grow the norm by 2**1250 unscaled, past the largest double.
+        rng = np.random.default_rng(180 + n)
+        ops = tuple(sim.h(int(q)) for q in rng.integers(n, size=2500))
+        circuit = sim.Circuit(n, ops + (sim.cz(0, n - 1),) if n > 1 else ops)
+        block = seeded_block(n, rng)
+        assert sim._apply_circuit(circuit, block).tobytes() == oracle(block, circuit).tobytes()
+
+    def test_a_grover_run_at_the_iteration_cap_stays_normalized(self):
+        circuit = grover.build_grover_circuit(10, {37}, grover.MAX_ITERATIONS)
+        assert sum(gate.kind == "h" for gate in circuit.ops) == 20_490
+        probs = sim.probabilities(sim.run(circuit))
+        assert np.isfinite(probs).all()
+        assert abs(probs.sum() - 1.0) <= 1e-12
+
+
+class TestExactCatalog:
+    def test_every_catalog_state_is_a_signed_column_of_the_transpose(self):
+        # Each solution circuit is real Clifford, so its states are exact: +-A^T e_b.
+        for spec in family.enumerate_family():
+            target = linsys.inverse_operator(spec.matrix)
+            result = synth.synthesize(target)
+            for b in range(4):
+                state = sim.run(result.circuit, b)
+                assert state.real.tobytes() == (result.matched_sign * target[:, b]).tobytes(), (spec.label, b)
+                assert not state.imag.any()
 
 
 class TestBitstrings:

@@ -142,6 +142,8 @@ class TestTable:
             signed = sign * unitary
             code = np.rint(4.0 * signed * np.abs(signed)).astype(np.int8)
             assert key == code.tobytes()
+            # Exact entries: the key decoded, sign(c) sqrt(|c| / 4), equals +-U.
+            assert np.array_equal(np.sign(code) * np.sqrt(np.abs(code) / 4.0), signed)
 
     def test_warm_lookup_simulates_nothing(self, monkeypatch):
         synth._closure()
