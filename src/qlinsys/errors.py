@@ -63,6 +63,7 @@ class SynthesisNotFoundError(QlinsysError):
     """No circuit within the gate budget realizes the target."""
 
 
+
 def check_int(value, name: str) -> int:
     """Return `value` as an int; raise ValidationError if it is a bool or not an integer."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -94,3 +95,20 @@ def check_unit_norm(vector: np.ndarray, name: str) -> None:
     if not abs(norm - 1.0) <= 1e-10:
         check_finite(vector, f"{name} entries must be finite", NotNormalizedError)
         raise NotNormalizedError(f"{name} has norm {norm}, expected 1")
+
+
+ORTHONORMAL_TOL = 1e-10  # entrywise bound on M^T M - I for a matrix with orthonormal columns
+
+
+def entries_bounded(matrix: np.ndarray) -> bool:
+    """Whether every entry is at most 2 in magnitude, which NaN and inf are not.
+
+    A larger entry puts its column's norm above 2, and smaller ones cannot overflow M^T M.
+    """
+    return bool(abs(matrix).max() <= 2.0)
+
+
+def check_orthonormal(matrix: np.ndarray, bounded: bool, eye: np.ndarray, error: type, message: str) -> None:
+    """Raise `error(message)` unless `bounded`, the matrix's `entries_bounded`, and M^T M = eye within 1e-10."""
+    if not (bounded and abs(matrix.T @ matrix - eye).max() <= ORTHONORMAL_TOL):
+        raise error(message)

@@ -17,28 +17,22 @@ from .errors import (
     NotOrthonormalError,
     ValidationError,
     check_finite,
+    check_orthonormal,
     check_unit_norm,
     check_vector,
+    entries_bounded,
 )
-
-_TOL = 1e-10  # entrywise bound on A^T A - I
-_MAX_ENTRY = 2.0  # a larger entry puts its column's norm above 2; no smaller ones overflow A^T A
 
 
 def _as_matrix(matrix) -> tuple[np.ndarray, bool]:
-    """The matrix as floats, and whether its entries are within _MAX_ENTRY, which only finite ones can be."""
+    """The matrix as floats, and its `entries_bounded`, which only a finite matrix can be."""
     out = np.asarray(matrix, dtype=float)
     if out.ndim != 2 or out.shape[0] != out.shape[1] or not out.size:
         raise DimensionMismatchError(f"expected a non-empty square matrix, got shape {out.shape}")
-    bounded = bool(abs(out).max() <= _MAX_ENTRY)
+    bounded = entries_bounded(out)
     if not bounded:
         check_finite(out, "matrix entries must be finite")
     return out, bounded
-
-
-def _orthonormal(a: np.ndarray, bounded: bool) -> bool:
-    """A^T A = I entrywise within 1e-10, for a matrix and bound from `_as_matrix`."""
-    return bounded and bool(abs(a.T @ a - np.eye(a.shape[0])).max() <= _TOL)
 
 
 def inverse_operator(matrix) -> np.ndarray:
@@ -48,8 +42,8 @@ def inverse_operator(matrix) -> np.ndarray:
     Applying the operation twice returns the original matrix exactly.
     """
     a, bounded = _as_matrix(matrix)
-    if not _orthonormal(a, bounded):
-        raise NotOrthonormalError("matrix columns are not orthonormal; transpose is not an inverse")
+    message = "matrix columns are not orthonormal; transpose is not an inverse"
+    check_orthonormal(a, bounded, np.eye(a.shape[0]), NotOrthonormalError, message)
     return a.T.copy()
 
 
@@ -65,8 +59,7 @@ def solve(matrix, y) -> np.ndarray:
     check_finite(rhs, "vector entries must be finite")
     if rhs.size != a.shape[0]:
         raise DimensionMismatchError(f"right-hand side has length {rhs.size}, matrix is {a.shape[0]}x{a.shape[1]}")
-    if not _orthonormal(a, bounded):
-        raise NotOrthonormalError("matrix columns are not orthonormal")
+    check_orthonormal(a, bounded, np.eye(a.shape[0]), NotOrthonormalError, "matrix columns are not orthonormal")
     check_unit_norm(rhs, "right-hand side")
     return a.T @ rhs
 

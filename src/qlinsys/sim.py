@@ -11,16 +11,17 @@ Conventions, fixed across the package:
   multinomial draw per probability row, row i seeded with seed + i, keeps
   identical (probs, shots, seed) inputs byte-for-byte reproducible.
 
-The gate kinds are H, X, Z, S-dagger, CX, CZ, and a phase flip on listed
-basis indices.  States are complex ndarrays of length 2**n, and a gate acts
-on a (2**n, k) block one column at a time.  Gates and circuits are immutable
+The six gate kinds are H, X, Z, CX, CZ, and a phase flip on listed basis
+indices, all real.  States are float64 ndarrays of length 2**n, and a gate
+acts on a (2**n, k) block one column at a time.  Gates and circuits are immutable
 and checked when built: a gate its shape, a circuit each distinct gate
 object against its width, once.  A run never writes its input.  H is the
 unscaled Walsh-Hadamard butterfly (a + b, a - b), and a run's k H gates are
 scaled once by sqrt(1/2)**k, which rounds only if k is odd: a real Clifford
 circuit, as each catalog circuit is, gives exact states (see
 `_apply_circuit`).  `apply_gate` is the one-gate run.  On 3 qubits or fewer
-the first `run` or `unitary_of` keeps the unitary (at most 1 KiB) to copy.
+the first `run` or `unitary_of` keeps the unitary (8x8 float64 at most, 512 B)
+to copy.
 """
 
 from __future__ import annotations
@@ -43,15 +44,14 @@ from .errors import (
 )
 
 _GATES_1Q = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "z": np.array([[1.0, 0.0], [0.0, -1.0]]),
 }
 
 GATE_KINDS = frozenset(_GATES_1Q) | {"h", "cx", "cz", "phaseflip"}
 # The double nearest 1/sqrt(2); 1 / math.sqrt(2) is one ulp below it.
 _SQRT_HALF = math.sqrt(0.5)
-# The widest circuit that keeps its unitary (see `run`): 8x8 complex, 1 KiB.
+# The widest circuit that keeps its unitary (see `run`): 8x8 float64, 512 B.
 _UNITARY_MAX_QUBITS = 3
 
 
@@ -97,10 +97,6 @@ def z(qubit: int) -> Gate:
     return Gate("z", (qubit,))
 
 
-def sdg(qubit: int) -> Gate:
-    return Gate("sdg", (qubit,))
-
-
 def cx(control: int, target: int) -> Gate:
     return Gate("cx", (control, target))
 
@@ -130,7 +126,7 @@ class Circuit:
     @cached_property
     def _unitary(self) -> np.ndarray:
         """The read-only matrix that small-circuit runs copy from; kept in __dict__, outside eq and hash."""
-        u = _apply_circuit(self, np.eye(2**self.n_qubits, dtype=complex))
+        u = _apply_circuit(self, np.eye(2**self.n_qubits))
         u.flags.writeable = False
         return u
 
@@ -175,7 +171,7 @@ def _check_basis_index(n_qubits: int, index: int) -> int:
 
 
 def basis_state(n_qubits: int, index: int) -> np.ndarray:
-    out = np.zeros(2**n_qubits, dtype=complex)
+    out = np.zeros(2**n_qubits)
     out[_check_basis_index(n_qubits, index)] = 1.0
     return out
 
@@ -186,14 +182,17 @@ def bitstring(index: int, n_qubits: int) -> str:
 
 
 def apply_gate(state, gate: Gate) -> np.ndarray:
-    """One gate on a (2**n,) state or (2**n, k) block of finite columns, as a new array: the one-gate `run`."""
-    amps = np.asarray(state, dtype=complex)
+    """One gate on a (2**n,) state or (2**n, k) block of real finite columns, as a new array: the one-gate `run`."""
+    amps = np.asarray(state)
     n = _qubit_count(amps, ndims=(1, 2))
+    if amps.dtype.kind == "c":
+        raise ValidationError("state entries must be real")
+    amps = amps.astype(float, copy=False)
     check_finite(amps, "state entries must be finite")
     circuit = Circuit(n, (gate,))
-    peak = float(max(abs(amps.real).max(), abs(amps.imag).max())) if gate.kind == "h" else 0.0
+    peak = float(abs(amps).max()) if gate.kind == "h" else 0.0
     if not 2.0 * peak < math.inf:  # H adds before it scales
-        raise ValidationError(f"H needs state parts of at most half the largest double, largest is {peak}")
+        raise ValidationError(f"H needs state entries of at most half the largest double, largest is {peak}")
     return _apply_circuit(circuit, amps)
 
 
@@ -204,7 +203,7 @@ def _pair_view(amps: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
 
 
 def _apply(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    """One checked gate other than H on a validated complex state or block, as a new array."""
+    """One checked gate other than H on a validated state or block, as a new array."""
     if gate.kind in _GATES_1Q:
         # Reshape to (high bits, target bit, low bits[, columns]) and contract
         # the target axis.
@@ -247,8 +246,7 @@ def _apply_circuit(circuit: Circuit, states: np.ndarray) -> np.ndarray:
     # adjacent pair to the low half and a - b to the high half, from one owned
     # buffer into the other, moving that qubit to the top bit.  One copy brings
     # any other H's qubit to bit 0, or the canonical layout for other gates.
-    # Scaling is part by part: a complex multiply by a real can flip a zero's
-    # sign.  Each H grows the norm by sqrt(2); every 1024th scales by 2**-512.
+    # Each H grows the norm by sqrt(2); every 1024th scales by 2**-512.
     given, held, spare = states, None, None  # views of the owned buffer holding `states`, and of a free one
     rot = k = 0
     for gate in circuit.ops:
@@ -258,13 +256,12 @@ def _apply_circuit(circuit: Circuit, states: np.ndarray) -> np.ndarray:
             held, spare = None, held or spare
         if gate.kind == "h":
             source = held or _halves(states)
-            target = spare or _halves(np.empty(states.shape, dtype=complex))
+            target = spare or _halves(np.empty(states.shape))
             np.add(source[1], source[2], out=target[3])
             np.subtract(source[1], source[2], out=target[4])
             states, held, spare, rot, k = target[0], target, held, (rot + 1) % n, k + 1
             if not k % 1024:
-                parts = states.view(np.float64)
-                parts *= 2.0**-512
+                states *= 2.0**-512
         elif gate.kind == "phaseflip" and states is not given:
             states[gate._flip_index] *= -1.0  # `_apply`'s flip, on an array the loop owns
         else:
@@ -273,8 +270,7 @@ def _apply_circuit(circuit: Circuit, states: np.ndarray) -> np.ndarray:
         states = _rotate(states, n - rot, n)
     m = k % 1024
     if m:
-        parts = states.view(np.float64)
-        parts *= math.ldexp(_SQRT_HALF if m % 2 else 1.0, -(m // 2))
+        states *= math.ldexp(_SQRT_HALF if m % 2 else 1.0, -(m // 2))
     return states
 
 
@@ -297,7 +293,7 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     """
     if circuit.n_qubits <= _UNITARY_MAX_QUBITS:
         return circuit._unitary.copy()
-    return _apply_circuit(circuit, np.eye(2**circuit.n_qubits, dtype=complex))
+    return _apply_circuit(circuit, np.eye(2**circuit.n_qubits))
 
 
 def probabilities(state) -> np.ndarray:

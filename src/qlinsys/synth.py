@@ -27,7 +27,8 @@ from types import MappingProxyType
 import numpy as np
 
 from . import sim
-from .errors import DimensionMismatchError, NotOrthogonalError, SynthesisNotFoundError, ValidationError, check_int
+from .errors import ORTHONORMAL_TOL, DimensionMismatchError, NotOrthogonalError, SynthesisNotFoundError
+from .errors import ValidationError, check_int, check_orthonormal, entries_bounded
 
 #: Search vocabulary, in tie-breaking order.
 VOCABULARY: tuple[sim.Gate, ...] = (
@@ -44,8 +45,6 @@ VOCABULARY: tuple[sim.Gate, ...] = (
 
 DEFAULT_MAX_GATES = 8
 
-_TOL = 1e-10  # entrywise bound on a target's orthogonality and on its match
-_MAX_ENTRY = 2.0  # a larger entry puts its column's norm above 2; no smaller ones overflow t^T t
 _EYE = np.eye(4)
 _EYE.flags.writeable = False  # also the empty circuit's stored unitary
 
@@ -84,8 +83,8 @@ def _closure() -> MappingProxyType:
         block = np.hstack([u for _, u in frontier])
         # Each entry decoded from its key code c, sign(c) sqrt(|c| / 4), with the image's sign, which a
         # zero also has exactly: H's rounding is undone, and exact entries and all keys are unchanged.
-        raw = (sim.apply_gate(block, gate).real.reshape(4, -1, 4).transpose(1, 0, 2) for gate in VOCABULARY)
-        images = [np.copysign(np.sqrt(np.rint(4 * m * m) / 4), m) for m in raw]  # no complex image outlives it
+        raw = (sim.apply_gate(block, gate).reshape(4, -1, 4).transpose(1, 0, 2) for gate in VOCABULARY)
+        images = [np.copysign(np.sqrt(np.rint(4 * m * m) / 4), m) for m in raw]
         blobs = [_key(image) for image in images]
         # Both signs of an element go in together, so a key is present exactly
         # when its element is, whichever sign the candidate carries.
@@ -108,9 +107,7 @@ def synthesize(target, max_gates: int = DEFAULT_MAX_GATES) -> SynthesisResult:
     t = np.asarray(target, dtype=float)
     if t.shape != (4, 4):
         raise DimensionMismatchError(f"target must be 4x4, got shape {t.shape}")
-    # Written so that a NaN or infinite entry fails the check too.
-    if not (abs(t).max() <= _MAX_ENTRY and abs(t.T @ t - _EYE).max() <= _TOL):
-        raise NotOrthogonalError("synthesis target must be orthogonal")
+    check_orthonormal(t, entries_bounded(t), _EYE, NotOrthogonalError, "synthesis target must be orthogonal")
     if check_int(max_gates, "max_gates") < 0:
         raise ValidationError("max_gates must be non-negative")
     hit = _closure().get(_key(t))
@@ -118,7 +115,7 @@ def synthesize(target, max_gates: int = DEFAULT_MAX_GATES) -> SynthesisResult:
         circuit, realized, sign = hit
         # realized + t is bit for bit realized - sign * t, with no multiply.
         deviation = float(abs(realized - t if sign == 1 else realized + t).max())
-        if deviation <= _TOL:
+        if deviation <= ORTHONORMAL_TOL:  # the orthogonality bound
             return SynthesisResult(circuit, len(circuit.ops), sign, deviation)
     raise SynthesisNotFoundError(f"no circuit with at most {max_gates} gates reaches the target")
 

@@ -2,13 +2,15 @@
 
 A 4x4 density matrix is fixed by the expectations of the sixteen two-letter
 Pauli words: rho = (1/4) * sum_P <P> P.  Expectations come either from exact
-traces or from simulated counts in the nine {X, Y, Z}^2 measurement settings,
-with the X and Y axes reached through basis-rotation gates.  The fixed
+traces or from simulated counts in the nine {X, Y, Z}^2 measurement settings.
+A setting reads four words, each with its letters either I or the setting's,
+and the projector onto its outcome k is 1/4 of their sum, each word signed by
+the parity it gives k.  So the 36 outcome probabilities are one fixed (36, 16)
+table times rho's entries; no measurement circuit is simulated.  The fixed
 algebra is computed once at import: the sixteen word matrices as one stacked
-basis, the nine rotation unitaries and their adjoints, and the parity sign of
-every (word, outcome) pair.  The nine setting distributions come from one
-batched R rho R^dagger and are sampled in one block draw, setting i seeded
-with seed + i.  Reconstruction is one ordered accumulation: the sixteen
+basis, the parity sign of every (word, outcome) pair, and that table.  The
+nine distributions are sampled in one block draw, setting i seeded with
+seed + i.  Reconstruction is one ordered accumulation: the sixteen
 value * matrix products are summed over the stack's first axis from +0 in
 PAULI_WORDS order, the order and start of a word-by-word loop, so it matches
 that loop byte for byte.  It then clips negative eigenvalues and
@@ -19,9 +21,9 @@ bit), matching the bitstring convention in `sim`.
 
 Sampled sign recovery has an envelope.  Of 960 runs (the 192 catalog
 solutions, seeds 10007 + 5k + j for pair k, j < 5), these many miss +-sign(x)
-at 4, 16, 64, 128 and 1024 shots per setting: 2, 0, 0, 0, 0 at the
-calibrated p; 26, 0, 0, 0, 0 at p = 0.1; 148, 0, 0, 0, 0 at 0.3; 367, 37, 0,
-0, 0 at 0.5; 714, 516, 151, 24, 0 at 0.8.
+at 4, 16, 64, 128 and 1024 shots per setting: none at the calibrated p; 28,
+0, 0, 0, 0 at p = 0.1; 148, 0, 0, 0, 0 at 0.3; 379, 27, 0, 0, 0 at 0.5; 725,
+518, 144, 32, 0 at 0.8.
 """
 
 from __future__ import annotations
@@ -121,36 +123,27 @@ def apply_depolarizing(rho, p: float) -> np.ndarray:
     return (1.0 - p) * m + p * np.eye(dim) / dim
 
 
-def _rotation_unitary(setting: str) -> np.ndarray:
-    # Basis change per qubit: H maps the X eigenbasis to computational, and
-    # S-dagger followed by H does the same for Y.  Letter 0 acts on qubit 1.
-    ops = []
-    for position, letter in enumerate(setting):
-        qubit = 1 - position
-        if letter == "X":
-            ops.append(sim.h(qubit))
-        elif letter == "Y":
-            ops.extend((sim.sdg(qubit), sim.h(qubit)))
-    return sim.unitary_of(sim.Circuit(2, tuple(ops)))
-
-
-#: Measurement rotations, stacked in MEASUREMENT_SETTINGS order, and their adjoints.
-_ROTATIONS = np.stack([_rotation_unitary(setting) for setting in MEASUREMENT_SETTINGS])
-_ROTATIONS_ADJ = _ROTATIONS.conj().transpose(0, 2, 1)
-
 #: For each Pauli word, the setting whose counts estimate it: I is read as Z.
 _WORD_SETTING = np.array(
     [MEASUREMENT_SETTINGS.index(word.replace("I", "Z")) for word in PAULI_WORDS]
 )
 
-#: _PARITY_SIGNS[w, outcome]: the sign word w gives an outcome of its setting.
-#: After rotation every measured letter reads as Z, so the signs are the
-#: diagonal of the word with X and Y replaced by Z.
+#: _PARITY_SIGNS[w, outcome]: the sign word w gives an outcome of a setting
+#: that reads it, -1 for each non-I letter whose qubit reads 1: the diagonal of
+#: the word with X and Y replaced by Z.
 _PARITY_SIGNS = (
     _PAULI_MATRICES[[PAULI_WORDS.index(w.replace("X", "Z").replace("Y", "Z")) for w in PAULI_WORDS]]
     .diagonal(axis1=1, axis2=2)
     .real.copy()
 )
+
+#: _READS[s, w]: whether setting s reads word w, each letter of w I or s's own.
+_READS = np.array([[a in "I" + s[0] and b in "I" + s[1] for a, b in PAULI_WORDS] for s in MEASUREMENT_SETTINGS])
+
+#: Row 4s + k holds the transposed projector of setting s's outcome k,
+#: 1/4 sum_w sign(w, k) P_w over the words s reads, so that the row times
+#: rho.ravel() is Tr(rho Pi).  Every entry is a multiple of 1/4, so exact.
+_OUTCOME_TABLE = np.einsum("sw,wk,wji->skij", _READS, _PARITY_SIGNS, _PAULI_MATRICES).reshape(36, 16) / 4.0
 
 
 def pauli_expectations(
@@ -180,8 +173,7 @@ def pauli_expectations(
     if mode != "sampled":
         raise ValidationError(f"mode must be 'analytic' or 'sampled', got {mode!r}")
 
-    rotated = _ROTATIONS @ m @ _ROTATIONS_ADJ
-    probs = rotated.diagonal(axis1=1, axis2=2).real.clip(0.0)
+    probs = (_OUTCOME_TABLE @ m.ravel()).real.reshape(9, 4).clip(0.0)
     freq = sim.sample_counts(probs, shots, seed) / shots
     expectations = (_PARITY_SIGNS * freq[_WORD_SETTING]).sum(axis=1)
     values = dict(zip(PAULI_WORDS, expectations.tolist()))

@@ -18,8 +18,8 @@ The set, each array hashed by dtype, shape and `tobytes`, everything else by
 `repr`:
 
 * `sim.run` on every basis input, `sim.unitary_of`, and a (2**n, 3) block
-  through `sim.apply_gate` after every gate, on random circuits of all seven
-  gate kinds at 1 to 9 qubits.  Block entries are drawn from +-0, +-1,
+  through `sim.apply_gate` after every gate, on random circuits of all six
+  gate kinds at 1 to 9 qubits.  Block entries are real, drawn from +-0, +-1,
   denormals and 1/2, where two kernels could differ by a bit.
 * Every entry of the synthesis closure: key, circuit, unitary and sign.
 * The 48 catalog systems times 4 basis inputs: solution, state, 1024-shot
@@ -59,7 +59,7 @@ class and message:
 * `sim.probabilities` of seeded states at 1 to 10 qubits, some entries
   zeroed, and `sim.sample_distribution` of them, by the repr of its table,
   whose counts dict shows its key order.
-* `qasm.circuit_to_qasm` of random circuits over h, x, z, sdg, cx and cz at
+* `qasm.circuit_to_qasm` of random circuits over h, x, z, cx and cz at
   1 to 5 qubits, a few with a phase flip, which has no QASM form.
 
 Not a pytest module: its name has no test_ prefix.
@@ -96,23 +96,20 @@ class Digest:
 def random_circuit(n: int, length: int, rng) -> sim.Circuit:
     ops = []
     for _ in range(length):
-        kind = int(rng.integers(7 if n >= 2 else 5))
-        if kind < 4:
-            ops.append((sim.h, sim.x, sim.z, sim.sdg)[kind](int(rng.integers(n))))
-        elif kind == 4:
+        kind = int(rng.integers(6 if n >= 2 else 4))
+        if kind < 3:
+            ops.append((sim.h, sim.x, sim.z)[kind](int(rng.integers(n))))
+        elif kind == 3:
             flips = rng.choice(2**n, size=int(rng.integers(1, 2**n + 1)), replace=False)
             ops.append(sim.phase_flip(int(i) for i in flips))
         else:
             a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
-            ops.append((sim.cx, sim.cz)[kind - 5](a, b))
+            ops.append((sim.cx, sim.cz)[kind - 4](a, b))
     return sim.Circuit(n, tuple(ops))
 
 
 def seeded_block(n: int, rng) -> np.ndarray:
-    block = np.empty((2**n, 3), dtype=complex)
-    block.real = rng.choice(SEEDED_VALUES, size=block.shape)
-    block.imag = rng.choice(SEEDED_VALUES, size=block.shape)
-    return block
+    return rng.choice(SEEDED_VALUES, size=(2**n, 3))
 
 
 def feed_circuits(digest: Digest, rng) -> None:
@@ -177,7 +174,7 @@ def feed_inner_gate_circuits(digest: Digest, rng) -> None:
                 digest.feed(sim.run(circuit, int(j)))
             if n == 8 and i == 0:
                 digest.feed(sim.unitary_of(circuit))
-            block = np.column_stack([np.ones(2**n, dtype=complex), seeded_block(n, rng)])
+            block = np.column_stack([np.ones(2**n), seeded_block(n, rng)])
             for k in range(1, len(circuit.ops) + 1):
                 digest.feed(sim._apply_circuit(sim.Circuit(n, circuit.ops[:k]), block))
             digest.feed(block)
@@ -246,12 +243,12 @@ def outcome(fn, *args):
 def qasm_circuit(n: int, rng) -> sim.Circuit:
     ops = []
     for _ in range(int(rng.integers(41))):
-        kind = int(rng.integers(6 if n >= 2 else 4))
-        if kind < 4:
-            ops.append((sim.h, sim.x, sim.z, sim.sdg)[kind](int(rng.integers(n))))
+        kind = int(rng.integers(5 if n >= 2 else 3))
+        if kind < 3:
+            ops.append((sim.h, sim.x, sim.z)[kind](int(rng.integers(n))))
         else:
             a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
-            ops.append((sim.cx, sim.cz)[kind - 4](a, b))
+            ops.append((sim.cx, sim.cz)[kind - 3](a, b))
     if rng.random() < 0.1:
         ops.insert(int(rng.integers(len(ops) + 1)), sim.phase_flip([int(rng.integers(2**n))]))
     return sim.Circuit(n, tuple(ops))

@@ -144,6 +144,19 @@ _TO_Z_BASIS = {
 }
 
 
+def setting_probabilities(rho):
+    """The (9, 4) outcome probabilities of the settings, in TOMOGRAPHY_SETTINGS order.
+
+    Row i is the diagonal of R rho R^dagger, clipped at 0, with R setting i's
+    basis change to Z.
+    """
+    rows = []
+    for setting in TOMOGRAPHY_SETTINGS:
+        r = np.kron(_TO_Z_BASIS[setting[0]], _TO_Z_BASIS[setting[1]])
+        rows.append(np.clip(np.real(np.diag(r @ rho @ r.conj().T)), 0.0, None))
+    return np.array(rows)
+
+
 def tomography_expectations(rho, mode, shots, seed):
     """All sixteen word expectations of a 4x4 density matrix, as a list.
 
@@ -158,9 +171,7 @@ def tomography_expectations(rho, mode, shots, seed):
         values = [float(np.trace(rho @ _WORD_MATRICES[w]).real) for w in TOMOGRAPHY_WORDS]
     else:
         freqs = {}
-        for index, setting in enumerate(TOMOGRAPHY_SETTINGS):
-            r = np.kron(_TO_Z_BASIS[setting[0]], _TO_Z_BASIS[setting[1]])
-            p = np.clip(np.real(np.diag(r @ rho @ r.conj().T)), 0.0, None)
+        for index, (setting, p) in enumerate(zip(TOMOGRAPHY_SETTINGS, setting_probabilities(rho))):
             counts = np.random.default_rng(seed + index).multinomial(shots, p / p.sum())
             freqs[setting] = counts / shots
         values = []
@@ -231,11 +242,10 @@ def h_by_einsum(amps, qubit):
     return np.einsum("ab,ibj...->iaj...", _H_1Q, cube).reshape(amps.shape)
 
 
-#: X, Z and S-dagger, contracted with einsum as the simulator does.
+#: X and Z, real, contracted with einsum as the simulator does.
 _ONE_QUBIT = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "z": np.array([[1.0, 0.0], [0.0, -1.0]]),
 }
 
 
@@ -261,21 +271,16 @@ def flip_by_index(amps, flips):
     return out
 
 
-def scale_parts(amps, factor):
-    """Real and imaginary parts each times a real factor, so no zero changes sign."""
-    out = amps.copy()
-    out.real *= factor
-    out.imag *= factor
-    return out
-
-
 def run_by_index(amps, gates):
-    """A circuit's gates, each with .kind, .targets and .flips, folded over a state or block.
+    """A circuit's gates, each with .kind, .targets and .flips, folded over a real state or block.
 
-    H is the unscaled butterfly.  After every 1024th H, before the norm can
-    overflow, the amplitudes are multiplied by 2**-512; at the end, with m the
-    H count modulo 1024, by 2**-(m // 2), and by sqrt(1/2) too if m is odd, as
-    one factor.  Powers of two scale exactly, so only that sqrt(1/2) rounds.
+    Every gate is real, and CZ and phase flips negate by a real multiply by -1,
+    which is exact, the sign of a zero included.  H is the unscaled butterfly.
+    After every 1024th H, before the norm can overflow, the amplitudes are
+    multiplied by 2**-512; at the end, with m the H count modulo 1024, by
+    2**-(m // 2), and by sqrt(1/2) too if m is odd, as one factor.  Powers of
+    two scale exactly, so only that sqrt(1/2) rounds, and a positive factor
+    keeps the sign of a zero.
     """
     count = 0
     for gate in gates:
@@ -283,7 +288,7 @@ def run_by_index(amps, gates):
             amps = butterfly_by_index(amps, gate.targets[0])
             count += 1
             if count % 1024 == 0:
-                amps = scale_parts(amps, 2.0**-512)
+                amps = amps * 2.0**-512
         elif gate.kind in _ONE_QUBIT:
             amps = one_qubit_by_einsum(amps, _ONE_QUBIT[gate.kind], gate.targets[0])
         elif gate.kind == "cx":
@@ -293,4 +298,4 @@ def run_by_index(amps, gates):
         else:
             amps = flip_by_index(amps, gate.flips)
     m = count % 1024
-    return scale_parts(amps, 0.5 ** (m // 2) * (np.sqrt(0.5) if m % 2 else 1.0))
+    return amps * (0.5 ** (m // 2) * (np.sqrt(0.5) if m % 2 else 1.0))

@@ -75,7 +75,7 @@ def test_synthesis_coverage():
     assert len(results) == 48
     for label, result in results.items():
         matrix = family.matrix_for(label)
-        realized = np.real(sim.unitary_of(result.circuit))
+        realized = sim.unitary_of(result.circuit)
         product = mat_mul((result.matched_sign * realized).tolist(), matrix.tolist())
         assert max_abs_diff(product, np.eye(4).tolist()) <= 1e-10
     head = results[family.FamilyLabel.parse("A_1234")]

@@ -336,7 +336,7 @@ class TestSynthCommand:
         assert code == 4
 
     def test_target_within_rounding_of_the_group_is_found(self, capsys, tmp_path):
-        h0 = np.real(sim.unitary_of(sim.Circuit(2, (sim.h(0),))))
+        h0 = sim.unitary_of(sim.Circuit(2, (sim.h(0),)))
         shrunk = h0 - 5e-14 * np.sign(h0)
         path = tmp_path / "shrunk_h.csv"
         path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in shrunk) + "\n")

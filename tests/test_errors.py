@@ -71,19 +71,20 @@ CASES = {
         DimensionMismatchError,
         r"probabilities must be a vector, got shape \(1, 2\)",
     ),
+    # The dtype decides, before any value rule: a zero imaginary part raises too.
+    "sim.apply_complex": (
+        lambda: sim.apply_gate(np.zeros(2, dtype=complex), sim.h(0)),
+        ValidationError,
+        "^state entries must be real$",
+    ),
     "sim.apply_nan": (lambda: sim.apply_gate([np.nan, 0.0], sim.h(0)), ValidationError, "finite"),
     "sim.apply_inf": (lambda: sim.apply_gate(np.array([[np.inf], [0.0]]), sim.x(0)), ValidationError, "finite"),
     "sim.apply_non_gate": (lambda: sim.apply_gate(np.ones(2), "h"), InvalidTargetError, "expected a Gate"),
-    # H adds before it scales, so a part above half the largest double would overflow.
+    # H adds before it scales, so an entry above half the largest double would overflow.
     "sim.apply_h_overflow": (
         lambda: sim.apply_gate([1e308, 1e308], sim.h(0)),
         ValidationError,
-        r"^H needs state parts of at most half the largest double, largest is 1e\+308$",
-    ),
-    "sim.apply_h_overflow_imag": (
-        lambda: sim.apply_gate(np.array([[0.0], [-1e308j]]), sim.h(0)),
-        ValidationError,
-        r"^H needs state parts of at most half the largest double, largest is 1e\+308$",
+        r"^H needs state entries of at most half the largest double, largest is 1e\+308$",
     ),
     "sim.run_non_gate": (lambda: sim.run(sim.Circuit(1, (1,))), InvalidTargetError, "expected a Gate"),
     "sim.seed": (lambda: sim.sample_counts([0.5, 0.5], 10, 1.5), ValidationError, "seed must be an integer"),

@@ -48,7 +48,7 @@ def probability_blocks(draw):
 
 @st.composite
 def circuits_with_blocks(draw):
-    """A circuit of up to 12 gates of every kind on 1-6 qubits, and a (2**n, k) block of unit columns."""
+    """A circuit of up to 12 gates of every kind on 1-6 qubits, and a real (2**n, k) block of unit columns."""
     n = draw(st.integers(1, 6))
     qubits = st.integers(0, n - 1)
     one_qubit = sorted(sim.GATE_KINDS - {"cx", "cz", "phaseflip"})
@@ -61,8 +61,7 @@ def circuits_with_blocks(draw):
         gates.append(st.builds(lambda kind, p: sim.Gate(kind, tuple(p)), st.sampled_from(["cx", "cz"]), pairs))
     ops = draw(st.lists(st.one_of(gates), max_size=12))
     k = draw(st.integers(1, 4))
-    parts = draw(hnp.arrays(float, (2, 2**n, k), elements=st.floats(-1.0, 1.0)))
-    block = parts[0] + 1j * parts[1]
+    block = draw(hnp.arrays(float, (2**n, k), elements=st.floats(-1.0, 1.0)))
     norms = np.linalg.norm(block, axis=0)
     assume(np.all(norms > 1e-3))
     return sim.Circuit(n, ops), block / norms
@@ -110,10 +109,10 @@ def test_circuit_runs_equal_the_index_oracle(case):
 @FIXED
 @given(st.lists(st.sampled_from(synth.VOCABULARY), max_size=10))
 def test_synthesis_of_a_vocabulary_circuit_is_no_longer(ops):
-    unitary = np.real(sim.unitary_of(sim.Circuit(2, ops)))
+    unitary = sim.unitary_of(sim.Circuit(2, ops))
     result = synth.synthesize(unitary)
     assert result.gate_count <= len(ops)
-    realized = np.real(sim.unitary_of(result.circuit))
+    realized = sim.unitary_of(result.circuit)
     assert np.max(np.abs(realized - result.matched_sign * unitary)) <= 1e-12
 
 

@@ -21,9 +21,9 @@ class TestCircuitToQasm:
         assert "h q[1];" in text
 
     def test_gate_order_and_operands(self):
-        circuit = sim.Circuit(2, (sim.h(0), sim.cx(1, 0), sim.cz(0, 1), sim.sdg(1)))
+        circuit = sim.Circuit(2, (sim.h(0), sim.cx(1, 0), sim.cz(0, 1), sim.z(1)))
         lines = qasm.circuit_to_qasm(circuit).splitlines()
-        assert lines[4:8] == ["h q[0];", "cx q[1],q[0];", "cz q[0],q[1];", "sdg q[1];"]
+        assert lines[4:8] == ["h q[0];", "cx q[1],q[0];", "cz q[0],q[1];", "z q[1];"]
         assert lines[-1] == "measure q -> c;"
 
     def test_deterministic(self):

@@ -18,13 +18,12 @@ from oracles import cx_by_index, cz_by_index, h_by_einsum, run_by_index
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) * INV_SQRT2
-X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
-Z_MAT = np.array([[1, 0], [0, -1]], dtype=complex)
-SDG_MAT = np.array([[1, 0], [0, -1j]], dtype=complex)
-I2 = np.eye(2, dtype=complex)
+H_MAT = np.array([[1.0, 1.0], [1.0, -1.0]]) * INV_SQRT2
+X_MAT = np.array([[0.0, 1.0], [1.0, 0.0]])
+Z_MAT = np.array([[1.0, 0.0], [0.0, -1.0]])
+I2 = np.eye(2)
 
-ONE_QUBIT_MAKERS = (sim.h, sim.x, sim.z, sim.sdg)
+ONE_QUBIT_MAKERS = (sim.h, sim.x, sim.z)
 
 
 def every_gate(n, rng):
@@ -67,7 +66,6 @@ class TestSingleQubitGates:
             (sim.h(0), H_MAT),
             (sim.x(0), X_MAT),
             (sim.z(0), Z_MAT),
-            (sim.sdg(0), SDG_MAT),
         ],
     )
     def test_matrix_on_low_qubit(self, gate, matrix):
@@ -104,14 +102,14 @@ class TestTwoQubitGates:
     def test_cx_control0_matrix(self):
         realized = sim.unitary_of(sim.Circuit(2, (sim.cx(0, 1),)))
         expected = np.array(
-            [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
+            [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=float
         )
         np.testing.assert_allclose(realized, expected, atol=1e-12)
 
     def test_cx_control1_matrix(self):
         realized = sim.unitary_of(sim.Circuit(2, (sim.cx(1, 0),)))
         expected = np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float
         )
         np.testing.assert_allclose(realized, expected, atol=1e-12)
 
@@ -129,7 +127,7 @@ class TestTwoQubitGates:
         np.testing.assert_array_equal(a, b)
 
     def test_phase_flip_negates_listed_indices(self):
-        state = np.full(4, 0.5, dtype=complex)
+        state = np.full(4, 0.5)
         flipped = sim.apply_gate(state, sim.phase_flip({1, 2}))
         np.testing.assert_allclose(flipped, [0.5, -0.5, -0.5, 0.5], atol=1e-15)
 
@@ -159,7 +157,7 @@ class TestGateValidation:
         with pytest.raises(InvalidTargetError, match=message):
             sim.Circuit(2, (built,))
         with pytest.raises(InvalidTargetError, match=message):
-            sim.apply_gate(np.zeros(4, dtype=complex) + 0.5, built)
+            sim.apply_gate(np.full(4, 0.5), built)
 
     def test_bad_initial_index(self):
         with pytest.raises(ValueError):
@@ -177,7 +175,7 @@ class TestGateValidation:
 
     def test_bad_state_length(self):
         with pytest.raises(ValueError):
-            sim.apply_gate(np.ones(3, dtype=complex), sim.h(0))
+            sim.apply_gate(np.ones(3), sim.h(0))
 
 
 class TestRunAndUnitary:
@@ -205,7 +203,7 @@ class TestRunAndUnitary:
 
     def test_random_circuits_stay_unitary(self):
         rng = np.random.default_rng(23)
-        makers = [sim.h, sim.x, sim.z, sim.sdg]
+        makers = [sim.h, sim.x, sim.z]
         for _ in range(20):
             n = int(rng.integers(1, 4))
             ops = []
@@ -219,11 +217,11 @@ class TestRunAndUnitary:
                     maker = makers[int(rng.integers(0, len(makers)))]
                     ops.append(maker(int(rng.integers(0, n))))
             u = sim.unitary_of(sim.Circuit(n, tuple(ops)))
-            np.testing.assert_allclose(u.conj().T @ u, np.eye(2**n), atol=1e-10)
+            np.testing.assert_allclose(u.T @ u, np.eye(2**n), atol=1e-10)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(7)
-        state = rng.normal(size=8) + 1j * rng.normal(size=8)
+        state = rng.normal(size=8)
         state /= np.linalg.norm(state)
         out = sim.apply_gate(state, sim.h(2))
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
@@ -236,7 +234,7 @@ class TestBlockKernel:
     @pytest.mark.parametrize("k", [1, 5])
     def test_block_equals_column_by_column(self, n, k):
         rng = np.random.default_rng(10 * n + k)
-        block = rng.normal(size=(2**n, k)) + 1j * rng.normal(size=(2**n, k))
+        block = rng.normal(size=(2**n, k))
         before = block.copy()
         for gate in every_gate(n, rng):
             out = sim.apply_gate(block, gate)
@@ -248,9 +246,15 @@ class TestBlockKernel:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_cx_and_cz_equal_the_index_array_reference(self, n):
         rng = np.random.default_rng(70 + n)
-        state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        block = rng.normal(size=(2**n, 5)) + 1j * rng.normal(size=(2**n, 5))
-        for amps in (state, block):
+        state = rng.normal(size=2**n)
+        block = rng.normal(size=(2**n, 5))
+        # +-0, units, denormals and 1/2 after gates that leave signed zeros: Z turns row 3's -0 into +0, and
+        # CZ negates that +0 to -0, as the real multiply by -1 of the reference does.
+        seeded = seeded_block(n, rng)
+        seeded[3] = -0.0
+        layered = fold(seeded, sim.Circuit(n, (sim.z(0), sim.phase_flip(range(0, 2**n, 2)))))
+        assert not np.signbit(layered[3]).any() and np.signbit(sim.apply_gate(layered, sim.cz(0, 1))[3]).all()
+        for amps in (state, block, layered):
             before = amps.copy()
             for a in range(n):
                 for b in range(n):
@@ -264,15 +268,13 @@ class TestBlockKernel:
     def test_h_equals_the_einsum_reference(self, n):
         # H is the butterfly (a + b, a - b) times sqrt(1/2): the index oracle's
         # bits, and the contraction with 1/sqrt(2) up to rounding.  Signed zeros,
-        # units and denormals in both parts; then a generic state.
+        # units and denormals; then a generic state.
         rng = np.random.default_rng(90 + n)
         values = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, -2.5e-300, INV_SQRT2])
         for shape in [(2**n,), (2**n, 3)]:
-            seeded = np.empty(shape, dtype=complex)
-            seeded.real = rng.choice(values, size=shape)
-            seeded.imag = rng.choice(values, size=shape)
-            seeded.real[0], seeded.imag[-1] = -0.0, -0.0
-            generic = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            seeded = rng.choice(values, size=shape)
+            seeded[0], seeded[-1] = -0.0, -0.0
+            generic = rng.normal(size=shape)
             for amps in (seeded, generic):
                 before = amps.tobytes()
                 for q in range(n):
@@ -284,34 +286,36 @@ class TestBlockKernel:
     def test_h_keeps_the_oracle_zero_signs_after_a_phase_flip(self):
         # A phase flip of exact zeros leaves -0 in the state, and -0 + -0 stays -0.
         state = sim.run(sim.Circuit(8, (sim.phase_flip(range(256)),)))
-        assert np.signbit(state.real[1:]).all()
+        assert np.signbit(state[1:]).all()
         for q in range(8):
             out = sim.apply_gate(state, sim.h(q))
             assert out.tobytes() == run_by_index(state, [sim.h(q)]).tobytes()
-            assert np.signbit(out.real[out.real == 0]).any()
+            assert np.signbit(out[out == 0]).any()
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_apply_gate_equals_the_one_gate_run(self, n):
         for gate in every_gate(n, np.random.default_rng(100 + n)):
+            assert sim.unitary_of(sim.Circuit(n, (gate,))).dtype == np.float64
             for j in range(2**n):
                 alone = sim.run(sim.Circuit(n, (gate,)), j)
+                assert alone.dtype == np.float64
                 assert sim.apply_gate(sim.basis_state(n, j), gate).tobytes() == alone.tobytes(), (gate, j)
 
     def test_h_takes_parts_up_to_half_the_largest_double_and_other_gates_any_finite_part(self):
         half = sys.float_info.max / 2
         out = sim.apply_gate([half, half], sim.h(0))
-        assert out.tobytes() == np.array([sys.float_info.max * math.sqrt(0.5), 0], dtype=complex).tobytes()
-        huge = np.array([1e308, -1e308j])
-        for gate in (sim.x(0), sim.z(0), sim.sdg(0), sim.phase_flip({0})):
+        assert out.tobytes() == np.array([sys.float_info.max * math.sqrt(0.5), 0]).tobytes()
+        huge = np.array([1e308, -1e308])
+        for gate in (sim.x(0), sim.z(0), sim.phase_flip({0})):
             assert np.isfinite(sim.apply_gate(huge, gate)).all()
 
     def test_three_dimensional_input_rejected(self):
         with pytest.raises(ValueError):
-            sim.apply_gate(np.ones((4, 2, 2), dtype=complex), sim.h(0))
+            sim.apply_gate(np.ones((4, 2, 2)), sim.h(0))
 
     def test_block_rows_must_be_a_power_of_two(self):
         with pytest.raises(ValueError):
-            sim.apply_gate(np.ones((3, 2), dtype=complex), sim.h(0))
+            sim.apply_gate(np.ones((3, 2)), sim.h(0))
 
 
 class TestCircuitCheckedOnce:
@@ -379,18 +383,21 @@ class TestSmallCircuitUnitary:
         # The loop is the index oracle's fold, unscaled H then one scale.
         rng = np.random.default_rng(60 + n)
         gates = every_gate(n, rng)
-        # Ending on CZ and a phase flip leaves -0 entries, which the copy must keep.
+        # Ending on CZ and a phase flip leaves -0 entries, which the copy must keep.  With an H on
+        # every qubit a real circuit's states have no zeros, so those circuits leave out the top one.
         tail = [sim.cz(0, 1)] if n >= 2 else []
         tail.append(sim.phase_flip(range(2**n)))
         signed_zeros = 0
         for trial in range(4):
             ops = [gates[int(i)] for i in rng.permutation(len(gates))]
-            circuit = sim.Circuit(n, tuple(ops + tail if trial % 2 else ops))
+            if trial % 2:
+                ops = [gate for gate in ops if gate != sim.h(n - 1)] + tail
+            circuit = sim.Circuit(n, tuple(ops))
             for j in range(2**n):
                 state = run_by_index(sim.basis_state(n, j), circuit.ops)
                 for _ in range(2):
                     assert sim.run(circuit, j).tobytes() == state.tobytes(), (trial, j)
-                signed_zeros += int(np.sum(np.signbit(state.real) & (state.real == 0)))
+                signed_zeros += int(np.sum(np.signbit(state) & (state == 0)))
             assert "_unitary" in circuit.__dict__
         assert signed_zeros > 0
 
@@ -456,11 +463,7 @@ def wide_circuit(n, rng):
 
 def seeded_block(n, rng):
     """A (2**n, 3) block of +-0, units and denormals, where two layouts could differ by a bit."""
-    values = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 0.5])
-    block = np.empty((2**n, 3), dtype=complex)
-    block.real = rng.choice(values, size=block.shape)
-    block.imag = rng.choice(values, size=block.shape)
-    return block
+    return rng.choice(np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 0.5]), size=(2**n, 3))
 
 
 def fold(block, circuit):
@@ -493,17 +496,14 @@ class TestRotatingLayout:
                 assert state.tobytes() == oracle(sim.basis_state(n, j), circuit).tobytes(), j
                 np.testing.assert_allclose(state, fold(sim.basis_state(n, j), circuit), rtol=0, atol=1e-12)
             if n <= 8:
-                eye = np.eye(2**n, dtype=complex)
+                eye = np.eye(2**n)
                 assert sim.unitary_of(circuit).tobytes() == oracle(eye, circuit).tobytes()
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_seeded_block_is_left_untouched(self, n):
         # +-0, units and denormals, where two layouts could differ by a bit.
         rng = np.random.default_rng(130 + n)
-        values = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 0.5])
-        block = np.empty((2**n, 3), dtype=complex)
-        block.real = rng.choice(values, size=block.shape)
-        block.imag = rng.choice(values, size=block.shape)
+        block = seeded_block(n, rng)
         before = block.tobytes()
         for _ in range(3):
             circuit = wide_circuit(n, rng)
@@ -536,12 +536,12 @@ class TestRotatingLayout:
     def test_a_first_h_keeps_the_oracle_zero_signs_of_the_input(self, n):
         # The butterfly adds no +0, so -0 + -0 = -0 of the input survives.
         block = seeded_block(n, np.random.default_rng(160 + n))
-        block.real[:2] = -0.0  # the pair that H on qubit 0 adds into row 0
+        block[:2] = -0.0  # the pair that H on qubit 0 adds into row 0
         for k in (1, 2, n):
             circuit = sim.Circuit(n, tuple(sim.h(q) for q in range(k)))
             out = sim._apply_circuit(circuit, block)
             assert out.tobytes() == oracle(block, circuit).tobytes(), k
-        assert np.signbit(sim._apply_circuit(sim.Circuit(n, (sim.h(0),)), block).real[0]).all()
+        assert np.signbit(sim._apply_circuit(sim.Circuit(n, (sim.h(0),)), block)[0]).all()
 
     @pytest.mark.parametrize("n", [2, 3, 8, 10])
     def test_an_h_after_a_phase_flip_keeps_the_oracle_zero_signs(self, n):
@@ -550,14 +550,14 @@ class TestRotatingLayout:
         layer = tuple(sim.h(q) for q in range(n))
         flip_all = sim.phase_flip(range(2**n))
         cases = [
-            (layer + (flip_all, sim.h(0)), np.ones((2**n, 1), dtype=complex)),
-            ((sim.h(0), flip_all, sim.h(0)), np.eye(2**n, 4, dtype=complex)),
+            (layer + (flip_all, sim.h(0)), np.ones((2**n, 1))),
+            ((sim.h(0), flip_all, sim.h(0)), np.eye(2**n, 4)),
         ]
         for ops, block in cases:
             circuit = sim.Circuit(n, ops)
             out = sim._apply_circuit(circuit, block)
             assert out.tobytes() == oracle(block, circuit).tobytes(), len(ops)
-            assert np.signbit(out.real[out.real == 0]).any(), len(ops)
+            assert np.signbit(out[out == 0]).any(), len(ops)
 
     @pytest.mark.parametrize("n", [2, 3, 8, 10])
     def test_a_leading_phase_flip_leaves_the_input_untouched(self, n):
@@ -603,8 +603,7 @@ class TestExactCatalog:
             result = synth.synthesize(target)
             for b in range(4):
                 state = sim.run(result.circuit, b)
-                assert state.real.tobytes() == (result.matched_sign * target[:, b]).tobytes(), (spec.label, b)
-                assert not state.imag.any()
+                assert state.tobytes() == (result.matched_sign * target[:, b]).tobytes(), (spec.label, b)
 
 
 class TestBitstrings:

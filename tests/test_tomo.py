@@ -1,5 +1,7 @@
+import ast
 import itertools
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from qlinsys.errors import (
     ValidationError,
 )
 
-from oracles import leading_sign_pattern, tomography_expectations, tomography_reconstruct
+from oracles import leading_sign_pattern, setting_probabilities, tomography_expectations, tomography_reconstruct
 
 UNIFORM_STATE = np.full(4, 0.5, dtype=complex)
 SIGNED_STATE = np.array([0.5, -0.5, -0.5, 0.5], dtype=complex)
@@ -76,6 +78,37 @@ class TestPauliWords:
     def test_words_are_trace_orthogonal(self):
         for a, b in itertools.combinations(tomo._PAULI_MATRICES, 2):
             assert abs(np.trace(a @ b)) <= 1e-12
+
+
+def _outcome_probabilities(rho):
+    """The (9, 4) setting probabilities that sampled mode draws from: the fixed table times rho's entries."""
+    return (tomo._OUTCOME_TABLE @ np.asarray(rho, dtype=complex).ravel()).real.reshape(9, 4)
+
+
+class TestOutcomeTable:
+    def test_catalog_probabilities_are_exact_at_zero_noise(self):
+        # A catalog state's entries are +-1/2, so every setting reads 0, 1/4, 1/2 or 1 exactly.
+        for spec in family.enumerate_family():
+            for b in range(4):
+                x = linsys.solve(spec.matrix, np.eye(4)[b])
+                probs = _outcome_probabilities(tomo.apply_depolarizing(tomo.density_from_state(x), 0.0))
+                assert np.isin(probs, [0.0, 0.25, 0.5, 1.0]).all(), (spec.label, b, probs)
+                assert (probs.sum(axis=1) == 1.0).all()
+
+    def test_random_mixed_states_match_the_rotation_oracle(self):
+        for rho in _random_mixed_states(200, 23):
+            probs = _outcome_probabilities(rho)
+            assert np.max(np.abs(probs.clip(0.0) - setting_probabilities(rho))) <= 4.4e-16
+
+    def test_import_simulates_no_measurement_circuit(self):
+        # sim serves tomo only as the sampler; the table stands in for rotation circuits.
+        tree = ast.parse(Path(tomo.__file__).read_text())
+        used = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "sim"
+        }
+        assert used == {"sample_counts"}
 
 
 class TestDensityFromState:
