@@ -13,7 +13,7 @@ Conventions, fixed across the package:
 
 The six gate kinds are H, X, Z, CX, CZ, and a phase flip on listed basis
 indices, all real.  States are float64 ndarrays of length 2**n, and a gate
-acts on a (2**n, k) block one column at a time.  Gates and circuits are immutable
+acts on all columns of a (2**n, k) block at once.  Gates and circuits are immutable
 and checked when built: a gate its shape, a circuit each distinct gate
 object against its width, once.  A run never writes its input.  H is the
 unscaled Walsh-Hadamard butterfly (a + b, a - b), and a run's k H gates are
@@ -43,12 +43,7 @@ from .errors import (
     check_vector,
 )
 
-_GATES_1Q = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]]),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]]),
-}
-
-GATE_KINDS = frozenset(_GATES_1Q) | {"h", "cx", "cz", "phaseflip"}
+GATE_KINDS = frozenset({"h", "x", "z", "cx", "cz", "phaseflip"})
 # The double nearest 1/sqrt(2); 1 / math.sqrt(2) is one ulp below it.
 _SQRT_HALF = math.sqrt(0.5)
 # The widest circuit that keeps its unitary (see `run`): 8x8 float64, 512 B.
@@ -196,41 +191,37 @@ def apply_gate(state, gate: Gate) -> np.ndarray:
     return _apply_circuit(circuit, amps)
 
 
-def _pair_view(amps: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
-    """A contiguous array viewed as (high, bit max(a, b), middle, bit min(a, b), low[, columns])."""
-    hi, lo = (a, b) if a > b else (b, a)
-    return amps.reshape((2 ** (n - hi - 1), 2, 2 ** (hi - lo - 1), 2, 2**lo, *amps.shape[1:]))
+def _bit_view(amps: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """A contiguous array viewed with one length-2 leading axis per listed qubit, in order, then the other bits."""
+    high_first = sorted(qubits, reverse=True)
+    shape, top = [], n
+    for q in high_first:
+        shape += [2 ** (top - q - 1), 2]
+        top = q
+    view = amps.reshape((*shape, 2**top, *amps.shape[1:]))
+    lead = [2 * high_first.index(q) + 1 for q in qubits]
+    return view.transpose(lead + [axis for axis in range(view.ndim) if axis not in lead])
 
 
-def _apply(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    """One checked gate other than H on a validated state or block, as a new array."""
-    if gate.kind in _GATES_1Q:
-        # Reshape to (high bits, target bit, low bits[, columns]) and contract
-        # the target axis.
-        q = gate.targets[0]
-        shape = (2 ** (n - q - 1), 2, 2**q) + amps.shape[1:]
-        return np.einsum("ab,ibj...->iaj...", _GATES_1Q[gate.kind], amps.reshape(shape)).reshape(amps.shape)
-
-    out = amps.copy()
-    if gate.kind == "cx":
-        # Where the control bit is set, swap the target-clear and target-set
-        # amplitudes: pure moves, so the result is exactly the permuted input.
-        control, target = gate.targets
-        pairs = _pair_view(out, control, target, n)
-        target_clear = (slice(None), 1, slice(None), 0) if control > target else (slice(None), 0, slice(None), 1)
-        moved = pairs[target_clear].copy()
-        pairs[target_clear] = pairs[:, 1, :, 1]
-        pairs[:, 1, :, 1] = moved
-    elif gate.kind == "cz":
-        _pair_view(out, *gate.targets, n)[:, 1, :, 1] *= -1.0
+def _apply(amps: np.ndarray, gate: Gate, n: int) -> None:
+    """One checked gate other than H, in place on a contiguous state or block that the run owns."""
+    if gate.kind == "phaseflip":
+        amps[gate._flip_index] *= -1.0
+        return
+    # Where CX's control or CZ's first qubit is set, X and CX swap the last
+    # target's clear and set halves and Z and CZ negate its set half: moves and
+    # exact negations, so X X and Z Z give back the input bit for bit.
+    pair = _bit_view(amps, gate.targets, n)[(1,) * (len(gate.targets) - 1)]
+    if gate.kind in ("z", "cz"):
+        pair[1] *= -1.0
     else:
-        out[gate._flip_index] *= -1.0
-    return out
+        pair[...] = pair[::-1].copy()
 
 
-def _rotate(amps: np.ndarray, d: int, n: int) -> np.ndarray:
-    """A copy with the physical bits shifted down by d, cyclically (see `_apply_circuit`)."""
-    return amps.reshape((2 ** (n - d), 2**d, *amps.shape[1:])).swapaxes(0, 1).reshape(amps.shape)
+def _rotate(amps: np.ndarray, out: np.ndarray, d: int, n: int) -> None:
+    """Write `amps` into `out` with the physical bits shifted down by d, cyclically (see `_apply_circuit`)."""
+    rest = amps.shape[1:]
+    out.reshape((2**d, 2 ** (n - d), *rest))[...] = amps.reshape((2 ** (n - d), 2**d, *rest)).swapaxes(0, 1)
 
 
 def _halves(amps: np.ndarray) -> tuple:
@@ -242,33 +233,31 @@ def _halves(amps: np.ndarray) -> tuple:
 def _apply_circuit(circuit: Circuit, states: np.ndarray) -> np.ndarray:
     n = circuit.n_qubits
     # Rotating layout, as in a constant-geometry FFT: logical qubit q sits at
-    # physical bit (q - rot) % n.  H on the qubit at bit 0 writes a + b of each
-    # adjacent pair to the low half and a - b to the high half, from one owned
-    # buffer into the other, moving that qubit to the top bit.  One copy brings
-    # any other H's qubit to bit 0, or the canonical layout for other gates.
-    # Each H grows the norm by sqrt(2); every 1024th scales by 2**-512.
-    given, held, spare = states, None, None  # views of the owned buffer holding `states`, and of a free one
+    # physical bit (q - rot) % n.  The run owns two buffers: H and each layout
+    # change write the held one into the spare one, and other gates act in
+    # place.  H on the qubit at bit 0 writes a + b of each adjacent pair to the
+    # low half and a - b to the high half, moving that qubit to the top bit.
+    # One copy brings any other H's qubit to bit 0, or the canonical layout for
+    # other gates.  Each H grows the norm by sqrt(2); every 1024th scales by 2**-512.
+    held, spare = _halves(states.copy()), _halves(np.empty(states.shape))
     rot = k = 0
     for gate in circuit.ops:
         bit = gate.targets[0] if gate.kind == "h" else 0
         if rot != bit:
-            states, rot = _rotate(states, (bit - rot) % n, n), bit
-            held, spare = None, held or spare
+            _rotate(held[0], spare[0], (bit - rot) % n, n)
+            held, spare, rot = spare, held, bit
         if gate.kind == "h":
-            source = held or _halves(states)
-            target = spare or _halves(np.empty(states.shape))
-            np.add(source[1], source[2], out=target[3])
-            np.subtract(source[1], source[2], out=target[4])
-            states, held, spare, rot, k = target[0], target, held, (rot + 1) % n, k + 1
+            np.add(held[1], held[2], out=spare[3])
+            np.subtract(held[1], held[2], out=spare[4])
+            held, spare, rot, k = spare, held, (rot + 1) % n, k + 1
             if not k % 1024:
-                states *= 2.0**-512
-        elif gate.kind == "phaseflip" and states is not given:
-            states[gate._flip_index] *= -1.0  # `_apply`'s flip, on an array the loop owns
+                np.multiply(held[0], 2.0**-512, out=held[0])
         else:
-            states, held, spare = _apply(states, gate, n), None, held or spare
+            _apply(held[0], gate, n)
     if rot:
-        states = _rotate(states, n - rot, n)
-    m = k % 1024
+        _rotate(held[0], spare[0], n - rot, n)
+        held = spare
+    states, m = held[0], k % 1024
     if m:
         states *= math.ldexp(_SQRT_HALF if m % 2 else 1.0, -(m // 2))
     return states
@@ -298,7 +287,8 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
 
 def probabilities(state) -> np.ndarray:
     """Squared magnitudes of a finite state whose squares do not overflow."""
-    amps = np.asarray(state, dtype=complex)
+    amps = np.asarray(state)
+    amps = amps.astype(float if amps.dtype.kind == "f" else complex, copy=False)  # a real abs is exact
     _qubit_count(amps)
     magnitudes = abs(amps)
     peak = float(magnitudes.max())  # its square is finite exactly when every entry and square is

@@ -5,12 +5,12 @@ they share no code path with the package: agreement between the two is
 evidence, not tautology.  The synthesis group is enumerated from numpy
 literals of the vocabulary, and two-qubit tomography is rebuilt from numpy
 literals of the Pauli and basis-change matrices, again without importing the
-package.  CX and CZ are also written as index-array gathers and masks, the
-formulations the simulator's slice kernel replaced, and a whole circuit as a
-gate-by-gate fold over index arrays with H as the unscaled butterfly and one
-exact scale at the end, the arithmetic the simulator's rotating layout must
-match byte for byte.  H as the einsum contraction with 1/sqrt(2) is kept as
-a rounding reference.
+package.  X, Z, CX and CZ are written as index-array gathers and masks, where
+the simulator moves and negates slices of a bit view, and a whole circuit as
+a gate-by-gate fold over index arrays with H as the unscaled butterfly and
+one exact scale at the end, the arithmetic the simulator's rotating layout
+must match byte for byte.  H as the einsum contraction with 1/sqrt(2) is kept
+as a rounding reference.
 """
 
 import numpy as np
@@ -219,6 +219,19 @@ def leading_sign_pattern(rho):
     return [1 if re > 0 else -1 if re < 0 else 0 for re in v.real.tolist()]
 
 
+def x_by_index(amps, qubit):
+    """X as an index gather: basis index i reads i ^ (1 << qubit)."""
+    return amps[np.arange(amps.shape[0]) ^ (1 << qubit)]
+
+
+def z_by_index(amps, qubit):
+    """Z as a masked sign flip of every basis index with the qubit's bit set."""
+    idx = np.arange(amps.shape[0])
+    out = amps.copy()
+    out[((idx >> qubit) & 1).astype(bool)] *= -1.0
+    return out
+
+
 def cx_by_index(amps, control, target):
     """CX as an index gather: basis index i reads i ^ (1 << target) where the control bit is set."""
     idx = np.arange(amps.shape[0])
@@ -242,19 +255,6 @@ def h_by_einsum(amps, qubit):
     return np.einsum("ab,ibj...->iaj...", _H_1Q, cube).reshape(amps.shape)
 
 
-#: X and Z, real, contracted with einsum as the simulator does.
-_ONE_QUBIT = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]]),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]]),
-}
-
-
-def one_qubit_by_einsum(amps, matrix, qubit):
-    n = amps.shape[0].bit_length() - 1
-    cube = amps.reshape((2 ** (n - qubit - 1), 2, 2**qubit) + amps.shape[1:])
-    return np.einsum("ab,ibj...->iaj...", matrix, cube).reshape(amps.shape)
-
-
 def butterfly_by_index(amps, qubit):
     """H without its 1/sqrt(2): index i with the qubit clear gets a_i + a_j, and j = i | (1 << qubit) gets a_i - a_j."""
     idx = np.arange(amps.shape[0])
@@ -274,8 +274,9 @@ def flip_by_index(amps, flips):
 def run_by_index(amps, gates):
     """A circuit's gates, each with .kind, .targets and .flips, folded over a real state or block.
 
-    Every gate is real, and CZ and phase flips negate by a real multiply by -1,
-    which is exact, the sign of a zero included.  H is the unscaled butterfly.
+    Every gate is real.  X and CX only move amplitudes, and Z, CZ and phase
+    flips negate by a real multiply by -1, which is exact, the sign of a zero
+    included.  H is the unscaled butterfly.
     After every 1024th H, before the norm can overflow, the amplitudes are
     multiplied by 2**-512; at the end, with m the H count modulo 1024, by
     2**-(m // 2), and by sqrt(1/2) too if m is odd, as one factor.  Powers of
@@ -289,8 +290,10 @@ def run_by_index(amps, gates):
             count += 1
             if count % 1024 == 0:
                 amps = amps * 2.0**-512
-        elif gate.kind in _ONE_QUBIT:
-            amps = one_qubit_by_einsum(amps, _ONE_QUBIT[gate.kind], gate.targets[0])
+        elif gate.kind == "x":
+            amps = x_by_index(amps, gate.targets[0])
+        elif gate.kind == "z":
+            amps = z_by_index(amps, gate.targets[0])
         elif gate.kind == "cx":
             amps = cx_by_index(amps, *gate.targets)
         elif gate.kind == "cz":

@@ -14,7 +14,7 @@ from qlinsys.errors import (
     ValidationError,
 )
 
-from oracles import cx_by_index, cz_by_index, h_by_einsum, run_by_index
+from oracles import cx_by_index, cz_by_index, h_by_einsum, run_by_index, x_by_index, z_by_index
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -248,8 +248,8 @@ class TestBlockKernel:
         rng = np.random.default_rng(70 + n)
         state = rng.normal(size=2**n)
         block = rng.normal(size=(2**n, 5))
-        # +-0, units, denormals and 1/2 after gates that leave signed zeros: Z turns row 3's -0 into +0, and
-        # CZ negates that +0 to -0, as the real multiply by -1 of the reference does.
+        # X and Z too.  +-0, units, denormals and 1/2 after gates that leave signed zeros: Z turns row 3's -0
+        # into +0, and CZ negates that +0 to -0, as the real multiply by -1 of the reference does.
         seeded = seeded_block(n, rng)
         seeded[3] = -0.0
         layered = fold(seeded, sim.Circuit(n, (sim.z(0), sim.phase_flip(range(0, 2**n, 2)))))
@@ -257,12 +257,23 @@ class TestBlockKernel:
         for amps in (state, block, layered):
             before = amps.copy()
             for a in range(n):
+                assert sim.apply_gate(amps, sim.x(a)).tobytes() == x_by_index(amps, a).tobytes()
+                assert sim.apply_gate(amps, sim.z(a)).tobytes() == z_by_index(amps, a).tobytes()
                 for b in range(n):
                     if a == b:
                         continue
                     assert sim.apply_gate(amps, sim.cx(a, b)).tobytes() == cx_by_index(amps, a, b).tobytes()
                     assert sim.apply_gate(amps, sim.cz(a, b)).tobytes() == cz_by_index(amps, a, b).tobytes()
             assert amps.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("gate", [sim.x(0), sim.z(1), sim.x(2), sim.z(0)])
+    def test_x_and_z_twice_give_back_the_input_bytes(self, gate):
+        # A move and an exact negation: -0 and denormals come back unchanged.
+        amps = np.array([-0.0, 0.5, 0.0, -0.5, -0.0, -0.0, 0.25, 1e-310])
+        once = sim.apply_gate(amps, gate)
+        assert sim.apply_gate(once, gate).tobytes() == amps.tobytes()
+        block = np.column_stack([amps, -amps])
+        assert sim.apply_gate(sim.apply_gate(block, gate), gate).tobytes() == block.tobytes()
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_h_equals_the_einsum_reference(self, n):
@@ -571,11 +582,11 @@ class TestRotatingLayout:
         assert block.tobytes() == before
         assert result.tobytes() == oracle(block, circuit).tobytes()
 
-    def test_ascending_layers_need_no_other_kernel_call(self):
+    def test_ascending_layers_make_no_layout_copy(self):
         circuit = grover.build_grover_circuit(8, {5}, 3)
-        with mock.patch.object(sim, "_apply", wraps=sim._apply) as kernel:
+        with mock.patch.object(sim, "_rotate", wraps=sim._rotate) as rotate:
             state = sim.run(circuit, 0)
-        assert kernel.call_count == 0
+        assert rotate.call_count == 0
         assert state.tobytes() == oracle(sim.basis_state(8, 0), circuit).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 5])
@@ -622,6 +633,16 @@ class TestProbabilities:
     def test_phases_do_not_matter(self):
         state = np.array([0.5, -0.5, 0.5j, -0.5j])
         np.testing.assert_allclose(sim.probabilities(state), [0.25] * 4, atol=1e-15)
+
+    def test_real_and_complex_forms_give_the_same_bytes(self):
+        rng = np.random.default_rng(7)
+        grover_state = sim.run(grover.build_grover_circuit(3, {5}, 2))
+        for state in (rng.normal(size=8), np.array([-0.0, 0.0, 5e-324, -1e-200]), grover_state):
+            real = sim.probabilities(state)
+            assert real.dtype == np.float64
+            assert real.tobytes() == sim.probabilities(state.astype(complex)).tobytes()
+            assert real.tobytes() == sim.probabilities(state.tolist()).tobytes()
+        assert sim.probabilities([1, 0]).tobytes() == np.array([1.0, 0.0]).tobytes()
 
 
 class TestSqrtReadout:
