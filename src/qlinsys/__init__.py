@@ -4,7 +4,7 @@ The pipeline: `family` catalogs the 48 solvable matrices, `linsys` solves
 them by the transpose, `synth` finds a minimal circuit realizing the solve
 operator, `sim` executes and samples it, and `tomo` recovers the solution
 signs that plain readout loses.  `grover` covers the amplitude-amplification
-background, `qasm` exports circuits, and `cli` ties it all together.
+background, `qasm` exports circuits, and `cli` prints what they return.
 """
 
 from . import errors, family, grover, linsys, qasm, sim, synth, tomo

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -36,8 +37,6 @@ REFERENCE_PERCENT = {
     "B_3142": (24.805, 25.977, 24.707, 24.512),
     "B_4213": (26.758, 25.098, 25.195, 22.949),
 }
-
-_OUTCOMES_2Q = ("00", "01", "10", "11")
 
 #: The outcomes zero-padded to the four-character display width.
 _PADDED = ("0000", "0001", "0010", "0011")
@@ -97,7 +96,7 @@ def _basis_index(vec: np.ndarray) -> int:
 
 
 def _fmt_vec(vec) -> str:
-    return " ".join(f"{float(v):+.6f}" for v in vec)
+    return " ".join(f"{v:+.6f}" for v in vec)
 
 
 def _print_json(payload) -> None:
@@ -114,9 +113,9 @@ def cmd_family_list(args) -> int:
                 {
                     "label": str(spec.label),
                     "subset": spec.label.subset,
-                    "matrix": [[float(v) for v in row] for row in spec.matrix],
-                    "y": [float(v) for v in spec.y],
-                    "equations": list(spec.equations),
+                    "matrix": spec.matrix.tolist(),
+                    "y": spec.y.tolist(),
+                    "equations": spec.equations,
                 }
                 for spec in specs
             ]
@@ -132,15 +131,15 @@ def cmd_solve(args) -> int:
     y = np.eye(matrix.shape[0])[0] if args.y is None else _vector_arg(args.y, matrix.shape[0])
     x = linsys.solve(matrix, y)
     probs = np.abs(x) ** 2
-    readout = sim.amplitudes_from_probabilities(probs)
+    readout = np.sqrt(probs)
     if args.output == "json":
         _print_json(
             {
                 "label": name,
-                "y": [float(v) for v in y],
-                "x": [float(v) for v in x],
-                "probabilities": [float(v) for v in probs],
-                "readout_magnitudes": [float(v) for v in readout],
+                "y": y.tolist(),
+                "x": x.tolist(),
+                "probabilities": probs.tolist(),
+                "readout_magnitudes": readout.tolist(),
                 "note": "readout magnitudes are square roots of probabilities; solution signs are not observable",
             }
         )
@@ -174,8 +173,7 @@ def _sampled_run(
 
 def _percent_row(table: sim.ShotTable, field: str = "{:.3f}", sep: str = ",") -> str:
     """The table's outcome percentages, each formatted by `field`, joined by `sep`."""
-    freq = table.frequencies
-    return sep.join(field.format(100.0 * freq[b]) for b in _OUTCOMES_2Q)
+    return sep.join(field.format(100.0 * f) for f in table.frequencies.values())
 
 
 def _counts_payload(name: str, table: sim.ShotTable) -> dict:
@@ -201,7 +199,7 @@ def cmd_run(args) -> int:
         print("circuit," + ",".join(_PADDED))
         print(f"{name},{_percent_row(table)}")
     else:
-        print(f"{'circuit':<10}" + "".join(f"{b + '/' + p:>12}" for b, p in zip(_OUTCOMES_2Q, _PADDED)))
+        print(f"{'circuit':<10}" + "".join(f"{p[2:] + '/' + p:>12}" for p in _PADDED))
         print(f"{name:<10}" + _percent_row(table, "{:>11.3f}%", ""))
     return 0
 
@@ -215,7 +213,7 @@ def cmd_table1(args) -> int:
     if args.output == "json":
         _print_json(
             [
-                {**_counts_payload(name, table), "reference_percent": list(REFERENCE_PERCENT[name])}
+                {**_counts_payload(name, table), "reference_percent": REFERENCE_PERCENT[name]}
                 for name, table in rows
             ]
         )
@@ -234,25 +232,25 @@ def cmd_tomo(args) -> int:
     mode = "analytic" if args.analytic else "sampled"
     table = tomo.pauli_expectations(rho, mode=mode, shots=args.shots, seed=args.seed)
     reconstructed = tomo.reconstruct(table)
-    fid = tomo.fidelity(reconstructed, x, square_root=args.sqrt_fidelity)
+    fid = tomo.fidelity(reconstructed, x)
+    if args.sqrt_fidelity:
+        fid = math.sqrt(fid)
     if args.output == "csv":
         print(f"# label={name} mode={mode} fidelity={fid:.6f}")
         print("row,col,re,im")
-        for i in range(reconstructed.shape[0]):
-            for j in range(reconstructed.shape[1]):
-                v = reconstructed[i, j]
-                print(f"{i},{j},{v.real:.12f},{v.imag:.12f}")
+        for (i, j), v in np.ndenumerate(reconstructed):
+            print(f"{i},{j},{v.real:.12f},{v.imag:.12f}")
     else:
         payload = {
             "label": name,
             "mode": mode,
             "noise_p": args.noise,
-            "fidelity": float(fid),
+            "fidelity": fid,
             "fidelity_convention": "sqrt_overlap" if args.sqrt_fidelity else "overlap",
             "density": {
-                "dim": int(reconstructed.shape[0]),
-                "re": [[float(v.real) for v in row] for row in reconstructed],
-                "im": [[float(v.imag) for v in row] for row in reconstructed],
+                "dim": reconstructed.shape[0],
+                "re": reconstructed.real.tolist(),
+                "im": reconstructed.imag.tolist(),
             },
         }
         if mode == "sampled":
@@ -268,7 +266,7 @@ def _synth_payload(name: str, result: synth.SynthesisResult) -> dict:
         "gate_count": result.gate_count,
         "matched_sign": result.matched_sign,
         "max_deviation": result.max_deviation,
-        "gates": [{"kind": gate.kind, "targets": list(gate.targets)} for gate in result.circuit.ops],
+        "gates": [{"kind": gate.kind, "targets": gate.targets} for gate in result.circuit.ops],
     }
 
 
@@ -276,8 +274,9 @@ def cmd_synth(args) -> int:
     if args.all:
         if args.output == "qasm":
             raise ValidationError("--output qasm needs a single system; drop --all")
-        results = synth.synthesize_family(args.max_gates)
-        _print_json([_synth_payload(str(label), result) for label, result in results.items()])
+        specs = family.enumerate_family()
+        targets = [(str(spec.label), linsys.inverse_operator(spec.matrix)) for spec in specs]
+        _print_json([_synth_payload(name, synth.synthesize(t, args.max_gates)) for name, t in targets])
         return 0
     name, matrix = _resolve_system(args)
     result = synth.synthesize(linsys.inverse_operator(matrix), args.max_gates)
@@ -289,7 +288,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_grover(args) -> int:
-    marked = sorted({int(part) for part in args.marked.split(",")})
+    try:
+        marked = sorted({int(part) for part in args.marked.split(",")})
+    except ValueError:
+        raise ValidationError(f"--marked must be comma-separated integers, got {args.marked!r}") from None
     # A zero-iteration build checks --qubits and --marked in their own terms;
     # `geometry` would word them as n_states and n_marked.
     grover.build_grover_circuit(args.qubits, marked, 0)

@@ -40,7 +40,6 @@ from .errors import (
     ValidationError,
     check_finite,
     check_int,
-    check_vector,
 )
 
 GATE_KINDS = frozenset({"h", "x", "z", "cx", "cz", "phaseflip"})
@@ -113,6 +112,8 @@ class Circuit:
     def __post_init__(self):
         if check_int(self.n_qubits, "n_qubits") < 1:
             raise ValidationError("a circuit needs at least one qubit")
+        if not np.iterable(self.ops):
+            raise InvalidTargetError(f"circuit ops must be a sequence of gates, got {self.ops!r}")
         object.__setattr__(self, "ops", tuple(self.ops))
         # A frozen Gate repeated checks the same; first-occurrence order keeps the first invalid op raising.
         for gate in {id(gate): gate for gate in self.ops}.values():
@@ -296,20 +297,6 @@ def probabilities(state) -> np.ndarray:
         check_finite(amps, "state entries must be finite")
         raise ValidationError(f"state magnitudes must have finite squares, largest is {peak}")
     return magnitudes**2
-
-
-def amplitudes_from_probabilities(probs) -> np.ndarray:
-    """Entrywise square root of a probability vector.
-
-    This is the readout a hardware run gives you: magnitudes only.  Any sign
-    or phase information in the underlying amplitudes is unrecoverable from
-    probabilities alone; recovering signs takes tomography.
-    """
-    p = check_vector(np.asarray(probs, dtype=float), "probabilities")
-    check_finite(p, "probabilities must be finite")
-    if np.any(p < 0):
-        raise NegativeProbabilityError(f"probabilities must be non-negative, min is {p.min()}")
-    return np.sqrt(p)
 
 
 def sample_counts(probs, shots: int, seed: int) -> np.ndarray:

@@ -15,7 +15,7 @@ keys of both U and -U, with U and the sign of the key, so a lookup does no
 canonicalization.  Keys are coarse off the group, so a hit counts only when
 sign * U equals the target within 1e-10, the orthogonality bound; as nonzero
 entries are at least 1/2, no target is that close to both U and -U.  A call is
-one lookup and simulates nothing.
+one lookup and simulates nothing.  Whole-catalog synthesis is the caller's loop.
 """
 
 from __future__ import annotations
@@ -118,15 +118,4 @@ def synthesize(target, max_gates: int = DEFAULT_MAX_GATES) -> SynthesisResult:
         if deviation <= ORTHONORMAL_TOL:  # the orthogonality bound
             return SynthesisResult(circuit, len(circuit.ops), sign, deviation)
     raise SynthesisNotFoundError(f"no circuit with at most {max_gates} gates reaches the target")
-
-
-def synthesize_family(max_gates: int = DEFAULT_MAX_GATES) -> dict:
-    """Synthesize the solution operator A^T for every catalog matrix."""
-    from . import family, linsys
-
-    results = {}
-    for spec in family.enumerate_family():
-        target = linsys.inverse_operator(spec.matrix)
-        results[spec.label] = synthesize(target, max_gates)
-    return results
 

@@ -215,14 +215,13 @@ def reconstruct(table: ExpectationTable) -> np.ndarray:
     return _project(linear / 4.0)
 
 
-def fidelity(rho, psi, square_root: bool = False) -> float:
+def fidelity(rho, psi) -> float:
     """Overlap <psi| rho |psi> of a state with a pure target.
 
-    With square_root=True the Uhlmann convention sqrt(<psi| rho |psi>) is
-    returned instead.  psi must have unit norm within 1e-10.  A value within
-    1e-9 of [0, 1] is clipped into it against rounding; one further out, or a
-    rho with a non-finite entry, means rho is not a state and raises
-    ValidationError.
+    psi must have unit norm within 1e-10.  A value within 1e-9 of [0, 1] is
+    clipped into it against rounding; one further out, or a rho with a
+    non-finite entry, means rho is not a state and raises ValidationError.
+    The square-root convention is the CLI's, under --sqrt-fidelity.
     """
     m = np.asarray(rho, dtype=complex)
     v = check_vector(np.asarray(psi, dtype=complex), "state")
@@ -236,5 +235,4 @@ def fidelity(rho, psi, square_root: bool = False) -> float:
     value = float(np.real(v.conj() @ m @ v)) if np.isfinite(m).all() else math.nan
     if not -1e-9 <= value <= 1.0 + 1e-9:
         raise ValidationError(f"overlap {value} lies outside [0, 1]; rho is not a state")
-    value = min(max(value, 0.0), 1.0)
-    return math.sqrt(value) if square_root else value
+    return min(max(value, 0.0), 1.0)

@@ -32,6 +32,10 @@ MORE_TARGETS = {
     "tomo_a1234_sampled.json": ["tomo", "--label", "A_1234"],
     "run_a1342_noise.json": ["run", "--label", "A_1342", "--noise", "0.1", "--output", "json"],
     "grover_q10_m37.json": ["grover", "--qubits", "10", "--marked", "37"],
+    "family_list.json": ["family", "list", "--output", "json"],
+    "solve_a1234_y0100.json": ["solve", "--label", "A_1234", "--y", "0,1,0,0", "--output", "json"],
+    "tomo_a1234_analytic.csv": ["tomo", "--label", "A_1234", "--analytic", "--output", "csv"],
+    "tomo_a1342_noise_sqrt.json": ["tomo", "--label", "A_1342", "--noise", "0.1", "--sqrt-fidelity"],
 }
 
 

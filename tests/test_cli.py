@@ -9,13 +9,23 @@ import pytest
 
 from qlinsys import cli, family, linsys, sim, synth
 
+from make_golden import MORE_TARGETS, TARGETS
+
 GOLDEN = Path(__file__).parent / "golden"
+PINNED = {**TARGETS, **MORE_TARGETS}
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("golden", PINNED)
+def test_output_matches_its_golden_file(capsys, golden):
+    code, out, _ = run_cli(capsys, *PINNED[golden])
+    assert code == 0
+    assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
 @pytest.fixture
@@ -99,6 +109,16 @@ class TestSolve:
     def test_matrix_file_with_rhs(self, capsys, identity_csv):
         _, out, _ = run_cli(capsys, "solve", "--matrix", identity_csv, "--y", "0,1,0,0", "--output", "json")
         assert json.loads(out)["x"] == [0.0, 1.0, 0.0, 0.0]
+
+    def test_matrix_of_any_size(self, capsys, tmp_path):
+        # Solving is not limited to qubit registers: a 3x3 system has no state, but still a solution.
+        path = tmp_path / "eye3.csv"
+        path.write_text("1,0,0\n0,1,0\n0,0,1\n")
+        code, out, _ = run_cli(capsys, "solve", "--matrix", str(path), "--y", "0,0,-1", "--output", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["x"] == [0.0, 0.0, -1.0]
+        assert payload["readout_magnitudes"] == [0.0, 0.0, 1.0]
 
     def test_rhs_from_file(self, capsys, tmp_path):
         rhs = tmp_path / "y.csv"
@@ -396,6 +416,11 @@ class TestGrover:
     def test_bad_marked_exits_3(self, capsys):
         code, _, _ = run_cli(capsys, "grover", "--qubits", "2", "--marked", "7")
         assert code == 3
+
+    def test_marked_that_is_not_integers_is_named_as_the_flag(self, capsys):
+        code, _, err = run_cli(capsys, "grover", "--marked", "1,,2")
+        assert code == 3
+        assert err == "error: --marked must be comma-separated integers, got '1,,2'\n"
 
     @pytest.mark.parametrize("qubits", ["0", "11", "-1"])
     def test_bad_qubits_are_named_as_the_flag(self, capsys, qubits):

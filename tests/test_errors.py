@@ -64,13 +64,8 @@ CASES = {
     "sim.phase_flip_scalar": (lambda: sim.phase_flip(3), InvalidTargetError, "must be sequences"),
     "sim.flips_on_h": (lambda: sim.Gate("h", (0,), {99}), InvalidTargetError, "^h takes no phase-flip indices$"),
     "sim.Circuit_width": (lambda: sim.Circuit(2.5), ValidationError, "n_qubits must be an integer"),
-    "sim.readout_nan": (lambda: sim.amplitudes_from_probabilities([np.nan, 1.0]), ValidationError, "finite"),
-    "sim.readout_inf": (lambda: sim.amplitudes_from_probabilities([np.inf, 0.0]), ValidationError, "finite"),
-    "sim.readout_shape": (
-        lambda: sim.amplitudes_from_probabilities([[0.5, 0.5]]),
-        DimensionMismatchError,
-        r"probabilities must be a vector, got shape \(1, 2\)",
-    ),
+    "sim.Circuit_ops_none": (lambda: sim.Circuit(2, None), InvalidTargetError, "^circuit ops must be a sequence of gates, got None$"),
+    "sim.Circuit_ops_scalar": (lambda: sim.Circuit(2, 5), InvalidTargetError, "^circuit ops must be a sequence of gates, got 5$"),
     # The dtype decides, before any value rule: a zero imaginary part raises too.
     "sim.apply_complex": (
         lambda: sim.apply_gate(np.zeros(2, dtype=complex), sim.h(0)),

@@ -78,3 +78,46 @@ def test_the_rule_finds_each_kind_of_read():
         "own": "class Gate:\n    def __init__(self):\n        self._kind = 1\n    def kind(self):\n        return self._kind\n",
     }
     assert violations(sources) == ["qasm:2 _checked_ops", "synth:3 _TABLE", "tomo:1 _TABLE"]
+
+
+#: The sibling modules each module may import.  `cli` and `__init__` stand
+#: on top and may import any; every other module must be listed here.
+ALLOWED_IMPORTS = {
+    "errors": set(),
+    "family": {"errors"},
+    "linsys": {"errors"},
+    "sim": {"errors"},
+    "synth": {"sim", "errors"},
+    "tomo": {"sim", "errors"},
+    "grover": {"sim", "errors"},
+    "qasm": {"sim", "errors"},
+}
+
+
+def imported_modules(tree: ast.Module, modules) -> set[str]:
+    """The sibling modules a module imports anywhere, function-local imports included."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names if alias.name.startswith("qlinsys.")}
+        elif _from_package(node):
+            module = (node.module or "").removeprefix("qlinsys").strip(".")
+            found |= {module.split(".")[0]} if module else {alias.name for alias in node.names}
+    return found & set(modules)
+
+
+def test_modules_import_only_the_layers_below_them():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert set(sources) - {"cli", "__init__"} == set(ALLOWED_IMPORTS)
+    for name, text in sources.items():
+        if name in ALLOWED_IMPORTS:
+            assert imported_modules(ast.parse(text), sources) <= ALLOWED_IMPORTS[name], name
+
+
+def test_the_import_rule_reads_every_form():
+    modules = {"sim", "errors", "family", "linsys"}
+    source = (
+        "from . import sim\nfrom .errors import ValidationError\nimport qlinsys.linsys\n"
+        "def catalog():\n    from qlinsys import family\n"
+    )
+    assert imported_modules(ast.parse(source), modules) == modules

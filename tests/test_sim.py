@@ -645,23 +645,6 @@ class TestProbabilities:
         assert sim.probabilities([1, 0]).tobytes() == np.array([1.0, 0.0]).tobytes()
 
 
-class TestSqrtReadout:
-    def test_square_root(self):
-        np.testing.assert_allclose(
-            sim.amplitudes_from_probabilities([0.25, 0.25, 0.25, 0.25]), [0.5] * 4
-        )
-
-    def test_negative_rejected(self):
-        with pytest.raises(NegativeProbabilityError):
-            sim.amplitudes_from_probabilities([0.5, -0.1, 0.3, 0.3])
-
-    def test_signs_are_lost(self):
-        signed = np.array([0.5, -0.5, -0.5, 0.5])
-        readout = sim.amplitudes_from_probabilities(signed**2)
-        np.testing.assert_allclose(readout, np.abs(signed), atol=1e-15)
-        assert np.max(np.abs(readout - signed)) == 1.0
-
-
 class TestSampling:
     def test_deterministic_state_gives_all_counts(self):
         table = sim.sample_distribution(sim.probabilities(sim.basis_state(2, 2)), 100, 0)

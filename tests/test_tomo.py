@@ -426,13 +426,6 @@ class TestFidelity:
                 expected, abs=1e-12
             )
 
-    def test_sqrt_convention(self):
-        rho = tomo.apply_depolarizing(tomo.density_from_state(UNIFORM_STATE), 0.3)
-        overlap = tomo.fidelity(rho, UNIFORM_STATE)
-        assert tomo.fidelity(rho, UNIFORM_STATE, square_root=True) == pytest.approx(
-            overlap**0.5, abs=1e-12
-        )
-
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             tomo.fidelity(np.eye(4) / 4, [1.0, 0.0])
