@@ -7,9 +7,9 @@ Conventions, fixed across the package:
   kron(I, G) on a 2-qubit register, and a gate on qubit 1 as kron(G, I).
 * Bitstrings are written most-significant qubit first, so index 2 on two
   qubits reads "10" (qubit 1 set, qubit 0 clear).
-* Sampling uses numpy's default PCG64 generator, seeded explicitly; one
-  multinomial draw per probability row, row i seeded with seed + i, keeps
-  identical (probs, shots, seed) inputs byte-for-byte reproducible.
+* Sampling uses numpy's default PCG64 generator, one per call, seeded
+  explicitly; a block's rows are drawn in order from it, so identical
+  (probs, shots, seed) inputs are byte-for-byte reproducible.
 
 The six gate kinds are H, X, Z, CX, CZ, and a phase flip on listed basis
 indices, all real.  States are float64 ndarrays of length 2**n, and a gate
@@ -302,17 +302,19 @@ def probabilities(state) -> np.ndarray:
 def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
     """Multinomial counts of `shots` outcomes from a (d,) vector or (k, d) block.
 
-    Row i of a block is drawn from its own generator seeded with seed + i, so
-    a block gives exactly the counts of k separate calls with those seeds.
-    Rules, in the order checked: the shape; shots, an integer of at least 1;
-    the seed, a non-negative integer; entries finite, then non-negative; each
-    row sums to 1 within 1e-6.  Each row is divided by its sum for the draw.
+    One generator per call, default_rng(seed); a block's rows are drawn in
+    order from it.  Rules, in the order checked: the shape; shots, an integer
+    from 1 to 2**63 - 1; the seed, a non-negative integer; entries finite, then
+    non-negative; each row sums to 1 within 1e-6.  Each row is divided by its
+    sum for the draw.
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim not in (1, 2):
         raise ValidationError(f"expected a probability vector or a block of rows, got shape {p.shape}")
     if check_int(shots, "shots") < 1:
         raise ValidationError("shots must be at least 1")
+    if shots >= 2**63:  # the draw takes a C long
+        raise ValidationError(f"shots must be below 2**63, got {shots}")
     if check_int(seed, "seed") < 0:
         raise ValidationError("seed must be non-negative")
     # Rows that pass both tests are finite, so only a failing input pays for the
@@ -327,10 +329,7 @@ def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
     if not deviation <= 1e-6:
         check_finite(p, "probabilities must be finite")
         raise NotNormalizedError(f"probability rows must sum to 1, worst is off by {deviation}")
-    if p.ndim == 1:
-        return np.random.default_rng(seed).multinomial(shots, p / sums)
-    draws = [np.random.default_rng(seed + i).multinomial(shots, row) for i, row in enumerate(p / sums)]
-    return np.array(draws, dtype=np.int64).reshape(p.shape)
+    return np.random.default_rng(seed).multinomial(shots, p / sums)
 
 
 @lru_cache(maxsize=1)

@@ -9,8 +9,8 @@ the parity it gives k.  So the 36 outcome probabilities are one fixed (36, 16)
 table times rho's entries; no measurement circuit is simulated.  The fixed
 algebra is computed once at import: the sixteen word matrices as one stacked
 basis, the parity sign of every (word, outcome) pair, and that table.  The
-nine distributions are sampled in one block draw, setting i seeded with
-seed + i.  Reconstruction is one ordered accumulation: the sixteen
+nine settings are sampled as one block, its rows drawn in order from one
+generator.  Reconstruction is one ordered accumulation: the sixteen
 value * matrix products are summed over the stack's first axis from +0 in
 PAULI_WORDS order, the order and start of a word-by-word loop, so it matches
 that loop byte for byte.  It then clips negative eigenvalues and
@@ -19,11 +19,11 @@ renormalizes, so the output is always a valid state even for noisy tables.
 The first letter of a Pauli word refers to qubit 1 (the most significant
 bit), matching the bitstring convention in `sim`.
 
-Sampled sign recovery has an envelope.  Of 960 runs (the 192 catalog
-solutions, seeds 10007 + 5k + j for pair k, j < 5), these many miss +-sign(x)
-at 4, 16, 64, 128 and 1024 shots per setting: none at the calibrated p; 28,
-0, 0, 0, 0 at p = 0.1; 148, 0, 0, 0, 0 at 0.3; 379, 27, 0, 0, 0 at 0.5; 725,
-518, 144, 32, 0 at 0.8.
+Sampled sign recovery has an envelope, which tests/envelope.py prints.  Of
+960 runs (the 192 catalog solutions, seeds 10007 + 5k + j for solution k,
+j < 5), these many miss +-sign(x) at 4, 16, 64, 128 and 1024 shots per
+setting: 3, 0, 0, 0, 0 at the calibrated p; 27, 0, 0, 0, 0 at p = 0.1; 165, 2,
+0, 0, 0 at 0.3; 367, 46, 0, 0, 0 at 0.5; 704, 497, 151, 22, 0 at 0.8.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ _PAULI_MATRICES = np.stack(
     [np.kron(_PAULI_1Q[word[0]], _PAULI_1Q[word[1]]) for word in PAULI_WORDS]
 )
 
-#: The nine sampled measurement settings, indexed in this order for seeding.
+#: The nine sampled measurement settings, the rows of a sampled block in this order.
 MEASUREMENT_SETTINGS: tuple[str, ...] = tuple(
     "".join(w) for w in itertools.product("XYZ", repeat=2)
 )
@@ -156,9 +156,9 @@ def pauli_expectations(
 
     In "analytic" mode each value is the exact trace of rho * P.  In
     "sampled" mode the nine settings are sampled `shots` times each in one
-    block call to the simulator's multinomial sampler, setting i seeded with
-    seed + i, and expectations of words containing I come from marginals of the
-    matching Z-filled setting.
+    block call to the simulator's multinomial sampler, one generator seeded
+    with `seed` drawing them in order, and expectations of words containing I
+    come from marginals of the matching Z-filled setting.
     """
     m = _check_density(rho)
     if m.shape != (4, 4):

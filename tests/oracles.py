@@ -162,18 +162,18 @@ def tomography_expectations(rho, mode, shots, seed):
 
     "analytic": trace(rho @ P) per word matrix P = kron(P1, P2), with II
     fixed at 1.
-    "sampled": setting i is drawn with default_rng(seed + i).multinomial
-    from the clipped diagonal of R rho R^dagger; a word is read from the
-    setting with its I letters replaced by Z, as the signed sum of the
-    outcome frequencies.
+    "sampled": one generator, default_rng(seed), draws the settings in
+    TOMOGRAPHY_SETTINGS order, each by its own multinomial call on the
+    clipped diagonal of R rho R^dagger; a word is read from the setting with
+    its I letters replaced by Z, as the signed sum of the outcome frequencies.
     """
     if mode == "analytic":
         values = [float(np.trace(rho @ _WORD_MATRICES[w]).real) for w in TOMOGRAPHY_WORDS]
     else:
+        rng = np.random.default_rng(seed)
         freqs = {}
-        for index, (setting, p) in enumerate(zip(TOMOGRAPHY_SETTINGS, setting_probabilities(rho))):
-            counts = np.random.default_rng(seed + index).multinomial(shots, p / p.sum())
-            freqs[setting] = counts / shots
+        for setting, p in zip(TOMOGRAPHY_SETTINGS, setting_probabilities(rho)):
+            freqs[setting] = rng.multinomial(shots, p / p.sum()) / shots
         values = []
         for w in TOMOGRAPHY_WORDS:
             signs = np.array(

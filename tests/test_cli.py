@@ -28,6 +28,40 @@ def test_output_matches_its_golden_file(capsys, golden):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
+_HUGE = "99999999999999999999"  # past 2**63, so no C long holds it
+
+#: Bad input and how the CLI refuses it: argparse's usage exit 2 or the
+#: validation exit 3, and the last stderr line.
+REFUSED = {
+    "unknown label": (
+        ["run", "--label", "A_9999"],
+        2,
+        "argument --label: malformed label 'A_9999', expected e.g. 'A_1234'",
+    ),
+    "zero shots": (["run", "--label", "A_1324", "--shots", "0"], 2, "argument --shots: must be at least 1"),
+    "unparsable y": (["solve", "--label", "A_1234", "--y", "abc"], 3, "could not parse 'abc' as a vector or file path"),
+    "short y": (["solve", "--label", "A_1234", "--y", "1,0"], 3, "y has length 2, expected 4"),
+    **{
+        f"{argv[0]} shots past 2**63": (argv + ["--shots", _HUGE], 3, f"shots must be below 2**63, got {_HUGE}")
+        for argv in (["run", "--label", "A_1324"], ["tomo", "--label", "A_1234"], ["table1"])
+    },
+}
+
+
+@pytest.mark.parametrize("argv, code, message", REFUSED.values(), ids=REFUSED)
+def test_bad_input_is_refused_with_one_error_line(capsys, argv, code, message):
+    try:
+        got = cli.main(argv)
+    except SystemExit as raised:
+        got = raised.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert err.endswith(f"error: {message}\n")
+    assert err.count("error:") == 1
+    if code == 3:
+        assert err == f"error: {message}\n"
+
+
 @pytest.fixture
 def identity_csv(tmp_path):
     path = tmp_path / "identity.csv"
@@ -82,17 +116,8 @@ class TestFamilyList:
         assert len(head["equations"]) == 4
         assert np.array(head["matrix"]).shape == (4, 4)
 
-    def test_golden_output(self, capsys):
-        _, out, _ = run_cli(capsys, "family", "list")
-        assert out == (GOLDEN / "family_list.txt").read_text()
-
 
 class TestSolve:
-    def test_label_table(self, capsys):
-        code, out, _ = run_cli(capsys, "solve", "--label", "A_1234")
-        assert code == 0
-        assert out == (GOLDEN / "solve_a1234.txt").read_text()
-
     def test_label_json(self, capsys):
         _, out, _ = run_cli(capsys, "solve", "--label", "A_1234", "--output", "json")
         payload = json.loads(out)
@@ -167,10 +192,6 @@ class TestRun:
         for freq in payload["frequencies"].values():
             assert 0.20 <= freq <= 0.30
 
-    def test_default_golden(self, capsys):
-        _, out, _ = run_cli(capsys, "run", "--label", "A_1324", "--output", "json")
-        assert out == (GOLDEN / "run_a1324_default.json").read_text()
-
     @pytest.mark.parametrize(
         "output, expected",
         [
@@ -186,10 +207,6 @@ class TestRun:
     def test_row_formats(self, capsys, output, expected):
         _, out, _ = run_cli(capsys, "run", "--label", "A_1324", "--output", output)
         assert out == expected
-
-    def test_noise_golden(self, capsys):
-        _, out, _ = run_cli(capsys, "run", "--label", "A_1342", "--noise", "0.1", "--output", "json")
-        assert out.encode() == (GOLDEN / "run_a1342_noise.json").read_bytes()
 
     def test_seeded_band(self, capsys):
         _, out, _ = run_cli(capsys, "run", "--label", "A_1324", "--shots", "1024", "--seed", "7", "--output", "json")
@@ -253,11 +270,6 @@ class TestRun:
 
 
 class TestTable1:
-    def test_csv_golden(self, capsys):
-        code, out, _ = run_cli(capsys, "table1")
-        assert code == 0
-        assert out == (GOLDEN / "table1_default.csv").read_text()
-
     def test_csv_shape(self, capsys):
         _, out, _ = run_cli(capsys, "table1")
         lines = out.splitlines()
@@ -286,10 +298,6 @@ class TestTable1:
 
 
 class TestTomo:
-    def test_sampled_golden(self, capsys):
-        _, out, _ = run_cli(capsys, "tomo", "--label", "A_1234")
-        assert out.encode() == (GOLDEN / "tomo_a1234_sampled.json").read_bytes()
-
     def test_analytic_noiseless_fidelity_is_one(self, capsys):
         _, out, _ = run_cli(capsys, "tomo", "--label", "A_1234", "--analytic")
         payload = json.loads(out)
@@ -328,10 +336,6 @@ class TestTomo:
 
 
 class TestSynthCommand:
-    def test_all_golden(self, capsys):
-        _, out, _ = run_cli(capsys, "synth", "--all")
-        assert out.encode() == (GOLDEN / "synth_all.json").read_bytes()
-
     def test_single_label_json(self, capsys):
         _, out, _ = run_cli(capsys, "synth", "--label", "A_1234")
         payload = json.loads(out)
@@ -371,12 +375,6 @@ class TestSynthCommand:
 
 
 class TestQasmCommand:
-    @pytest.mark.parametrize("label, golden", [("A_1234", "a_1234.qasm"), ("A_1342", "a_1342.qasm")])
-    def test_golden_bytes(self, capsys, label, golden):
-        code, out, _ = run_cli(capsys, "qasm", "--label", label)
-        assert code == 0
-        assert out.encode() == (GOLDEN / golden).read_bytes()
-
     def test_identity_matrix_has_no_gate_lines(self, capsys, identity_csv):
         _, out, _ = run_cli(capsys, "qasm", "--matrix", identity_csv)
         assert out == (
@@ -389,15 +387,6 @@ class TestQasmCommand:
 
 
 class TestGrover:
-    def test_default_golden(self, capsys):
-        _, out, _ = run_cli(capsys, "grover")
-        assert out == (GOLDEN / "grover_default.json").read_text()
-
-    def test_ten_qubit_golden(self, capsys):
-        # The wide path: 25 iterations, 560 gates on 1,024 amplitudes.
-        _, out, _ = run_cli(capsys, "grover", "--qubits", "10", "--marked", "37")
-        assert out.encode() == (GOLDEN / "grover_q10_m37.json").read_bytes()
-
     def test_json_fields(self, capsys):
         _, out, _ = run_cli(capsys, "grover", "--qubits", "3", "--marked", "5")
         payload = json.loads(out)

@@ -324,6 +324,11 @@ CASES = {
         ValidationError,
         "^shots must be at least 1$",
     ),
+    "sim.sample_shots_huge": (
+        lambda: sim.sample_counts([[0.5, 0.5], [1.0, 0.0]], 2**63, 0),
+        ValidationError,
+        r"^shots must be below 2\*\*63, got 9223372036854775808$",
+    ),
     "sim.sample_seed_first": (
         lambda: sim.sample_counts([np.nan, 1.0], 10, -1),
         ValidationError,

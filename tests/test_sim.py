@@ -712,6 +712,10 @@ class TestSampling:
             sim.sample_counts([0.5, 0.5], np.int64(33), 4), sim.sample_counts([0.5, 0.5], 33, 4)
         )
 
+    def test_shots_up_to_the_largest_c_long_are_drawn(self):
+        assert sim.sample_counts([1.0], 2**63 - 1, 0).tolist() == [2**63 - 1]
+        assert sim.sample_counts([[0.0, 1.0]] * 2, 2**63 - 1, 0).tolist() == [[0, 2**63 - 1]] * 2
+
     @pytest.mark.parametrize("probs", [[1.0, 1.0], [0.5, 0.4999], [0.0, 0.0], [[0.5, 0.5], [0.7, 0.7]]])
     def test_unnormalized_rows_rejected(self, probs):
         with warnings.catch_warnings():
@@ -742,7 +746,9 @@ class TestSampling:
         block[3, 2] = 0.0
         block[3] /= block[3].sum()
         for seed in (0, 17):
-            rows = np.stack([sim.sample_counts(row, shots, seed + i) for i, row in enumerate(block)])
+            # One generator per call: the block's rows are its in-order draws.
+            draws = np.random.default_rng(seed)
+            rows = np.stack([draws.multinomial(shots, row / row.sum()) for row in block])
             got = sim.sample_counts(block, shots, seed)
             assert got.shape == (9, 4)
             assert np.array_equal(got, rows)
@@ -766,9 +772,12 @@ class TestSampling:
         rng = np.random.default_rng(d)
         block = rng.random((5, d))
         block /= block.sum(axis=1, keepdims=True)
-        rows = np.stack([sim.sample_counts(row, 1000, 30 + i) for i, row in enumerate(block)])
+        draws = np.random.default_rng(30)
+        rows = np.stack([draws.multinomial(1000, row / row.sum()) for row in block])
         for layout in (block, np.asfortranarray(block)):
             assert sim.sample_counts(layout, 1000, 30).tobytes() == rows.tobytes()
+        # Neighbouring seeds share no rows; a generator seeded per row, seed + i, made them share all but one.
+        assert not np.array_equal(sim.sample_counts(block, 1000, 31)[:-1], rows[1:])
 
     def test_one_bad_row_rejects_the_block(self):
         block = np.full((3, 4), 0.25)
