@@ -292,11 +292,11 @@ def cmd_grover(args) -> int:
         marked = sorted({int(part) for part in args.marked.split(",")})
     except ValueError:
         raise ValidationError(f"--marked must be comma-separated integers, got {args.marked!r}") from None
-    # A zero-iteration build checks --qubits and --marked in their own terms;
-    # `geometry` would word them as n_states and n_marked.
+    # A zero-iteration build checks --qubits and --marked in their own terms before
+    # 2**qubits is formed; `grover.theta` would word them as n_states and n_marked.
     grover.build_grover_circuit(args.qubits, marked, 0)
-    geom = grover.geometry(2**args.qubits, len(marked))
-    iterations = args.iterations if args.iterations is not None else grover.optimal_iterations(geom)
+    theta = grover.theta(2**args.qubits, len(marked))
+    iterations = args.iterations if args.iterations is not None else grover.optimal_iterations(theta)
     circuit = grover.build_grover_circuit(args.qubits, marked, iterations)
     probs = sim.probabilities(sim.run(circuit, 0))
     simulated = float(sum(probs[m] for m in marked))
@@ -305,8 +305,8 @@ def cmd_grover(args) -> int:
             "n": args.qubits,
             "marked": marked,
             "k": iterations,
-            "theta": geom.theta,
-            "predicted": grover.success_probability(geom, iterations),
+            "theta": theta,
+            "predicted": grover.success_probability(theta, iterations),
             "simulated": simulated,
         }
     )

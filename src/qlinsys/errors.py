@@ -1,9 +1,10 @@
 """Exception types shared across the package, and the input rules that raise them.
 
 Everything user-triggerable derives from ValidationError so callers (and the
-CLI) can distinguish bad input from a failed circuit search.  Each rule that
-several modules apply to their inputs is written once here; every call site
-passes its own name or message, so each error keeps its site's wording.
+CLI) can distinguish bad input from a failed circuit search.  Each rule has
+one class, and each rule that several modules apply to their inputs is
+written once here; every call site passes its own name or message, so each
+error keeps its site's wording.
 """
 
 import math
@@ -20,11 +21,7 @@ class ValidationError(QlinsysError, ValueError):
 
 
 class NotOrthonormalError(ValidationError):
-    """Matrix columns are not orthonormal within tolerance."""
-
-
-class NotOrthogonalError(ValidationError):
-    """Matrix is not orthogonal within tolerance."""
+    """Matrix columns are not orthonormal within tolerance: a square matrix is not orthogonal."""
 
 
 class NotNormalizedError(ValidationError):
@@ -39,20 +36,12 @@ class InvalidTargetError(ValidationError):
     """Gate targets are out of range, repeated, or wrong in number."""
 
 
-class NegativeProbabilityError(ValidationError):
-    """A probability entry is negative."""
-
-
 class InvalidProbabilityError(ValidationError):
-    """A probability parameter lies outside [0, 1]."""
+    """A probability entry is negative, or a probability parameter lies outside [0, 1]."""
 
 
 class InvalidCountsError(ValidationError):
-    """Search-space size or marked-state count is out of range."""
-
-
-class InvalidMarkedSetError(ValidationError):
-    """Marked-state set is empty or references non-existent states."""
+    """Search-space size, marked-state count or marked set is out of range."""
 
 
 class UnsupportedGateError(ValidationError):
@@ -108,7 +97,7 @@ def entries_bounded(matrix: np.ndarray) -> bool:
     return bool(abs(matrix).max() <= 2.0)
 
 
-def check_orthonormal(matrix: np.ndarray, bounded: bool, eye: np.ndarray, error: type, message: str) -> None:
-    """Raise `error(message)` unless `bounded`, the matrix's `entries_bounded`, and M^T M = eye within 1e-10."""
+def check_orthonormal(matrix: np.ndarray, bounded: bool, eye: np.ndarray, message: str) -> None:
+    """Raise NotOrthonormalError(message) unless `bounded`, the `entries_bounded` flag, and M^T M = eye within 1e-10."""
     if not (bounded and abs(matrix.T @ matrix - eye).max() <= ORTHONORMAL_TOL):
-        raise error(message)
+        raise NotOrthonormalError(message)

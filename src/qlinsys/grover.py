@@ -1,19 +1,18 @@
-"""Amplitude amplification: iteration geometry and executable circuits.
+"""Amplitude amplification: iteration angle and executable circuits.
 
 The success probability after k iterations is sin^2((2k + 1) * theta) with
-theta = arcsin(sqrt(M / N)) for M marked states out of N.  Circuits realize
-each iteration as a marked-set phase flip followed by inversion about the
-mean (H layer, phase flip on index 0, H layer); the global sign this leaves
-on the state has no effect on measured probabilities.
+theta = arcsin(sqrt(M / N)) for M marked states out of N, the angle `theta`
+returns.  Circuits realize each iteration as a marked-set phase flip followed
+by inversion about the mean (H layer, phase flip on index 0, H layer); the
+global sign this leaves on the state has no effect on measured probabilities.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import sim
-from .errors import InvalidCountsError, InvalidMarkedSetError, ValidationError, check_int
+from .errors import InvalidCountsError, ValidationError, check_int
 
 MAX_QUBITS = 10
 #: Upper bound on `build_grover_circuit`'s iteration count, far above the 25
@@ -22,33 +21,30 @@ MAX_QUBITS = 10
 MAX_ITERATIONS = 1024
 
 
-@dataclass(frozen=True)
-class GroverGeometry:
-    n_states: int
-    n_marked: int
-    theta: float
-
-
-def geometry(n_states: int, n_marked: int) -> GroverGeometry:
-    """Rotation-angle description of a search with n_marked targets among n_states."""
+def theta(n_states: int, n_marked: int) -> float:
+    """Rotation angle arcsin(sqrt(n_marked / n_states)) of a search, always above 0."""
     check_int(n_marked, "n_marked")
     if check_int(n_states, "n_states") < 2 or n_states & (n_states - 1):
         raise InvalidCountsError(f"n_states must be a power of two >= 2, got {n_states}")
     if not 0 < n_marked <= n_states:
         raise InvalidCountsError(f"n_marked must lie in 1..{n_states}, got {n_marked}")
-    theta = math.asin(math.sqrt(n_marked / n_states))
-    return GroverGeometry(n_states, n_marked, theta)
+    angle = math.asin(math.sqrt(n_marked / n_states))
+    if not angle > 0.0:
+        raise InvalidCountsError(f"n_marked / n_states underflows to 0 at n_states = 2**{n_states.bit_length() - 1}")
+    return angle
 
 
-def optimal_iterations(geom: GroverGeometry) -> int:
+def optimal_iterations(theta: float) -> int:
     """Iteration count maximizing success probability, never negative."""
-    return max(round(math.pi / (4.0 * geom.theta) - 0.5), 0)
+    return max(round(math.pi / (4.0 * theta) - 0.5), 0)
 
 
-def success_probability(geom: GroverGeometry, iterations: int) -> float:
+def success_probability(theta: float, iterations: int) -> float:
     if check_int(iterations, "iterations") < 0:
         raise ValidationError("iterations must be non-negative")
-    return math.sin((2 * iterations + 1) * geom.theta) ** 2
+    if iterations >= 2**1022:  # beyond it, (2k + 1) * theta can overflow a double for theta <= pi/2
+        raise ValidationError("iterations must be below 2**1022")
+    return math.sin((2 * iterations + 1) * theta) ** 2
 
 
 def build_grover_circuit(n_qubits: int, marked, iterations: int) -> sim.Circuit:
@@ -61,9 +57,9 @@ def build_grover_circuit(n_qubits: int, marked, iterations: int) -> sim.Circuit:
         raise ValidationError(f"iterations must be at most {MAX_ITERATIONS}, got {iterations}")
     oracle = sim.phase_flip(marked)  # checks that each index is an integer
     if not oracle.flips:
-        raise InvalidMarkedSetError("marked set must not be empty")
+        raise InvalidCountsError("marked set must not be empty")
     if not all(0 <= m < 2**n_qubits for m in oracle.flips):
-        raise InvalidMarkedSetError(
+        raise InvalidCountsError(
             f"marked indices {sorted(oracle.flips)} out of range for {n_qubits} qubits"
         )
 

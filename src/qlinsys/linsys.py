@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    NotOrthonormalError,
     ValidationError,
     check_finite,
     check_orthonormal,
@@ -43,7 +42,7 @@ def inverse_operator(matrix) -> np.ndarray:
     """
     a, bounded = _as_matrix(matrix)
     message = "matrix columns are not orthonormal; transpose is not an inverse"
-    check_orthonormal(a, bounded, np.eye(a.shape[0]), NotOrthonormalError, message)
+    check_orthonormal(a, bounded, np.eye(a.shape[0]), message)
     return a.T.copy()
 
 
@@ -59,7 +58,7 @@ def solve(matrix, y) -> np.ndarray:
     check_finite(rhs, "vector entries must be finite")
     if rhs.size != a.shape[0]:
         raise DimensionMismatchError(f"right-hand side has length {rhs.size}, matrix is {a.shape[0]}x{a.shape[1]}")
-    check_orthonormal(a, bounded, np.eye(a.shape[0]), NotOrthonormalError, "matrix columns are not orthonormal")
+    check_orthonormal(a, bounded, np.eye(a.shape[0]), "matrix columns are not orthonormal")
     check_unit_norm(rhs, "right-hand side")
     return a.T @ rhs
 

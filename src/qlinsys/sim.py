@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidProbabilityError,
     InvalidTargetError,
-    NegativeProbabilityError,
     NotNormalizedError,
     ValidationError,
     check_finite,
@@ -322,7 +322,7 @@ def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
     lowest = p.min(initial=0.0)
     if not lowest >= 0:
         check_finite(p, "probabilities must be finite")
-        raise NegativeProbabilityError(f"probabilities must be non-negative, min is {lowest}")
+        raise InvalidProbabilityError(f"probabilities must be non-negative, min is {lowest}")
     with np.errstate(over="ignore"):  # a sum that overflows is inf, which the next test rejects
         sums = p.sum(axis=-1, keepdims=True)
     deviation = max((abs(total - 1.0) for total in sums.ravel().tolist()), default=0.0)

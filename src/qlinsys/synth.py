@@ -27,7 +27,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import sim
-from .errors import ORTHONORMAL_TOL, DimensionMismatchError, NotOrthogonalError, SynthesisNotFoundError
+from .errors import ORTHONORMAL_TOL, DimensionMismatchError, SynthesisNotFoundError
 from .errors import ValidationError, check_int, check_orthonormal, entries_bounded
 
 #: Search vocabulary, in tie-breaking order.
@@ -107,7 +107,7 @@ def synthesize(target, max_gates: int = DEFAULT_MAX_GATES) -> SynthesisResult:
     t = np.asarray(target, dtype=float)
     if t.shape != (4, 4):
         raise DimensionMismatchError(f"target must be 4x4, got shape {t.shape}")
-    check_orthonormal(t, entries_bounded(t), _EYE, NotOrthogonalError, "synthesis target must be orthogonal")
+    check_orthonormal(t, entries_bounded(t), _EYE, "synthesis target must be orthogonal")
     if check_int(max_gates, "max_gates") < 0:
         raise ValidationError("max_gates must be non-negative")
     hit = _closure().get(_key(t))

@@ -1,20 +1,20 @@
 """Two-qubit state tomography by Pauli linear inversion.
 
 A 4x4 density matrix is fixed by the expectations of the sixteen two-letter
-Pauli words: rho = (1/4) * sum_P <P> P.  Expectations come either from exact
-traces or from simulated counts in the nine {X, Y, Z}^2 measurement settings.
-A setting reads four words, each with its letters either I or the setting's,
-and the projector onto its outcome k is 1/4 of their sum, each word signed by
-the parity it gives k.  So the 36 outcome probabilities are one fixed (36, 16)
-table times rho's entries; no measurement circuit is simulated.  The fixed
-algebra is computed once at import: the sixteen word matrices as one stacked
-basis, the parity sign of every (word, outcome) pair, and that table.  The
-nine settings are sampled as one block, its rows drawn in order from one
-generator.  Reconstruction is one ordered accumulation: the sixteen
-value * matrix products are summed over the stack's first axis from +0 in
-PAULI_WORDS order, the order and start of a word-by-word loop, so it matches
-that loop byte for byte.  It then clips negative eigenvalues and
-renormalizes, so the output is always a valid state even for noisy tables.
+Pauli words: rho = (1/4) * sum_P <P> P.  An ExpectationTable holds them as one
+(16,) array in PAULI_WORDS order, from exact traces or from counts in the nine
+{X, Y, Z}^2 settings.  A setting reads four words, each with its letters either
+I or the setting's, and the projector onto its outcome k is 1/4 of their sum,
+each word signed by the parity it gives k.  So the 36 outcome probabilities are
+one fixed (36, 16) table times rho's entries; no measurement circuit is
+simulated.  The fixed algebra is computed once at import: the sixteen word
+matrices as one stacked basis, the parity sign of every (word, outcome) pair,
+and that table.  The nine settings are sampled as one block, its rows drawn in
+order from one generator.  Reconstruction is one ordered accumulation: the
+sixteen value * matrix products are summed over the stack's first axis from +0
+in PAULI_WORDS order, the order and start of a word-by-word loop, so it matches
+that loop byte for byte.  It then clips negative eigenvalues and renormalizes,
+so the output is always a valid state even for noisy tables.
 
 The first letter of a Pauli word refers to qubit 1 (the most significant
 bit), matching the bitstring convention in `sim`.
@@ -73,11 +73,11 @@ _TOL = 1e-8  # bound on a physical state's Hermiticity, trace and eigenvalues
 CALIBRATED_DEPOLARIZING_P = 0.016267
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpectationTable:
-    """Pauli-word expectations plus a record of how they were obtained."""
+    """Pauli-word expectations, a (16,) real array in PAULI_WORDS order, plus a record of how they were obtained."""
 
-    values: dict[str, float]
+    values: np.ndarray
     mode: str
     shots: int | None = None
     seed: int | None = None
@@ -165,9 +165,8 @@ def pauli_expectations(
         raise DimensionMismatchError(f"expected a 4x4 density matrix, got shape {m.shape}")
 
     if mode == "analytic":
-        traces = (m @ _PAULI_MATRICES).trace(axis1=1, axis2=2).real
-        values = dict(zip(PAULI_WORDS, traces.tolist()))
-        values["II"] = 1.0
+        values = (m @ _PAULI_MATRICES).trace(axis1=1, axis2=2).real
+        values[0] = 1.0  # II
         return ExpectationTable(values=values, mode="analytic")
 
     if mode != "sampled":
@@ -175,9 +174,8 @@ def pauli_expectations(
 
     probs = (_OUTCOME_TABLE @ m.ravel()).real.reshape(9, 4).clip(0.0)
     freq = sim.sample_counts(probs, shots, seed) / shots
-    expectations = (_PARITY_SIGNS * freq[_WORD_SETTING]).sum(axis=1)
-    values = dict(zip(PAULI_WORDS, expectations.tolist()))
-    values["II"] = 1.0
+    values = (_PARITY_SIGNS * freq[_WORD_SETTING]).sum(axis=1)
+    values[0] = 1.0  # II
     return ExpectationTable(values=values, mode="sampled", shots=shots, seed=seed)
 
 
@@ -199,17 +197,16 @@ def _project(m: np.ndarray) -> np.ndarray:
 def reconstruct(table: ExpectationTable) -> np.ndarray:
     """Linear inversion rho = (1/4) sum <P> P, projected back to a valid state.
 
-    The table must hold a finite real number for each of the sixteen words.
+    The table's values must be sixteen finite real numbers, in PAULI_WORDS order.
     """
-    if set(table.values) != set(PAULI_WORDS):
-        missing = set(PAULI_WORDS) - set(table.values)
-        raise ValidationError(f"expectation table is incomplete, missing {sorted(missing)}")
     try:
-        values = np.array([table.values[word] for word in PAULI_WORDS])
+        values = np.asarray(table.values)
     except ValueError:  # entries of unequal shapes
         values = None
-    if values is None or values.ndim != 1 or values.dtype.kind not in "biuf":
+    if values is None or values.dtype.kind not in "biuf":
         raise ValidationError("expectation values must be real numbers")
+    if values.shape != (16,):
+        raise ValidationError(f"expectation table must hold 16 values, got shape {values.shape}")
     check_finite(values, "expectation values must be finite")
     linear = np.add.reduce(values[:, None, None] * _PAULI_MATRICES, axis=0, initial=0j)
     return _project(linear / 4.0)

@@ -14,8 +14,9 @@ copy this script into it, and run the same script in both:
     python3 tests/identity_digest.py
     (cd ../parent && python3 tests/identity_digest.py)
 
-The set, each array hashed by dtype, shape and `tobytes`, everything else by
-`repr`:
+The set, each array hashed by dtype, shape and `tobytes`, each
+`tomo.ExpectationTable` as its values array and then (mode, shots, seed), and
+everything else by `repr`:
 
 * `sim.run` on every basis input, `sim.unitary_of`, and a (2**n, 3) block
   through `sim.apply_gate` after every gate, on random circuits of all six
@@ -85,6 +86,9 @@ class Digest:
         self.items = 0
 
     def feed(self, value) -> None:
+        if isinstance(value, tomo.ExpectationTable):
+            self.feed(value.values)
+            value = (value.mode, value.shots, value.seed)
         if isinstance(value, np.ndarray):
             self.sha.update(repr((value.dtype.str, value.shape)).encode())
             self.sha.update(value.tobytes())
@@ -182,7 +186,7 @@ def feed_inner_gate_circuits(digest: Digest, rng) -> None:
 
 def feed_grover(digest: Digest) -> None:
     for n, marked in [(10, {37}), (8, {3, 200}), (9, {0, 511}), (10, {37, 700})]:
-        iterations = grover.optimal_iterations(grover.geometry(2**n, len(marked)))
+        iterations = grover.optimal_iterations(grover.theta(2**n, len(marked)))
         digest.feed(sim.run(grover.build_grover_circuit(n, marked, iterations), 0))
 
 
@@ -216,7 +220,7 @@ def feed_catalog(digest: Digest) -> None:
 def feed_tomography(digest: Digest, rng) -> None:
     for k in range(3000):
         values = rng.uniform(-1.0, 1.0, size=16) if k % 3 == 2 else rng.choice(TABLE_VALUES, size=16)
-        table = tomo.ExpectationTable(dict(zip(tomo.PAULI_WORDS, values.tolist())), "analytic")
+        table = tomo.ExpectationTable(values, "analytic")
         digest.feed(tomo.reconstruct(table))
         matrix = np.empty((4, 4), dtype=complex)
         matrix.real = rng.choice(TABLE_VALUES, size=(4, 4))

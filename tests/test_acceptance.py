@@ -122,15 +122,14 @@ def test_calibrated_fidelity():
 def test_grover_exactness():
     start = time.perf_counter()
     assert abs(_marked_mass(2, {3}, 1) - 1.0) <= 1e-12
-    geom8 = grover.geometry(8, 1)
-    predicted = math.sin(5 * geom8.theta) ** 2
+    predicted = math.sin(5 * grover.theta(8, 1)) ** 2
     assert abs(predicted - 0.9453) <= 5e-5
     assert abs(_marked_mass(3, {5}, 2) - predicted) <= 1e-10
     for n_qubits in (2, 3, 4):
-        geom = grover.geometry(2**n_qubits, 1)
+        theta = grover.theta(2**n_qubits, 1)
         for mark in range(2**n_qubits):
             for k in range(5):
-                closed = grover.success_probability(geom, k)
+                closed = grover.success_probability(theta, k)
                 assert abs(_marked_mass(n_qubits, {mark}, k) - closed) <= 1e-10
     assert time.perf_counter() - start < 2.0
 

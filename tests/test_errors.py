@@ -1,23 +1,27 @@
 """Every user-triggerable error derives from ValidationError, message intact."""
 
+import ast
+import inspect
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qlinsys import family, grover, linsys, qasm, sim, synth, tomo
+from qlinsys import errors, family, grover, linsys, qasm, sim, synth, tomo
 from qlinsys.errors import (
     DimensionMismatchError,
     InvalidCountsError,
     InvalidProbabilityError,
     InvalidTargetError,
-    NegativeProbabilityError,
     NotNormalizedError,
-    NotOrthogonalError,
     NotOrthonormalError,
+    UnsupportedGateError,
     ValidationError,
 )
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qlinsys"
 
 
 def _load_csv(load, text):
@@ -47,8 +51,8 @@ _EMPTY = r"^expected a non-empty square matrix, got shape \(0, 0\)$"
 
 
 def _table_with(word, value):
-    values = {w: 0.0 for w in tomo.PAULI_WORDS}
-    values.update(II=1.0, **{word: value})
+    values = [1.0] + [0.0] * 15  # II first
+    values[tomo.PAULI_WORDS.index(word)] = value
     return tomo.ExpectationTable(values, "analytic")
 
 
@@ -116,9 +120,9 @@ CASES = {
     "tomo.density": (lambda: tomo.apply_depolarizing(np.eye(4), 0.1), ValidationError, "physical"),
     "tomo.mode": (lambda: tomo.pauli_expectations(np.eye(4) / 4, mode="guess"), ValidationError, "mode"),
     "tomo.table": (
-        lambda: tomo.reconstruct(tomo.ExpectationTable({"II": 1.0}, "analytic")),
+        lambda: tomo.reconstruct(tomo.ExpectationTable(np.array([1.0]), "analytic")),
         ValidationError,
-        "incomplete",
+        r"^expectation table must hold 16 values, got shape \(1,\)$",
     ),
     "tomo.reconstruct_nan": (lambda: tomo.reconstruct(_table_with("XZ", np.nan)), ValidationError, "finite"),
     "tomo.reconstruct_inf": (lambda: tomo.reconstruct(_table_with("YY", -np.inf)), ValidationError, "finite"),
@@ -141,16 +145,38 @@ CASES = {
     ),
     "family.label_perm_scalar": (lambda: family.FamilyLabel("A", 1234), ValidationError, "not a permutation"),
     "grover.probability": (
-        lambda: grover.success_probability(grover.geometry(4, 1), -1),
+        lambda: grover.success_probability(grover.theta(4, 1), -1),
         ValidationError,
         "non-negative",
     ),
-    "grover.n_states": (lambda: grover.geometry(4.0, 1), ValidationError, "n_states must be an integer"),
-    "grover.n_marked": (lambda: grover.geometry(4, 1.5), ValidationError, "n_marked must be an integer"),
+    "grover.n_states": (lambda: grover.theta(4.0, 1), ValidationError, "n_states must be an integer"),
+    "grover.n_marked": (lambda: grover.theta(4, 1.5), ValidationError, "n_marked must be an integer"),
     "grover.probability_iterations": (
-        lambda: grover.success_probability(grover.geometry(4, 1), 1.5),
+        lambda: grover.success_probability(grover.theta(4, 1), 1.5),
         ValidationError,
         "iterations must be an integer",
+    ),
+    # 1 / 2**1100 underflows to 0.0, which would leave a zero angle.
+    "grover.theta_underflow": (
+        lambda: grover.theta(2**1100, 1),
+        InvalidCountsError,
+        r"^n_marked / n_states underflows to 0 at n_states = 2\*\*1100$",
+    ),
+    # 2k + 1 would not convert to a double.
+    "grover.probability_iterations_huge": (
+        lambda: grover.success_probability(grover.theta(4, 1), 10**400),
+        ValidationError,
+        r"^iterations must be below 2\*\*1022$",
+    ),
+    "grover.marked_empty": (
+        lambda: grover.build_grover_circuit(3, set(), 1),
+        InvalidCountsError,
+        "^marked set must not be empty$",
+    ),
+    "grover.marked_range": (
+        lambda: grover.build_grover_circuit(3, {2, 8}, 1),
+        InvalidCountsError,
+        r"^marked indices \[2, 8\] out of range for 3 qubits$",
     ),
     "grover.qubits": (lambda: grover.build_grover_circuit(11, {0}, 1), InvalidCountsError, "n_qubits"),
     "grover.qubits_type": (lambda: grover.build_grover_circuit(2.0, {0}, 1), ValidationError, "n_qubits must be an"),
@@ -179,6 +205,11 @@ CASES = {
         lambda: qasm.circuit_to_qasm(sim.Circuit(1, (1,))),
         InvalidTargetError,
         "^expected a Gate, got 1$",
+    ),
+    "qasm.phase_flip": (
+        lambda: qasm.circuit_to_qasm(sim.Circuit(2, (sim.h(0), sim.phase_flip({3})))),
+        UnsupportedGateError,
+        "^gate kind 'phaseflip' has no OpenQASM 2.0 form$",
     ),
     # A CSV file that holds no numbers, or a row that is not numbers, is named in the error, with no numpy warning.
     **{
@@ -232,20 +263,20 @@ CASES = {
     **{
         f"synth.target_{name}": (
             lambda v=v: synth.synthesize(_diag(*v)),
-            NotOrthogonalError,
+            NotOrthonormalError,
             "^synthesis target must be orthogonal$",
         )
         for name, v in {**_BAD_VALUES, "huge": (1e200, 1.0, 1.0, 1.0)}.items()
     },
     "synth.target_full_huge": (
         lambda: synth.synthesize(np.full((4, 4), 1e200)),
-        NotOrthogonalError,
+        NotOrthonormalError,
         "^synthesis target must be orthogonal$",
     ),
     # Orthogonality comes before the budget's type.
     "synth.target_before_budget": (
         lambda: synth.synthesize(3 * np.eye(4), 2.5),
-        NotOrthogonalError,
+        NotOrthonormalError,
         "^synthesis target must be orthogonal$",
     ),
     "synth.target_empty": (
@@ -292,7 +323,7 @@ CASES = {
     ),
     "sim.sample_negative": (
         lambda: sim.sample_counts([-0.5, 1.5], 10, 0),
-        NegativeProbabilityError,
+        InvalidProbabilityError,
         "^probabilities must be non-negative, min is -0.5$",
     ),
     "sim.sample_empty": (
@@ -309,7 +340,7 @@ CASES = {
         for name, row, error, message in [
             ("nan", [np.nan, 0.5], ValidationError, "^probabilities must be finite$"),
             ("inf", [np.inf, 0.0], ValidationError, "^probabilities must be finite$"),
-            ("negative", [-0.5, 1.5], NegativeProbabilityError, "^probabilities must be non-negative, min is -0.5$"),
+            ("negative", [-0.5, 1.5], InvalidProbabilityError, "^probabilities must be non-negative, min is -0.5$"),
             (
                 "sum",
                 [0.5, 0.6],
@@ -375,3 +406,23 @@ def test_raises_a_validation_error(site):
     with pytest.raises(error, match=message) as raised:
         call()
     assert type(raised.value) is error
+
+
+def _raised_in_src() -> set[str]:
+    """The source text of what each `raise` in the package raises, with a call's arguments dropped."""
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised.add(ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc))
+    return raised
+
+
+ERROR_CLASSES = [c for _, c in inspect.getmembers(errors, inspect.isclass) if issubclass(c, ValidationError)]
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_error_class_is_raised_and_pinned(error):
+    """The package raises each class by name, and some case above expects exactly that class."""
+    assert error.__name__ in _raised_in_src()
+    assert any(row[1] is error for row in CASES.values())

@@ -4,28 +4,26 @@ import numpy as np
 import pytest
 
 from qlinsys import grover, sim
-from qlinsys.errors import InvalidCountsError, InvalidMarkedSetError, ValidationError
+from qlinsys.errors import InvalidCountsError, ValidationError
 
 
 class TestGeometry:
     def test_four_states_one_marked(self):
-        geom = grover.geometry(4, 1)
-        assert geom.theta == pytest.approx(math.pi / 6, abs=1e-12)
+        assert grover.theta(4, 1) == pytest.approx(math.pi / 6, abs=1e-12)
 
     def test_eight_states_one_marked(self):
-        geom = grover.geometry(8, 1)
+        theta = grover.theta(8, 1)
         # Checked against the defining relation instead of the forward formula.
-        assert math.sin(geom.theta) ** 2 == pytest.approx(1.0 / 8.0, abs=1e-12)
-        assert geom.theta == pytest.approx(0.361367, abs=1e-6)
+        assert math.sin(theta) ** 2 == pytest.approx(1.0 / 8.0, abs=1e-12)
+        assert theta == pytest.approx(0.361367, abs=1e-6)
 
     def test_fully_marked_search(self):
-        geom = grover.geometry(4, 4)
-        assert geom.theta == pytest.approx(math.pi / 2, abs=1e-12)
+        assert grover.theta(4, 4) == pytest.approx(math.pi / 2, abs=1e-12)
 
     @pytest.mark.parametrize("n_states, n_marked", [(3, 1), (0, 1), (4, 0), (4, 5)])
     def test_invalid_counts(self, n_states, n_marked):
         with pytest.raises(InvalidCountsError):
-            grover.geometry(n_states, n_marked)
+            grover.theta(n_states, n_marked)
 
 
 class TestOptimalIterations:
@@ -34,45 +32,53 @@ class TestOptimalIterations:
         [(4, 1, 1), (4, 4, 0), (8, 1, 2), (2, 1, 0), (1024, 1, 25)],
     )
     def test_known_counts(self, n_states, n_marked, expected):
-        assert grover.optimal_iterations(grover.geometry(n_states, n_marked)) == expected
+        assert grover.optimal_iterations(grover.theta(n_states, n_marked)) == expected
 
     def test_square_root_scaling(self):
         # For a single target the count tracks (pi/4) * sqrt(N); the slack
         # covers rounding plus the half-iteration offset at tiny N.
         for exponent in range(1, 11):
             n_states = 2**exponent
-            k = grover.optimal_iterations(grover.geometry(n_states, 1))
+            k = grover.optimal_iterations(grover.theta(n_states, 1))
             assert abs(k - (math.pi / 4.0) * math.sqrt(n_states)) <= 1.5
 
     def test_optimality_over_neighbors(self):
         for n_states in (8, 64, 256):
-            geom = grover.geometry(n_states, 1)
-            best = grover.optimal_iterations(geom)
-            p_best = grover.success_probability(geom, best)
+            theta = grover.theta(n_states, 1)
+            best = grover.optimal_iterations(theta)
+            p_best = grover.success_probability(theta, best)
             for other in (best - 1, best + 1):
                 if other >= 0:
-                    assert p_best >= grover.success_probability(geom, other) - 1e-12
+                    assert p_best >= grover.success_probability(theta, other) - 1e-12
 
 
 class TestSuccessProbability:
     def test_single_iteration_on_four_states_is_certain(self):
-        geom = grover.geometry(4, 1)
-        assert abs(grover.success_probability(geom, 1) - 1.0) <= 1e-12
+        theta = grover.theta(4, 1)
+        assert abs(grover.success_probability(theta, 1) - 1.0) <= 1e-12
 
     def test_no_iterations_gives_uniform_mass(self):
-        geom = grover.geometry(8, 3)
-        assert grover.success_probability(geom, 0) == pytest.approx(3.0 / 8.0, abs=1e-12)
+        theta = grover.theta(8, 3)
+        assert grover.success_probability(theta, 0) == pytest.approx(3.0 / 8.0, abs=1e-12)
 
     def test_eight_state_two_iterations(self):
         # sin(5 theta) for sin(theta) = 1/(2 sqrt 2) works out to 11 sqrt(2)/16,
         # so the success probability is exactly 121/128.
-        geom = grover.geometry(8, 1)
-        assert grover.success_probability(geom, 2) == pytest.approx(121.0 / 128.0, abs=1e-10)
-        assert grover.success_probability(geom, 2) == pytest.approx(0.9453, abs=5e-5)
+        theta = grover.theta(8, 1)
+        assert grover.success_probability(theta, 2) == pytest.approx(121.0 / 128.0, abs=1e-10)
+        assert grover.success_probability(theta, 2) == pytest.approx(0.9453, abs=5e-5)
 
     def test_negative_iterations(self):
         with pytest.raises(ValueError):
-            grover.success_probability(grover.geometry(4, 1), -1)
+            grover.success_probability(grover.theta(4, 1), -1)
+
+    @pytest.mark.parametrize("iterations", [2**1022, 2**1023 - 1], ids=["2**1022", "2**1023-1"])
+    def test_count_whose_angle_could_overflow_is_refused(self, iterations):
+        # Below 2**1022, (2k + 1) * theta is finite for every theta up to pi/2;
+        # 2**1023 - 1 already overflows the conversion of 2k + 1 to a double.
+        assert 0.0 <= grover.success_probability(grover.theta(4, 4), 2**1022 - 1) <= 1.0
+        with pytest.raises(ValidationError, match=r"^iterations must be below 2\*\*1022$"):
+            grover.success_probability(grover.theta(4, 4), iterations)
 
 
 def _marked_mass(n_qubits, marked, iterations):
@@ -94,10 +100,10 @@ class TestCircuits:
     def test_closed_form_agreement_sweep(self):
         for n_qubits in (2, 3, 4):
             for marked in range(2**n_qubits):
-                geom = grover.geometry(2**n_qubits, 1)
+                theta = grover.theta(2**n_qubits, 1)
                 for k in range(5):
                     simulated = _marked_mass(n_qubits, {marked}, k)
-                    predicted = grover.success_probability(geom, k)
+                    predicted = grover.success_probability(theta, k)
                     assert abs(simulated - predicted) <= 1e-10
 
     def test_state_stays_in_plane(self):
@@ -127,7 +133,7 @@ class TestCircuits:
 
     @pytest.mark.parametrize("marked", [set(), {8}, {-1}])
     def test_bad_marked_sets(self, marked):
-        with pytest.raises(InvalidMarkedSetError):
+        with pytest.raises(InvalidCountsError):
             grover.build_grover_circuit(3, marked, 1)
 
     @pytest.mark.parametrize("n_qubits", [0, 11])

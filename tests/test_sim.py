@@ -8,8 +8,8 @@ import pytest
 
 from qlinsys import family, grover, linsys, qasm, sim, synth
 from qlinsys.errors import (
+    InvalidProbabilityError,
     InvalidTargetError,
-    NegativeProbabilityError,
     NotNormalizedError,
     ValidationError,
 )
@@ -699,7 +699,7 @@ class TestSampling:
             sim.sample_distribution(sim.probabilities(sim.basis_state(2, 0)), 0, 0)
 
     def test_negative_probabilities_rejected(self):
-        with pytest.raises(NegativeProbabilityError):
+        with pytest.raises(InvalidProbabilityError):
             sim.sample_counts([0.5, -0.5, 0.5, 0.5], 10, 0)
 
     @pytest.mark.parametrize("shots", [2.7, 3.0, "3", True, None])
@@ -782,5 +782,5 @@ class TestSampling:
     def test_one_bad_row_rejects_the_block(self):
         block = np.full((3, 4), 0.25)
         block[1, 0] = -0.25
-        with pytest.raises(NegativeProbabilityError):
+        with pytest.raises(InvalidProbabilityError):
             sim.sample_counts(block, 10, 0)

@@ -8,7 +8,7 @@ import pytest
 from qlinsys import family, linsys, sim, synth
 from qlinsys.errors import (
     DimensionMismatchError,
-    NotOrthogonalError,
+    NotOrthonormalError,
     SynthesisNotFoundError,
     ValidationError,
 )
@@ -59,12 +59,12 @@ class TestSynthesize:
         assert max_abs_diff(product, np.eye(4).tolist()) <= 1e-10
 
     def test_rejects_non_orthogonal_target(self):
-        with pytest.raises(NotOrthogonalError):
+        with pytest.raises(NotOrthonormalError):
             synth.synthesize(np.ones((4, 4)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_target(self, bad):
-        with pytest.raises(NotOrthogonalError):
+        with pytest.raises(NotOrthonormalError):
             synth.synthesize(np.full((4, 4), bad))
 
     def test_rejects_wrong_shape(self):

@@ -21,6 +21,9 @@ from oracles import leading_sign_pattern, setting_probabilities, tomography_expe
 UNIFORM_STATE = np.full(4, 0.5, dtype=complex)
 SIGNED_STATE = np.array([0.5, -0.5, -0.5, 0.5], dtype=complex)
 
+#: Each Pauli word's index in a table's values.
+WORD_INDEX = {word: i for i, word in enumerate(tomo.PAULI_WORDS)}
+
 _PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -49,7 +52,7 @@ def _adversarial_tables(count, seed):
             values = rng.uniform(-1.0, 1.0, size=16)
         else:
             values = rng.choice(ADVERSARIAL_VALUES, size=16)
-        yield dict(zip(tomo.PAULI_WORDS, values.tolist()))
+        yield values
 
 
 def _trace_expectation(rho, word):
@@ -235,33 +238,33 @@ class TestExpectations:
     def test_maximally_mixed_has_no_signal(self):
         table = tomo.pauli_expectations(np.eye(4) / 4)
         assert table.mode == "analytic"
-        assert table.values["II"] == 1.0
+        assert table.values[WORD_INDEX["II"]] == 1.0
         for word in tomo.PAULI_WORDS[1:]:
-            assert table.values[word] == pytest.approx(0.0, abs=1e-12)
+            assert table.values[WORD_INDEX[word]] == pytest.approx(0.0, abs=1e-12)
 
     def test_analytic_matches_trace_oracle(self):
         rho = tomo.density_from_state(SIGNED_STATE)
         table = tomo.pauli_expectations(rho)
         for word in tomo.PAULI_WORDS:
-            assert table.values[word] == pytest.approx(
+            assert table.values[WORD_INDEX[word]] == pytest.approx(
                 _trace_expectation(rho, word), abs=1e-12
             )
 
     def test_plus_plus_state_signature(self):
         # |++> has unit X expectations and vanishing Y/Z signal.
         table = tomo.pauli_expectations(tomo.density_from_state(UNIFORM_STATE))
-        assert table.values["XI"] == pytest.approx(1.0, abs=1e-12)
-        assert table.values["IX"] == pytest.approx(1.0, abs=1e-12)
-        assert table.values["XX"] == pytest.approx(1.0, abs=1e-12)
+        assert table.values[WORD_INDEX["XI"]] == pytest.approx(1.0, abs=1e-12)
+        assert table.values[WORD_INDEX["IX"]] == pytest.approx(1.0, abs=1e-12)
+        assert table.values[WORD_INDEX["XX"]] == pytest.approx(1.0, abs=1e-12)
         for word in ("ZI", "IZ", "ZZ", "YI", "IY", "YY", "XY", "YX"):
-            assert table.values[word] == pytest.approx(0.0, abs=1e-12)
+            assert table.values[WORD_INDEX[word]] == pytest.approx(0.0, abs=1e-12)
 
     def test_sampled_mode_is_seeded(self):
         rho = tomo.density_from_state(SIGNED_STATE)
         a = tomo.pauli_expectations(rho, mode="sampled", shots=512, seed=9)
         b = tomo.pauli_expectations(rho, mode="sampled", shots=512, seed=9)
-        assert a.values == b.values
-        assert a.values["II"] == 1.0
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.values[WORD_INDEX["II"]] == 1.0
         assert a.mode == "sampled"
         assert a.shots == 512
         assert a.seed == 9
@@ -271,7 +274,8 @@ class TestExpectations:
         exact = tomo.pauli_expectations(rho)
         sampled = tomo.pauli_expectations(rho, mode="sampled", shots=100_000, seed=0)
         for word in tomo.PAULI_WORDS:
-            assert sampled.values[word] == pytest.approx(exact.values[word], abs=0.02)
+            i = WORD_INDEX[word]
+            assert sampled.values[i] == pytest.approx(exact.values[i], abs=0.02)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -287,8 +291,8 @@ class TestExpectations:
         rho = np.diag([0.5 + 0.99e-8, 0.5 + 0.99e-8, -0.99e-8, 0.0]).astype(complex)
         assert tomo.is_physical(rho)
         table = tomo.pauli_expectations(rho, mode="sampled", shots=64, seed=3)
-        assert table.values["ZI"] == 1.0
-        assert table.values["XX"] == pytest.approx(0.0, abs=0.5)
+        assert table.values[WORD_INDEX["ZI"]] == 1.0
+        assert table.values[WORD_INDEX["XX"]] == pytest.approx(0.0, abs=0.5)
 
 
 class TestAgainstOracle:
@@ -300,7 +304,7 @@ class TestAgainstOracle:
         for index, rho in enumerate(_random_mixed_states(200, seed=2024)):
             seed = 1000 + 9 * index
             table = tomo.pauli_expectations(rho, mode=mode, shots=shots, seed=seed)
-            got = np.array([table.values[word] for word in tomo.PAULI_WORDS])
+            got = table.values
             want = np.array(tomography_expectations(rho, mode, shots, seed))
             assert got.tobytes() == want.tobytes(), (index, got, want)
             rebuilt = tomo.reconstruct(table)
@@ -346,41 +350,41 @@ class TestReconstruct:
         assert tomo.fidelity(rebuilt, UNIFORM_STATE) >= 0.99
 
     def test_identity_only_table_gives_maximally_mixed(self):
-        values = {word: 0.0 for word in tomo.PAULI_WORDS}
-        values["II"] = 1.0
+        values = np.zeros(16)
+        values[WORD_INDEX["II"]] = 1.0
         rebuilt = tomo.reconstruct(tomo.ExpectationTable(values=values, mode="analytic"))
         np.testing.assert_allclose(rebuilt, np.eye(4) / 4, atol=1e-12)
 
     def test_adversarial_tables_match_the_sequential_oracle_byte_for_byte(self):
         for k, values in enumerate(_adversarial_tables(2000, seed=77)):
             rebuilt = tomo.reconstruct(tomo.ExpectationTable(values=values, mode="analytic"))
-            want = tomography_reconstruct([values[w] for w in tomo.PAULI_WORDS])
+            want = tomography_reconstruct(values.tolist())
             assert rebuilt.tobytes() == want.tobytes(), (k, values)
 
     def test_integer_bool_and_numpy_values_are_accepted(self):
-        floats = {word: 0.0 for word in tomo.PAULI_WORDS}
-        floats.update(II=1.0, ZZ=-1.0)
+        floats = [0.0] * 16
+        floats[WORD_INDEX["II"]], floats[WORD_INDEX["ZZ"]] = 1.0, -1.0
         want = tomo.reconstruct(tomo.ExpectationTable(values=floats, mode="analytic")).tobytes()
         for convert in (int, np.float32, np.int64):
-            values = {word: convert(v) for word, v in floats.items()}
+            values = [convert(v) for v in floats]
             assert tomo.reconstruct(tomo.ExpectationTable(values=values, mode="analytic")).tobytes() == want
         # Bools are real numbers too, read as 0 and 1 whether or not the table mixes in floats.
-        identity = tomo.reconstruct(tomo.ExpectationTable(values={**floats, "ZZ": 0.0}, mode="analytic")).tobytes()
+        identity = tomo.reconstruct(tomo.ExpectationTable(values=[1.0] + [0.0] * 15, mode="analytic")).tobytes()
         for other in (False, 0.0):
-            values = {word: other for word in tomo.PAULI_WORDS}
-            values["II"] = True
+            values = [other] * 16
+            values[WORD_INDEX["II"]] = True
             assert tomo.reconstruct(tomo.ExpectationTable(values=values, mode="analytic")).tobytes() == identity
 
     def test_incomplete_table_rejected(self):
-        table = tomo.ExpectationTable(values={"II": 1.0}, mode="analytic")
+        table = tomo.ExpectationTable(values=np.array([1.0]), mode="analytic")
         with pytest.raises(ValueError):
             tomo.reconstruct(table)
 
     def test_output_is_always_physical(self):
         # Even a heavily corrupted table must map to a valid state.
         rng = np.random.default_rng(13)
-        values = {word: float(rng.uniform(-1, 1)) for word in tomo.PAULI_WORDS}
-        values["II"] = 1.0
+        values = np.array([float(rng.uniform(-1, 1)) for _ in tomo.PAULI_WORDS])
+        values[WORD_INDEX["II"]] = 1.0
         rebuilt = tomo.reconstruct(tomo.ExpectationTable(values=values, mode="analytic"))
         assert tomo.is_physical(rebuilt)
 
@@ -394,8 +398,8 @@ class TestProjection:
 
     def test_idempotent(self):
         rng = np.random.default_rng(17)
-        values = dict(zip(tomo.PAULI_WORDS, rng.uniform(-1, 1, size=16).tolist()))
-        values["II"] = 1.0
+        values = rng.uniform(-1, 1, size=16)
+        values[WORD_INDEX["II"]] = 1.0
         once = tomo.reconstruct(tomo.ExpectationTable(values=values, mode="analytic"))
         twice = tomo.reconstruct(tomo.pauli_expectations(once))
         assert np.max(np.abs(twice - once)) <= 1e-10
