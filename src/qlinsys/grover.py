@@ -34,9 +34,15 @@ def theta(n_states: int, n_marked: int) -> float:
     return angle
 
 
+def _angle(theta: float) -> float:
+    if not 0.0 < theta <= math.pi / 2:  # the angles `theta` returns; NaN fails too
+        raise ValidationError(f"theta must lie in (0, pi/2], got {theta!r}")
+    return theta
+
+
 def optimal_iterations(theta: float) -> int:
     """Iteration count maximizing success probability, never negative."""
-    return max(round(math.pi / (4.0 * theta) - 0.5), 0)
+    return max(round(math.pi / (4.0 * _angle(theta)) - 0.5), 0)
 
 
 def success_probability(theta: float, iterations: int) -> float:
@@ -44,7 +50,7 @@ def success_probability(theta: float, iterations: int) -> float:
         raise ValidationError("iterations must be non-negative")
     if iterations >= 2**1022:  # beyond it, (2k + 1) * theta can overflow a double for theta <= pi/2
         raise ValidationError("iterations must be below 2**1022")
-    return math.sin((2 * iterations + 1) * theta) ** 2
+    return math.sin((2 * iterations + 1) * _angle(theta)) ** 2
 
 
 def build_grover_circuit(n_qubits: int, marked, iterations: int) -> sim.Circuit:

@@ -14,8 +14,10 @@ circuit gives, which it equals bit for bit.  Each element is stored under the
 keys of both U and -U, with U and the sign of the key, so a lookup does no
 canonicalization.  Keys are coarse off the group, so a hit counts only when
 sign * U equals the target within 1e-10, the orthogonality bound; as nonzero
-entries are at least 1/2, no target is that close to both U and -U.  A call is
-one lookup and simulates nothing.  Whole-catalog synthesis is the caller's loop.
+entries are at least 1/2, no target is that close to both U and -U.  A second
+key, the exact float64 bytes of +-U, gives a finished result: every +-U passes
+the orthogonality check at deviation 0.0, so a catalog A^T skips that work.
+A call simulates nothing.  Whole-catalog synthesis is the caller's loop.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ _EYE.flags.writeable = False  # also the empty circuit's stored unitary
 _NEGATED = bytes(-b & 0xFF for b in range(256))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SynthesisResult:
     """A minimal circuit together with how faithfully it matched the target."""
 
@@ -98,18 +100,30 @@ def _closure() -> MappingProxyType:
     return MappingProxyType(table)
 
 
+@functools.cache
+def _exact() -> MappingProxyType:
+    """Exact float64 bytes of each stored +-U -> its finished result, which deviates by 0.0."""
+    entries = _closure().values()
+    return MappingProxyType({(u if s == 1 else -u).tobytes(): SynthesisResult(c, len(c.ops), s, 0.0) for c, u, s in entries})
+
+
 def synthesize(target, max_gates: int = DEFAULT_MAX_GATES) -> SynthesisResult:
     """Find a minimal circuit whose unitary equals the target up to global sign.
 
-    Raises SynthesisNotFoundError when no circuit of at most `max_gates`
-    vocabulary gates reaches the target within 1e-10.
+    A target whose bytes equal a stored +-U takes its finished result, any other
+    the orthogonality check and the int8 key.  Raises SynthesisNotFoundError
+    when no circuit of at most `max_gates` gates reaches the target within 1e-10.
     """
     t = np.asarray(target, dtype=float)
     if t.shape != (4, 4):
         raise DimensionMismatchError(f"target must be 4x4, got shape {t.shape}")
-    check_orthonormal(t, entries_bounded(t), _EYE, "synthesis target must be orthogonal")
+    exact = _exact().get(t.tobytes())
+    if exact is None:  # every stored +-U passes this check
+        check_orthonormal(t, entries_bounded(t), _EYE, "synthesis target must be orthogonal")
     if check_int(max_gates, "max_gates") < 0:
         raise ValidationError("max_gates must be non-negative")
+    if exact is not None and exact.gate_count <= max_gates:
+        return exact
     hit = _closure().get(_key(t))
     if hit is not None and len(hit[0].ops) <= max_gates:
         circuit, realized, sign = hit

@@ -11,6 +11,8 @@ from qlinsys.errors import (
     NotOrthonormalError,
     SynthesisNotFoundError,
     ValidationError,
+    check_orthonormal,
+    entries_bounded,
 )
 
 from oracles import VOCABULARY_MATRICES, mat_mul, max_abs_diff, vocabulary_group
@@ -155,6 +157,49 @@ class TestTable:
         monkeypatch.setattr(sim, "apply_gate", fail)
         for spec in family.enumerate_family():
             assert synth.synthesize(linsys.inverse_operator(spec.matrix)).gate_count >= 1
+
+    def test_catalog_targets_take_the_exact_index(self, monkeypatch):
+        synth._closure()
+
+        def fail(*args):
+            raise AssertionError("synthesize checked a catalog target's orthogonality")
+
+        monkeypatch.setattr(synth, "check_orthonormal", fail)
+        for spec in family.enumerate_family():
+            result = synth.synthesize(linsys.inverse_operator(spec.matrix))
+            assert result.matched_sign == 1 and result.max_deviation == 0.0
+
+
+class TestExactIndex:
+    """Every signed stored element, exact or moved off the index by 1e-13, gives the same answer."""
+
+    def test_index_holds_each_signed_element_once(self):
+        assert len(synth._exact()) == 2 * 1152
+
+    def test_zero_of_the_other_sign_takes_the_checked_path(self):
+        target = np.where(np.eye(4) == 1.0, 1.0, -0.0)
+        assert target.tobytes() not in synth._exact()
+        result = synth.synthesize(target)
+        assert (result.gate_count, result.matched_sign, repr(result.max_deviation)) == (0, 1, "0.0")
+
+    def test_exact_and_near_targets_agree_on_the_whole_group(self):
+        for circuit, unitary, sign in synth._closure().values():
+            target = sign * unitary
+            check_orthonormal(target, entries_bounded(target), np.eye(4), "a stored element must pass the check it skips")
+            near = target.copy()
+            near[1, 2] += 1e-13
+            assert target.tobytes() in synth._exact() and near.tobytes() not in synth._exact()
+            exact, moved = synth.synthesize(target), synth.synthesize(near)
+            assert (exact.circuit, exact.gate_count, exact.matched_sign) == (circuit, len(circuit.ops), sign)
+            assert repr(exact.max_deviation) == "0.0"
+            assert (moved.circuit, moved.gate_count, moved.matched_sign) == (circuit, len(circuit.ops), sign)
+            assert 0.0 < moved.max_deviation < 1e-12
+            if circuit.ops:
+                budget = len(circuit.ops) - 1
+                message = f"^no circuit with at most {budget} gates reaches the target$"
+                for t in (target, near):
+                    with pytest.raises(SynthesisNotFoundError, match=message):
+                        synth.synthesize(t, budget)
 
 
 class TestNearGroupTargets:
