@@ -52,12 +52,19 @@ class SynthesisNotFoundError(QlinsysError):
     """No circuit within the gate budget realizes the target."""
 
 
-
 def check_int(value, name: str) -> int:
     """Return `value` as an int; raise ValidationError if it is a bool or not an integer."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_real(values, message: str) -> np.ndarray:
+    """`values` as a float64 array; ValidationError(message) for a complex dtype, which the conversion would truncate."""
+    out = np.asarray(values)
+    if out.dtype.kind == "c":
+        raise ValidationError(message)
+    return out.astype(float, copy=False)
 
 
 def check_finite(values: np.ndarray, message: str, error: type = ValidationError) -> None:

@@ -4,17 +4,25 @@ For such a matrix the transpose is a left inverse, so A x = y is solved by
 x = A^T y with no elimination or factorization.  Solutions inherit the norm
 of y, which is what lets them double as quantum state amplitudes elsewhere
 in the package.  Orthonormality and unit norm are checked to a fixed 1e-10.
+Complex input is refused, never truncated.  The orthonormality verdict is
+cached: a matrix of at most 64 entries is keyed by its C-ordered float64
+bytes and shape (at most 512 B), and the last 512 keys used are kept, room
+for the 48 catalog matrices.  Shape and finiteness are checked on every call,
+so results and errors are those of an uncached check.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    NotOrthonormalError,
     ValidationError,
+    as_real,
     check_finite,
     check_orthonormal,
     check_unit_norm,
@@ -22,16 +30,35 @@ from .errors import (
     entries_bounded,
 )
 
+_MEMO_MAX_ENTRIES = 64  # 8x8, the widest unitary `sim` keeps
 
-def _as_matrix(matrix) -> tuple[np.ndarray, bool]:
-    """The matrix as floats, and its `entries_bounded`, which only a finite matrix can be."""
-    out = np.asarray(matrix, dtype=float)
+
+def _as_matrix(matrix) -> np.ndarray:
+    """The matrix as floats: real, square, non-empty and finite."""
+    out = as_real(matrix, "matrix entries must be real")
     if out.ndim != 2 or out.shape[0] != out.shape[1] or not out.size:
         raise DimensionMismatchError(f"expected a non-empty square matrix, got shape {out.shape}")
-    bounded = entries_bounded(out)
-    if not bounded:
+    if not entries_bounded(out):  # a bounded matrix is finite
         check_finite(out, "matrix entries must be finite")
-    return out, bounded
+    return out
+
+
+@functools.lru_cache(maxsize=512)
+def _orthonormal(data: bytes, shape: tuple[int, int]) -> bool:
+    """Whether the float64 matrix with these C-ordered bytes passes `check_orthonormal`."""
+    a = np.frombuffer(data).reshape(shape)
+    try:
+        check_orthonormal(a, entries_bounded(a), np.eye(shape[0]), "")
+    except NotOrthonormalError:
+        return False
+    return True
+
+
+def _check_orthonormal(a: np.ndarray, message: str) -> None:
+    """Raise NotOrthonormalError(message) unless `_orthonormal`, cached for a matrix of at most 64 entries."""
+    verdict = _orthonormal if a.size <= _MEMO_MAX_ENTRIES else _orthonormal.__wrapped__
+    if not verdict(a.tobytes(), a.shape):
+        raise NotOrthonormalError(message)
 
 
 def inverse_operator(matrix) -> np.ndarray:
@@ -40,9 +67,8 @@ def inverse_operator(matrix) -> np.ndarray:
     The result is a fresh array, so mutating it cannot corrupt the input.
     Applying the operation twice returns the original matrix exactly.
     """
-    a, bounded = _as_matrix(matrix)
-    message = "matrix columns are not orthonormal; transpose is not an inverse"
-    check_orthonormal(a, bounded, np.eye(a.shape[0]), message)
+    a = _as_matrix(matrix)
+    _check_orthonormal(a, "matrix columns are not orthonormal; transpose is not an inverse")
     return a.T.copy()
 
 
@@ -53,12 +79,12 @@ def solve(matrix, y) -> np.ndarray:
     x = A^T y.  Because A preserves inner products, x is again a unit vector
     and the residual A x - y vanishes to rounding error.
     """
-    a, bounded = _as_matrix(matrix)
-    rhs = check_vector(np.asarray(y, dtype=float), "right-hand side")
+    a = _as_matrix(matrix)
+    rhs = check_vector(as_real(y, "vector entries must be real"), "right-hand side")
     check_finite(rhs, "vector entries must be finite")
     if rhs.size != a.shape[0]:
         raise DimensionMismatchError(f"right-hand side has length {rhs.size}, matrix is {a.shape[0]}x{a.shape[1]}")
-    check_orthonormal(a, bounded, np.eye(a.shape[0]), "matrix columns are not orthonormal")
+    _check_orthonormal(a, "matrix columns are not orthonormal")
     check_unit_norm(rhs, "right-hand side")
     return a.T @ rhs
 

@@ -38,6 +38,7 @@ from .errors import (
     InvalidTargetError,
     NotNormalizedError,
     ValidationError,
+    as_real,
     check_finite,
     check_int,
 )
@@ -181,9 +182,7 @@ def apply_gate(state, gate: Gate) -> np.ndarray:
     """One gate on a (2**n,) state or (2**n, k) block of real finite columns, as a new array: the one-gate `run`."""
     amps = np.asarray(state)
     n = _qubit_count(amps, ndims=(1, 2))
-    if amps.dtype.kind == "c":
-        raise ValidationError("state entries must be real")
-    amps = amps.astype(float, copy=False)
+    amps = as_real(amps, "state entries must be real")
     check_finite(amps, "state entries must be finite")
     circuit = Circuit(n, (gate,))
     peak = float(abs(amps).max()) if gate.kind == "h" else 0.0
@@ -303,12 +302,12 @@ def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
     """Multinomial counts of `shots` outcomes from a (d,) vector or (k, d) block.
 
     One generator per call, default_rng(seed); a block's rows are drawn in
-    order from it.  Rules, in the order checked: the shape; shots, an integer
-    from 1 to 2**63 - 1; the seed, a non-negative integer; entries finite, then
-    non-negative; each row sums to 1 within 1e-6.  Each row is divided by its
-    sum for the draw.
+    order from it.  Rules, in the order checked: a real dtype; the shape;
+    shots, an integer from 1 to 2**63 - 1; the seed, a non-negative integer;
+    entries finite, then non-negative; each row sums to 1 within 1e-6.  Each
+    row is divided by its sum for the draw.
     """
-    p = np.asarray(probs, dtype=float)
+    p = as_real(probs, "probabilities must be real")
     if p.ndim not in (1, 2):
         raise ValidationError(f"expected a probability vector or a block of rows, got shape {p.shape}")
     if check_int(shots, "shots") < 1:
@@ -339,6 +338,6 @@ def _bitstrings(n_qubits: int) -> tuple[str, ...]:
 
 
 def sample_distribution(probs, shots: int, seed: int) -> ShotTable:
-    p = np.asarray(probs, dtype=float)
+    p = as_real(probs, "probabilities must be real")
     n = _qubit_count(p)
     return ShotTable(shots, seed, dict(zip(_bitstrings(n), sample_counts(p, shots, seed).tolist())))

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import sim
 from .errors import ORTHONORMAL_TOL, DimensionMismatchError, SynthesisNotFoundError
-from .errors import ValidationError, check_int, check_orthonormal, entries_bounded
+from .errors import ValidationError, as_real, check_int, check_orthonormal, entries_bounded
 
 #: Search vocabulary, in tie-breaking order.
 VOCABULARY: tuple[sim.Gate, ...] = (
@@ -114,7 +114,7 @@ def synthesize(target, max_gates: int = DEFAULT_MAX_GATES) -> SynthesisResult:
     the orthogonality check and the int8 key.  Raises SynthesisNotFoundError
     when no circuit of at most `max_gates` gates reaches the target within 1e-10.
     """
-    t = np.asarray(target, dtype=float)
+    t = as_real(target, "synthesis target must be real")
     if t.shape != (4, 4):
         raise DimensionMismatchError(f"target must be 4x4, got shape {t.shape}")
     exact = _exact().get(t.tobytes())

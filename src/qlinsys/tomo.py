@@ -16,6 +16,13 @@ in PAULI_WORDS order, the order and start of a word-by-word loop, so it matches
 that loop byte for byte.  It then clips negative eigenvalues and renormalizes,
 so the output is always a valid state even for noisy tables.
 
+The physicality that `apply_depolarizing` and `pauli_expectations` require is
+cached: a matrix of at most 64 entries is keyed by its C-ordered complex128
+bytes and shape (at most 1 KiB), and the last 512 keys used are kept, room for
+the 384 densities of the 192 catalog solutions, clean and depolarized at the
+calibrated p.  Shape and finiteness are checked on every call, so verdicts and
+errors are those of an uncached check.
+
 The first letter of a Pauli word refers to qubit 1 (the most significant
 bit), matching the bitstring convention in `sim`.
 
@@ -28,6 +35,7 @@ setting: 3, 0, 0, 0, 0 at the calibrated p; 27, 0, 0, 0, 0 at p = 0.1; 165, 2,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -67,6 +75,7 @@ MEASUREMENT_SETTINGS: tuple[str, ...] = tuple(
 )
 
 _TOL = 1e-8  # bound on a physical state's Hermiticity, trace and eigenvalues
+_MEMO_MAX_ENTRIES = 64  # 8x8, the widest unitary `sim` keeps
 
 #: Depolarizing strength that reproduces the readout fidelity observed when
 #: these circuits were run on a 5-qubit superconducting device.
@@ -91,10 +100,21 @@ def density_from_state(psi) -> np.ndarray:
 
 
 def is_physical(rho) -> bool:
-    """Non-empty, finite, Hermitian and unit trace within 1e-8, and no eigenvalue below -1e-8."""
+    """Non-empty, finite, Hermitian and unit trace within 1e-8, and no eigenvalue below -1e-8.
+
+    Past the shape and finiteness rules, the verdict is cached for a matrix of at most 64 entries.
+    """
     m = np.asarray(rho, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size or not np.isfinite(m).all():
         return False
+    verdict = _physical if m.size <= _MEMO_MAX_ENTRIES else _physical.__wrapped__
+    return verdict(m.tobytes(), m.shape)
+
+
+@functools.lru_cache(maxsize=512)
+def _physical(data: bytes, shape: tuple[int, int]) -> bool:
+    """Whether the finite complex matrix with these C-ordered bytes is Hermitian, of unit trace and PSD within 1e-8."""
+    m = np.frombuffer(data, dtype=complex).reshape(shape)
     adjoint = m.conj().T
     if abs(m - adjoint).max() > _TOL:
         return False

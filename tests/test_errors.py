@@ -430,6 +430,18 @@ CASES = {
         )
         for name, value in [("complex", 1j), ("str", "x"), ("none", None), ("list", [0.1]), ("array", np.zeros(1))]
     },
+    # A complex dtype is refused before the float conversion, which would drop the imaginary part.
+    **{
+        f"{site}_complex": (call, ValidationError, message)
+        for site, call, message in [
+            ("linsys.inverse", lambda: linsys.inverse_operator(np.eye(4) + np.diag([0, 0, 0, 5j])), "^matrix entries must be real$"),
+            ("linsys.solve_matrix", lambda: linsys.solve(np.eye(4) + 0j, [1, 0, 0, 0]), "^matrix entries must be real$"),
+            ("linsys.solve_rhs", lambda: linsys.solve(np.eye(4), [1 + 0j, 0, 0, 0]), "^vector entries must be real$"),
+            ("synth.target", lambda: synth.synthesize(np.eye(4) * (1 + 1e-3j)), "^synthesis target must be real$"),
+            ("sim.sample", lambda: sim.sample_counts([0.5, 0.5 + 0.5j], 10, 0), "^probabilities must be real$"),
+            ("sim.distribution", lambda: sim.sample_distribution([1.0 + 0j, 0.0], 10, 0), "^probabilities must be real$"),
+        ]
+    },
 }
 
 

@@ -8,6 +8,7 @@ from qlinsys.errors import (
     DimensionMismatchError,
     NotNormalizedError,
     NotOrthonormalError,
+    ValidationError,
 )
 
 from oracles import gauss_solve, mat_mul, mat_vec, max_abs_diff
@@ -161,3 +162,136 @@ class TestCsvIo:
         path.write_text("1,0\n0,1\n")
         with pytest.raises(DimensionMismatchError):
             linsys.load_vector(path)
+
+
+def _gram_off_by(deviation):
+    """The identity with entry (1, 0) set: A^T A - I is exactly `deviation` at (0, 1) and (1, 0)."""
+    a = np.eye(4)
+    a[1, 0] = deviation
+    return a
+
+
+def _with_entry(value):
+    a = A_1234.copy()
+    a[2, 3] = value
+    return a
+
+
+def _strided(a):
+    """A view of `a` with a stride of 2 in both axes."""
+    wide = np.zeros((2 * a.shape[0], 2 * a.shape[1]))
+    wide[::2, ::2] = a
+    return wide[::2, ::2]
+
+
+_TOL_STEPS = {"below": np.nextafter(1e-10, 0.0), "at": 1e-10, "above": np.nextafter(1e-10, 1.0)}
+
+#: Inputs on both sides of every rule the orthonormality verdict meets.
+_ADVERSARIAL_MATRICES = {
+    **{f"gram_{name}": _gram_off_by(d) for name, d in _TOL_STEPS.items()},
+    **{f"gram_{name}_transposed": _gram_off_by(d).T for name, d in _TOL_STEPS.items()},
+    "nan": _with_entry(np.nan),
+    "inf": _with_entry(np.inf),
+    "-inf": _with_entry(-np.inf),
+    "huge": np.full((4, 4), 1e200),
+    "plus_zero": np.eye(4),
+    "minus_zero": np.where(np.eye(4) == 1.0, 1.0, -0.0),
+    "minus_identity": -np.eye(4),  # every zero is -0.0
+    "a1234_transposed": A_1234.T,
+    "a1234_strided": _strided(A_1234),
+    "repeated_column_strided": _strided(np.repeat(A_1234[:, :1], 4, axis=1)),
+}
+
+_VERDICT_CALLS = {
+    "inverse_operator": linsys.inverse_operator,
+    "solve": lambda a: linsys.solve(a, E1),
+}
+
+
+def _outcome(call, a):
+    """The result's dtype and bytes, or the error's class and message."""
+    try:
+        result = call(a)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return result.dtype, result.tobytes()
+
+
+class TestVerdictMemo:
+    """A cached orthonormality verdict gives what a fresh check gives, and the memo stays bounded."""
+
+    @pytest.mark.parametrize("call", _VERDICT_CALLS)
+    @pytest.mark.parametrize("name", _ADVERSARIAL_MATRICES)
+    def test_repeat_and_cleared_calls_match_the_first(self, name, call):
+        call, a = _VERDICT_CALLS[call], _ADVERSARIAL_MATRICES[name]
+        linsys._orthonormal.cache_clear()
+        first = _outcome(call, a)
+        again = _outcome(call, a)
+        linsys._orthonormal.cache_clear()
+        assert first == again == _outcome(call, a)
+
+    @pytest.mark.parametrize("call", _VERDICT_CALLS)
+    @pytest.mark.parametrize("name", [name for name in _ADVERSARIAL_MATRICES if "transposed" in name or "strided" in name])
+    def test_a_view_gets_its_c_ordered_copys_verdict(self, name, call):
+        call, view = _VERDICT_CALLS[call], _ADVERSARIAL_MATRICES[name]
+        assert not view.flags.c_contiguous
+        linsys._orthonormal.cache_clear()
+        of_view = _outcome(call, view)
+        linsys._orthonormal.cache_clear()
+        assert of_view == _outcome(call, np.ascontiguousarray(view))
+
+    def test_the_tolerance_holds_on_each_side_of_one_ulp(self):
+        for name, expected in [("below", True), ("at", True), ("above", False)]:
+            for a in (_gram_off_by(_TOL_STEPS[name]), _gram_off_by(_TOL_STEPS[name]).T):
+                for _ in range(2):
+                    outcome = _outcome(linsys.inverse_operator, a)
+                    assert (outcome[0] is not NotOrthonormalError) == expected, name
+
+    def test_a_non_finite_matrix_says_so_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValidationError, match="^matrix entries must be finite$"):
+                linsys.inverse_operator(_with_entry(np.nan))
+
+    def test_catalog_matrices_take_the_memo(self, monkeypatch):
+        specs = family.enumerate_family()
+        for spec in specs:
+            linsys.inverse_operator(spec.matrix)
+
+        def fail(*args):
+            raise AssertionError("a catalog matrix's orthonormality was checked again")
+
+        monkeypatch.setattr(linsys, "check_orthonormal", fail)
+        for spec in specs:
+            assert np.array_equal(linsys.inverse_operator(spec.matrix), spec.matrix.T)
+            for b in range(4):
+                rhs = np.eye(4)[b]
+                assert np.array_equal(linsys.solve(spec.matrix, rhs), spec.matrix.T @ rhs)
+
+    def test_a_matrix_wider_than_64_entries_is_checked_on_every_call(self, monkeypatch):
+        calls, check = [], linsys.check_orthonormal
+
+        def counted(matrix, *args):
+            calls.append(matrix.shape)
+            check(matrix, *args)
+
+        monkeypatch.setattr(linsys, "check_orthonormal", counted)
+        before = linsys._orthonormal.cache_info()
+        for _ in range(3):
+            assert np.array_equal(linsys.inverse_operator(np.eye(16)), np.eye(16))
+        assert calls == [(16, 16)] * 3
+        assert linsys._orthonormal.cache_info() == before
+
+    def test_eight_by_eight_is_cached_and_nine_by_nine_is_not(self):
+        linsys._orthonormal.cache_clear()
+        for n in (8, 9):
+            for _ in range(2):
+                linsys.inverse_operator(np.eye(n))
+            assert linsys._orthonormal.cache_info().currsize == 1
+
+    def test_the_memo_holds_at_most_512_verdicts(self):
+        linsys._orthonormal.cache_clear()
+        for k in range(2000):
+            c, s = np.cos(k / 1000), np.sin(k / 1000)
+            linsys.inverse_operator([[c, -s], [s, c]])
+            assert linsys._orthonormal.cache_info().currsize <= 512
+        assert linsys._orthonormal.cache_info().currsize == 512

@@ -187,6 +187,165 @@ class TestPhysicality:
             tomo.pauli_expectations(nan_rho)
 
 
+def _hermitian_off_by(deviation):
+    """I/4 with entry (0, 1) set: rho - rho^H is exactly `deviation` there."""
+    rho = np.eye(4) / 4
+    rho[0, 1] = deviation
+    return rho
+
+
+def _eigenvalue_at(value):
+    """diag(1 - value, value, 0, 0): its least eigenvalue is exactly `value`, its trace 1 within 1e-15."""
+    return np.diag([1.0 - value, value, 0.0, 0.0])
+
+
+def _strided(rho):
+    """A view of `rho` with a stride of 2 in both axes."""
+    wide = np.zeros((8, 8), dtype=rho.dtype)
+    wide[::2, ::2] = rho
+    return wide[::2, ::2]
+
+
+def _with_entry(value, at=(2, 3)):
+    rho = np.eye(4, dtype=complex) / 4
+    rho[at] = value
+    return rho
+
+
+_PHYSICAL_TOL_STEPS = {"below": np.nextafter(1e-8, 0.0), "at": 1e-8, "above": np.nextafter(1e-8, 1.0)}
+_COMPLEX_RHO = tomo.density_from_state(np.array([0.5, 0.5j, -0.5, -0.5j]))
+
+#: Inputs on both sides of every rule the physicality verdict meets.
+_ADVERSARIAL_DENSITIES = {
+    **{f"hermitian_{name}": _hermitian_off_by(d) for name, d in _PHYSICAL_TOL_STEPS.items()},
+    **{f"hermitian_{name}_transposed": _hermitian_off_by(d).T for name, d in _PHYSICAL_TOL_STEPS.items()},
+    **{f"eigenvalue_{name}": _eigenvalue_at(-d) for name, d in _PHYSICAL_TOL_STEPS.items()},
+    "nan": _with_entry(np.nan),
+    "nan_imag": _with_entry(complex(0.0, np.nan)),
+    "inf": _with_entry(np.inf),
+    "-inf": _with_entry(-np.inf),
+    "plus_zero": np.eye(4) / 4,
+    "minus_zero": np.where(np.eye(4) == 1.0, 0.25, -0.0),
+    "minus_zero_imag": np.eye(4) / 4 + complex(0.0, -0.0),
+    "float": np.diag([0.5, 0.25, 0.25, 0.0]),
+    "complex": np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex),
+    "complex_transposed": _COMPLEX_RHO.T,
+    "complex_strided": _strided(_COMPLEX_RHO),
+    "not_hermitian_strided": _strided(_with_entry(0.1j, (0, 1))),
+}
+
+_PHYSICALITY_CALLS = {
+    "is_physical": tomo.is_physical,
+    "apply_depolarizing": lambda rho: tomo.apply_depolarizing(rho, 0.1).tobytes(),
+    "pauli_expectations": lambda rho: tomo.pauli_expectations(rho).values.tobytes(),
+}
+
+
+def _outcome(call, rho):
+    """The call's result, or the error's class and message."""
+    try:
+        return call(rho)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+class TestPhysicalityMemo:
+    """A cached physicality verdict gives what a fresh check gives, and the memo stays bounded."""
+
+    @pytest.mark.parametrize("call", _PHYSICALITY_CALLS)
+    @pytest.mark.parametrize("name", _ADVERSARIAL_DENSITIES)
+    def test_repeat_and_cleared_calls_match_the_first(self, name, call):
+        call, rho = _PHYSICALITY_CALLS[call], _ADVERSARIAL_DENSITIES[name]
+        tomo._physical.cache_clear()
+        first = _outcome(call, rho)
+        again = _outcome(call, rho)
+        tomo._physical.cache_clear()
+        assert first == again == _outcome(call, rho)
+
+    @pytest.mark.parametrize("call", _PHYSICALITY_CALLS)
+    @pytest.mark.parametrize("name", [name for name in _ADVERSARIAL_DENSITIES if "transposed" in name or "strided" in name])
+    def test_a_view_gets_its_c_ordered_copys_verdict(self, name, call):
+        call, view = _PHYSICALITY_CALLS[call], _ADVERSARIAL_DENSITIES[name]
+        assert not view.flags.c_contiguous
+        tomo._physical.cache_clear()
+        of_view = _outcome(call, view)
+        tomo._physical.cache_clear()
+        assert of_view == _outcome(call, np.ascontiguousarray(view))
+
+    def test_the_tolerances_hold_on_each_side_of_one_ulp(self):
+        for name, expected in [("below", True), ("at", True), ("above", False)]:
+            d = _PHYSICAL_TOL_STEPS[name]
+            for rho in (_hermitian_off_by(d), _hermitian_off_by(d).T, _eigenvalue_at(-d)):
+                assert [tomo.is_physical(rho) for _ in range(2)] == [expected] * 2, name
+
+    def test_a_float_and_a_complex_rho_with_equal_values_agree(self):
+        for name, expected in [("float", True), ("hermitian_above", False), ("eigenvalue_above", False), ("minus_zero", True)]:
+            rho = _ADVERSARIAL_DENSITIES[name]
+            tomo._physical.cache_clear()
+            assert [tomo.is_physical(rho), tomo.is_physical(rho.astype(complex))] == [expected] * 2, name
+            assert tomo._physical.cache_info().currsize == 1  # one key: both are checked as complex
+
+    def test_equal_bytes_in_other_shapes_get_their_own_verdict(self):
+        rho = np.eye(4, dtype=complex) / 4
+        for shapes in itertools.permutations([(4, 4), (2, 8), (16,)]):
+            tomo._physical.cache_clear()
+            for shape in shapes:
+                assert tomo.is_physical(rho.reshape(shape)) == (shape == (4, 4)), shapes
+
+    def test_a_non_finite_density_is_refused_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValidationError, match="^input is not a physical density matrix$"):
+                tomo.apply_depolarizing(_with_entry(np.nan), 0.1)
+
+    def test_catalog_densities_take_the_memo(self, monkeypatch):
+        p = tomo.CALIBRATED_DEPOLARIZING_P
+        clean = [
+            tomo.density_from_state(linsys.solve(spec.matrix, np.eye(4)[b]))
+            for spec in family.enumerate_family()
+            for b in range(4)
+        ]
+        noisy = [tomo.apply_depolarizing(rho, p) for rho in clean]
+        for rho in noisy:
+            tomo.pauli_expectations(rho)
+
+        def fail(*args):
+            raise AssertionError("a catalog density's physicality was checked again")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        assert len(clean + noisy) == 384
+        for rho in clean + noisy:
+            tomo.apply_depolarizing(rho, p)
+            tomo.pauli_expectations(rho)
+
+    def test_a_density_wider_than_64_entries_is_checked_on_every_call(self, monkeypatch):
+        calls, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted(m):
+            calls.append(m.shape)
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        before = tomo._physical.cache_info()
+        for _ in range(3):
+            assert tomo.is_physical(np.eye(16) / 16)
+        assert calls == [(16, 16)] * 3
+        assert tomo._physical.cache_info() == before
+
+    def test_eight_by_eight_is_cached_and_nine_by_nine_is_not(self):
+        tomo._physical.cache_clear()
+        for n in (8, 9):
+            for _ in range(2):
+                assert tomo.is_physical(np.eye(n) / n)
+            assert tomo._physical.cache_info().currsize == 1
+
+    def test_the_memo_holds_at_most_512_verdicts(self):
+        tomo._physical.cache_clear()
+        for k in range(2000):
+            assert tomo.is_physical(np.diag([k / 2000, 1 - k / 2000]))
+            assert tomo._physical.cache_info().currsize <= 512
+        assert tomo._physical.cache_info().currsize == 512
+
+
 class TestDepolarizing:
     def test_zero_strength_is_identity_map(self):
         rho = tomo.density_from_state(SIGNED_STATE)
