@@ -7,6 +7,7 @@ written once here; every call site passes its own name or message, so each
 error keeps its site's wording.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -60,11 +61,15 @@ def check_int(value, name: str) -> int:
 
 
 def as_real(values, message: str) -> np.ndarray:
-    """`values` as a float64 array; ValidationError(message) for a complex dtype, which the conversion would truncate."""
-    out = np.asarray(values)
-    if out.dtype.kind == "c":
-        raise ValidationError(message)
-    return out.astype(float, copy=False)
+    """`values` as a float64 array; ValidationError(message) for complex values, which it would truncate, or for
+    values that no double holds, such as text or 10**400."""
+    try:
+        out = np.asarray(values)
+        if out.dtype.kind != "c":
+            return out.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(message)
 
 
 def check_finite(values: np.ndarray, message: str, error: type = ValidationError) -> None:
@@ -104,7 +109,22 @@ def entries_bounded(matrix: np.ndarray) -> bool:
     return bool(abs(matrix).max() <= 2.0)
 
 
-def check_orthonormal(matrix: np.ndarray, bounded: bool, eye: np.ndarray, message: str) -> None:
-    """Raise NotOrthonormalError(message) unless `bounded`, the `entries_bounded` flag, and M^T M = eye within 1e-10."""
-    if not (bounded and abs(matrix.T @ matrix - eye).max() <= ORTHONORMAL_TOL):
-        raise NotOrthonormalError(message)
+def is_orthonormal(matrix: np.ndarray) -> bool:
+    """Whether the real matrix's columns are orthonormal: `entries_bounded`, and M^T M = I within 1e-10."""
+    return entries_bounded(matrix) and bool(abs(matrix.T @ matrix - np.eye(matrix.shape[1])).max() <= ORTHONORMAL_TOL)
+
+
+def memo_verdict(check):
+    """Memoize a verdict `check(m) -> bool` by m's C-ordered bytes, dtype and shape: the last 512 keys of at
+    most 64 entries (8x8, the widest unitary `sim` keeps).  A miss, and a wider m on every call, checks the
+    C-ordered copy, so a view gets its copy's verdict.  `cache_info` and `cache_clear` are the cache's."""
+    @functools.lru_cache(maxsize=512)
+    def cached(data: bytes, dtype: np.dtype, shape: tuple) -> bool:
+        return check(np.frombuffer(data, dtype).reshape(shape))
+
+    @functools.wraps(check)
+    def verdict(m: np.ndarray) -> bool:
+        return (cached if m.size <= 64 else cached.__wrapped__)(m.tobytes(), m.dtype, m.shape)
+
+    verdict.cache_info, verdict.cache_clear = cached.cache_info, cached.cache_clear
+    return verdict

@@ -5,15 +5,13 @@ x = A^T y with no elimination or factorization.  Solutions inherit the norm
 of y, which is what lets them double as quantum state amplitudes elsewhere
 in the package.  Orthonormality and unit norm are checked to a fixed 1e-10.
 Complex input is refused, never truncated.  The orthonormality verdict is
-cached: a matrix of at most 64 entries is keyed by its C-ordered float64
-bytes and shape (at most 512 B), and the last 512 keys used are kept, room
-for the 48 catalog matrices.  Shape and finiteness are checked on every call,
-so results and errors are those of an uncached check.
+memoized per exact input by `errors.memo_verdict`, which has room for the 48
+catalog matrices.  Shape and finiteness are checked on every call, so
+results and errors are those of an uncached check.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 
 import numpy as np
@@ -24,13 +22,12 @@ from .errors import (
     ValidationError,
     as_real,
     check_finite,
-    check_orthonormal,
     check_unit_norm,
     check_vector,
     entries_bounded,
+    is_orthonormal,
+    memo_verdict,
 )
-
-_MEMO_MAX_ENTRIES = 64  # 8x8, the widest unitary `sim` keeps
 
 
 def _as_matrix(matrix) -> np.ndarray:
@@ -43,22 +40,10 @@ def _as_matrix(matrix) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=512)
-def _orthonormal(data: bytes, shape: tuple[int, int]) -> bool:
-    """Whether the float64 matrix with these C-ordered bytes passes `check_orthonormal`."""
-    a = np.frombuffer(data).reshape(shape)
-    try:
-        check_orthonormal(a, entries_bounded(a), np.eye(shape[0]), "")
-    except NotOrthonormalError:
-        return False
-    return True
-
-
-def _check_orthonormal(a: np.ndarray, message: str) -> None:
-    """Raise NotOrthonormalError(message) unless `_orthonormal`, cached for a matrix of at most 64 entries."""
-    verdict = _orthonormal if a.size <= _MEMO_MAX_ENTRIES else _orthonormal.__wrapped__
-    if not verdict(a.tobytes(), a.shape):
-        raise NotOrthonormalError(message)
+@memo_verdict
+def _orthonormal(a: np.ndarray) -> bool:
+    """`is_orthonormal`, memoized per exact input."""
+    return is_orthonormal(a)
 
 
 def inverse_operator(matrix) -> np.ndarray:
@@ -68,7 +53,8 @@ def inverse_operator(matrix) -> np.ndarray:
     Applying the operation twice returns the original matrix exactly.
     """
     a = _as_matrix(matrix)
-    _check_orthonormal(a, "matrix columns are not orthonormal; transpose is not an inverse")
+    if not _orthonormal(a):
+        raise NotOrthonormalError("matrix columns are not orthonormal; transpose is not an inverse")
     return a.T.copy()
 
 
@@ -84,7 +70,8 @@ def solve(matrix, y) -> np.ndarray:
     check_finite(rhs, "vector entries must be finite")
     if rhs.size != a.shape[0]:
         raise DimensionMismatchError(f"right-hand side has length {rhs.size}, matrix is {a.shape[0]}x{a.shape[1]}")
-    _check_orthonormal(a, "matrix columns are not orthonormal")
+    if not _orthonormal(a):
+        raise NotOrthonormalError("matrix columns are not orthonormal")
     check_unit_norm(rhs, "right-hand side")
     return a.T @ rhs
 

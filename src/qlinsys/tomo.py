@@ -17,8 +17,7 @@ that loop byte for byte.  It then clips negative eigenvalues and renormalizes,
 so the output is always a valid state even for noisy tables.
 
 The physicality that `apply_depolarizing` and `pauli_expectations` require is
-cached: a matrix of at most 64 entries is keyed by its C-ordered complex128
-bytes and shape (at most 1 KiB), and the last 512 keys used are kept, room for
+memoized per exact complex input by `errors.memo_verdict`, which has room for
 the 384 densities of the 192 catalog solutions, clean and depolarized at the
 calibrated p.  Shape and finiteness are checked on every call, so verdicts and
 errors are those of an uncached check.
@@ -35,7 +34,6 @@ setting: 3, 0, 0, 0, 0 at the calibrated p; 27, 0, 0, 0, 0 at p = 0.1; 165, 2,
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -50,6 +48,7 @@ from .errors import (
     check_finite,
     check_unit_norm,
     check_vector,
+    memo_verdict,
 )
 
 _PAULI_1Q = {
@@ -75,7 +74,6 @@ MEASUREMENT_SETTINGS: tuple[str, ...] = tuple(
 )
 
 _TOL = 1e-8  # bound on a physical state's Hermiticity, trace and eigenvalues
-_MEMO_MAX_ENTRIES = 64  # 8x8, the widest unitary `sim` keeps
 
 #: Depolarizing strength that reproduces the readout fidelity observed when
 #: these circuits were run on a 5-qubit superconducting device.
@@ -100,21 +98,17 @@ def density_from_state(psi) -> np.ndarray:
 
 
 def is_physical(rho) -> bool:
-    """Non-empty, finite, Hermitian and unit trace within 1e-8, and no eigenvalue below -1e-8.
-
-    Past the shape and finiteness rules, the verdict is cached for a matrix of at most 64 entries.
-    """
-    m = np.asarray(rho, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size or not np.isfinite(m).all():
+    """Complex doubles, square, non-empty, finite, Hermitian and unit trace within 1e-8, no eigenvalue below -1e-8."""
+    try:
+        m = np.asarray(rho, dtype=complex)
+    except (TypeError, ValueError, OverflowError):  # text or 10**400, say, which no complex double holds
         return False
-    verdict = _physical if m.size <= _MEMO_MAX_ENTRIES else _physical.__wrapped__
-    return verdict(m.tobytes(), m.shape)
+    return m.ndim == 2 and m.shape[0] == m.shape[1] and m.size > 0 and bool(np.isfinite(m).all()) and _physical(m)
 
 
-@functools.lru_cache(maxsize=512)
-def _physical(data: bytes, shape: tuple[int, int]) -> bool:
-    """Whether the finite complex matrix with these C-ordered bytes is Hermitian, of unit trace and PSD within 1e-8."""
-    m = np.frombuffer(data, dtype=complex).reshape(shape)
+@memo_verdict
+def _physical(m: np.ndarray) -> bool:
+    """Whether the finite square complex matrix m is Hermitian, of unit trace and PSD within 1e-8."""
     adjoint = m.conj().T
     if abs(m - adjoint).max() > _TOL:
         return False
@@ -125,10 +119,9 @@ def _physical(data: bytes, shape: tuple[int, int]) -> bool:
 
 
 def _check_density(rho) -> np.ndarray:
-    m = np.asarray(rho, dtype=complex)
-    if not is_physical(m):
+    if not is_physical(rho):
         raise ValidationError("input is not a physical density matrix")
-    return m
+    return np.asarray(rho, dtype=complex)  # is_physical's conversion, which succeeded
 
 
 def apply_depolarizing(rho, p: float) -> np.ndarray:

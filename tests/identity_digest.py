@@ -22,7 +22,8 @@ everything else by `repr`:
   through `sim.apply_gate` after every gate, on random circuits of all six
   gate kinds at 1 to 9 qubits.  Block entries are real, drawn from +-0, +-1,
   denormals and 1/2, where two kernels could differ by a bit.
-* Every entry of the synthesis closure: key, circuit, unitary and sign.
+* Every entry of the synthesis table: the int8 key of sign * U, circuit, sign
+  and U, U being `sim.unitary_of` of the circuit.
 * The 48 catalog systems times 4 basis inputs: solution, state, 1024-shot
   counts, and each circuit's QASM.
 * H-heavy wide circuits at 4 to 10 qubits: ascending H layers between
@@ -191,8 +192,12 @@ def feed_grover(digest: Digest) -> None:
 
 
 def feed_synthesis(digest: Digest) -> None:
-    for key, (circuit, unitary, sign) in synth._closure().items():
-        digest.feed((key, circuit, sign))
+    # Each entry in the form of the earlier int8-keyed table, so that the digest keeps its value:
+    # the key sign(m) round(4 m^2) of sign * U, the circuit and the sign, then U itself.
+    for result in synth._table().values():
+        unitary = sim.unitary_of(result.circuit)
+        signed = result.matched_sign * unitary
+        digest.feed((np.rint(4.0 * signed * np.abs(signed)).astype(np.int8).tobytes(), result.circuit, result.matched_sign))
         digest.feed(unitary)
 
 

@@ -442,7 +442,25 @@ CASES = {
             ("sim.distribution", lambda: sim.sample_distribution([1.0 + 0j, 0.0], 10, 0), "^probabilities must be real$"),
         ]
     },
+    # Text, or an int no double holds, is refused as such, not with the conversion's own
+    # ValueError or OverflowError.  tomo's rows reach `is_physical`, which says False.
+    **{
+        f"{site}_not_double": (call, ValidationError, message)
+        for site, call, message in [
+            ("linsys.inverse", lambda: linsys.inverse_operator([[10**400]]), "^matrix entries must be real$"),
+            ("linsys.solve", lambda: linsys.solve(np.eye(1), [10**400]), "^vector entries must be real$"),
+            ("sim.sample", lambda: sim.sample_counts([10**400], 10, 0), "^probabilities must be real$"),
+            ("synth.target", lambda: synth.synthesize("abc"), "^synthesis target must be real$"),
+            ("tomo.depolarize_huge", lambda: tomo.apply_depolarizing([[10**400]], 0.1), "^input is not a physical density matrix$"),
+            ("tomo.expectations_text", lambda: tomo.pauli_expectations("abc"), "^input is not a physical density matrix$"),
+        ]
+    },
 }
+
+
+@pytest.mark.parametrize("rho", [[[10**400]], "abc"], ids=["huge", "text"])
+def test_a_non_double_is_not_physical(rho):
+    assert tomo.is_physical(rho) is False
 
 
 @pytest.mark.parametrize("site", CASES)
@@ -479,3 +497,59 @@ def test_every_error_class_is_raised_and_pinned(error):
     """The package raises each class by name, and some case above expects exactly that class."""
     assert error.__name__ in _raised_in_src()
     assert any(row[1] is error for row in CASES.values())
+
+
+class TestMemoVerdict:
+    """`errors.memo_verdict` checks each exact input of at most 64 entries once, and keeps 512 keys."""
+
+    @staticmethod
+    def _counted():
+        """A memoized verdict, and the list of the arrays its check was called on."""
+        seen = []
+
+        @errors.memo_verdict
+        def positive(m):
+            """Whether every entry is positive."""
+            seen.append(m.copy())
+            return bool((m > 0).all())
+
+        return positive, seen
+
+    def test_the_check_runs_once_per_bytes_dtype_and_shape(self):
+        verdict, seen = self._counted()
+        a = np.arange(1.0, 17.0).reshape(4, 4)
+        inputs = [a, a.copy(), a.reshape(2, 8), a.astype(complex), a.astype(np.float32), -a, a]
+        assert [verdict(m) for m in inputs] == [True] * 5 + [False, True]
+        keys = [(float, (4, 4)), (float, (2, 8)), (complex, (4, 4)), (np.float32, (4, 4)), (float, (4, 4))]
+        assert [(m.dtype, m.shape) for m in seen] == [(np.dtype(t), shape) for t, shape in keys]
+        assert verdict.cache_info().currsize == 5
+        verdict.cache_clear()
+        assert verdict(a) and len(seen) == 6
+        assert (verdict.__name__, verdict.__doc__) == ("positive", "Whether every entry is positive.")
+
+    def test_a_view_shares_its_copys_key_and_is_checked_as_the_copy(self):
+        verdict, seen = self._counted()
+        view = np.arange(1.0, 17.0).reshape(4, 4).T
+        assert verdict(view) and verdict(np.ascontiguousarray(view))
+        assert len(seen) == 1 and seen[0].flags.c_contiguous and np.array_equal(seen[0], view)
+
+    def test_above_64_entries_the_check_runs_on_every_call(self):
+        verdict, seen = self._counted()
+        for n in (8, 9):
+            wide = np.arange(1.0, n * n + 1).reshape(n, n).T
+            for _ in range(3):
+                assert verdict(wide)
+        assert [m.shape for m in seen] == [(8, 8)] + [(9, 9)] * 3
+        assert all(m.flags.c_contiguous and np.array_equal(m, wide) for m in seen[1:])
+        assert verdict.cache_info().currsize == 1
+
+    def test_the_cache_holds_the_last_512_keys(self):
+        verdict, seen = self._counted()
+        for k in range(600):
+            verdict(np.array([k + 1.0]))
+            assert verdict.cache_info().currsize <= 512
+        assert verdict.cache_info().currsize == 512
+        verdict(np.array([600.0]))  # still held
+        assert len(seen) == 600
+        verdict(np.array([1.0]))  # evicted
+        assert len(seen) == 601

@@ -11,8 +11,7 @@ from qlinsys.errors import (
     NotOrthonormalError,
     SynthesisNotFoundError,
     ValidationError,
-    check_orthonormal,
-    entries_bounded,
+    is_orthonormal,
 )
 
 from oracles import VOCABULARY_MATRICES, mat_mul, max_abs_diff, vocabulary_group
@@ -134,21 +133,17 @@ class TestWholeGroup:
 
 class TestTable:
     def test_stored_unitaries_are_those_of_their_circuits(self):
-        table = synth._closure()
+        table = synth._table()
         assert len(table) == 2 * 1152
-        assert len({id(circuit) for circuit, _, _ in table.values()}) == 1152
-        assert len({id(unitary) for _, unitary, _ in table.values()}) == 1152
-        for key, (circuit, unitary, sign) in table.items():
-            assert sign in (1, -1)
-            assert unitary.tobytes() == sim.unitary_of(circuit).tobytes()
-            signed = sign * unitary
-            code = np.rint(4.0 * signed * np.abs(signed)).astype(np.int8)
-            assert key == code.tobytes()
-            # Exact entries: the key decoded, sign(c) sqrt(|c| / 4), equals +-U.
-            assert np.array_equal(np.sign(code) * np.sqrt(np.abs(code) / 4.0), signed)
+        assert len({id(result.circuit) for result in table.values()}) == 1152
+        for key, result in table.items():
+            assert result.matched_sign in (1, -1)
+            assert (result.gate_count, repr(result.max_deviation)) == (len(result.circuit.ops), "0.0")
+            # Exact entries with +0.0 zeros: the snapped +-U is sign * U of the circuit, bit for bit.
+            assert key == (result.matched_sign * sim.unitary_of(result.circuit) + 0.0).tobytes()
 
     def test_warm_lookup_simulates_nothing(self, monkeypatch):
-        synth._closure()
+        synth._table()
 
         def fail(*args):
             raise AssertionError("synthesize simulated a circuit")
@@ -159,12 +154,12 @@ class TestTable:
             assert synth.synthesize(linsys.inverse_operator(spec.matrix)).gate_count >= 1
 
     def test_catalog_targets_take_the_exact_index(self, monkeypatch):
-        synth._closure()
+        synth._table()
 
         def fail(*args):
             raise AssertionError("synthesize checked a catalog target's orthogonality")
 
-        monkeypatch.setattr(synth, "check_orthonormal", fail)
+        monkeypatch.setattr(synth, "is_orthonormal", fail)
         for spec in family.enumerate_family():
             result = synth.synthesize(linsys.inverse_operator(spec.matrix))
             assert result.matched_sign == 1 and result.max_deviation == 0.0
@@ -174,21 +169,36 @@ class TestExactIndex:
     """Every signed stored element, exact or moved off the index by 1e-13, gives the same answer."""
 
     def test_index_holds_each_signed_element_once(self):
-        assert len(synth._exact()) == 2 * 1152
+        assert len(synth._table()) == 2 * 1152
 
     def test_zero_of_the_other_sign_takes_the_checked_path(self):
         target = np.where(np.eye(4) == 1.0, 1.0, -0.0)
-        assert target.tobytes() not in synth._exact()
+        assert target.tobytes() not in synth._table()
         result = synth.synthesize(target)
         assert (result.gate_count, result.matched_sign, repr(result.max_deviation)) == (0, 1, "0.0")
 
+    def test_negated_zeros_miss_the_bytes_and_hit_snapped(self):
+        with_zero = 0
+        for key, stored in synth._table().items():
+            target = np.frombuffer(key).reshape(4, 4)
+            if (target != 0.0).all():
+                continue
+            with_zero += 1
+            flipped = np.where(target == 0.0, -0.0, target)
+            assert flipped.tobytes() not in synth._table()
+            result = synth.synthesize(flipped)
+            assert (result.circuit, result.matched_sign) == (stored.circuit, stored.matched_sign)
+            assert (result.gate_count, repr(result.max_deviation)) == (stored.gate_count, "0.0")
+        assert 0 < with_zero < len(synth._table())
+
     def test_exact_and_near_targets_agree_on_the_whole_group(self):
-        for circuit, unitary, sign in synth._closure().values():
-            target = sign * unitary
-            check_orthonormal(target, entries_bounded(target), np.eye(4), "a stored element must pass the check it skips")
+        for key, stored in synth._table().items():
+            target = np.frombuffer(key).reshape(4, 4)
+            circuit, sign = stored.circuit, stored.matched_sign
+            assert is_orthonormal(target), "a stored element must pass the check it skips"
             near = target.copy()
             near[1, 2] += 1e-13
-            assert target.tobytes() in synth._exact() and near.tobytes() not in synth._exact()
+            assert target.tobytes() in synth._table() and near.tobytes() not in synth._table()
             exact, moved = synth.synthesize(target), synth.synthesize(near)
             assert (exact.circuit, exact.gate_count, exact.matched_sign) == (circuit, len(circuit.ops), sign)
             assert repr(exact.max_deviation) == "0.0"
