@@ -60,14 +60,24 @@ def check_int(value, name: str) -> int:
     return int(value)
 
 
-def as_real(values, message: str) -> np.ndarray:
-    """`values` as a float64 array; ValidationError(message) for complex values, which it would truncate, or for
-    values that no double holds, such as text or 10**400."""
+def check_real(value, name: str, error: type = ValidationError) -> float:
+    """Return `value` as a float; raise `error` if it is a bool, not a real number, or an int no double holds."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)):
+            return float(value)
+    except OverflowError:  # 10**400, say
+        pass
+    raise error(f"{name} must be a real number, got {value!r}")
+
+
+def as_doubles(values, message: str, dtype: type = float) -> np.ndarray:
+    """`values` as a float64 array, or complex128 if `dtype` is complex; ValidationError(message) for complex values
+    in float mode, which it would truncate, and for any dtype but bool, int or float: text, sets, objects, 10**400."""
     try:
         out = np.asarray(values)
-        if out.dtype.kind != "c":
-            return out.astype(float, copy=False)
-    except (TypeError, ValueError, OverflowError):
+        if out.dtype.kind in ("biufc" if dtype is complex else "biuf"):
+            return out.astype(dtype, copy=False)
+    except (TypeError, ValueError, OverflowError):  # entries of unequal shapes, say
         pass
     raise ValidationError(message)
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 
 from . import sim
-from .errors import InvalidCountsError, ValidationError, check_int
+from .errors import InvalidCountsError, ValidationError, check_int, check_real
 
-MAX_QUBITS = 10
 #: Upper bound on `build_grover_circuit`'s iteration count, far above the 25
-#: optimal iterations of one marked state at MAX_QUBITS; it keeps a mistyped
+#: optimal iterations of one marked state at `sim.MAX_QUBITS`; it keeps a mistyped
 #: count from building a circuit that never finishes.
 MAX_ITERATIONS = 1024
 
@@ -35,7 +34,7 @@ def theta(n_states: int, n_marked: int) -> float:
 
 
 def _angle(theta: float) -> float:
-    if not 0.0 < theta <= math.pi / 2:  # the angles `theta` returns; NaN fails too
+    if not 0.0 < check_real(theta, "theta") <= math.pi / 2:  # the angles `theta` returns; NaN fails too
         raise ValidationError(f"theta must lie in (0, pi/2], got {theta!r}")
     return theta
 
@@ -55,8 +54,8 @@ def success_probability(theta: float, iterations: int) -> float:
 
 def build_grover_circuit(n_qubits: int, marked, iterations: int) -> sim.Circuit:
     """Uniform superposition followed by `iterations` amplification rounds, at most MAX_ITERATIONS."""
-    if not 1 <= check_int(n_qubits, "n_qubits") <= MAX_QUBITS:
-        raise InvalidCountsError(f"n_qubits must lie in 1..{MAX_QUBITS}, got {n_qubits}")
+    if not 1 <= check_int(n_qubits, "n_qubits") <= sim.MAX_QUBITS:
+        raise InvalidCountsError(f"n_qubits must lie in 1..{sim.MAX_QUBITS}, got {n_qubits}")
     if check_int(iterations, "iterations") < 0:
         raise ValidationError("iterations must be non-negative")
     if iterations > MAX_ITERATIONS:

@@ -20,7 +20,7 @@ from .errors import (
     DimensionMismatchError,
     NotOrthonormalError,
     ValidationError,
-    as_real,
+    as_doubles,
     check_finite,
     check_unit_norm,
     check_vector,
@@ -32,7 +32,7 @@ from .errors import (
 
 def _as_matrix(matrix) -> np.ndarray:
     """The matrix as floats: real, square, non-empty and finite."""
-    out = as_real(matrix, "matrix entries must be real")
+    out = as_doubles(matrix, "matrix entries must be real")
     if out.ndim != 2 or out.shape[0] != out.shape[1] or not out.size:
         raise DimensionMismatchError(f"expected a non-empty square matrix, got shape {out.shape}")
     if not entries_bounded(out):  # a bounded matrix is finite
@@ -66,7 +66,7 @@ def solve(matrix, y) -> np.ndarray:
     and the residual A x - y vanishes to rounding error.
     """
     a = _as_matrix(matrix)
-    rhs = check_vector(as_real(y, "vector entries must be real"), "right-hand side")
+    rhs = check_vector(as_doubles(y, "vector entries must be real"), "right-hand side")
     check_finite(rhs, "vector entries must be finite")
     if rhs.size != a.shape[0]:
         raise DimensionMismatchError(f"right-hand side has length {rhs.size}, matrix is {a.shape[0]}x{a.shape[1]}")

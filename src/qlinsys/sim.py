@@ -12,16 +12,16 @@ Conventions, fixed across the package:
   (probs, shots, seed) inputs are byte-for-byte reproducible.
 
 The six gate kinds are H, X, Z, CX, CZ, and a phase flip on listed basis
-indices, all real.  States are float64 ndarrays of length 2**n, and a gate
-acts on all columns of a (2**n, k) block at once.  Gates and circuits are immutable
-and checked when built: a gate its shape, a circuit each distinct gate
-object against its width, once.  A run never writes its input.  H is the
-unscaled Walsh-Hadamard butterfly (a + b, a - b), and a run's k H gates are
-scaled once by sqrt(1/2)**k, which rounds only if k is odd: a real Clifford
-circuit, as each catalog circuit is, gives exact states (see
-`_apply_circuit`).  `apply_gate` is the one-gate run.  On 3 qubits or fewer
-the first `run` or `unitary_of` keeps the unitary (8x8 float64 at most, 512 B)
-to copy.
+indices, all real.  States are float64 ndarrays of length 2**n, n from 1 to
+MAX_QUBITS, and a gate acts on all columns of a (2**n, k) block at once.
+Gates and circuits are immutable and checked when built: a gate its shape, a
+circuit its width and each distinct gate object against it, once.  A run never
+writes its input.  H is the unscaled Walsh-Hadamard butterfly (a + b, a - b),
+and a run's k H gates are scaled once by sqrt(1/2)**k, which rounds only if k
+is odd: a real Clifford circuit, as each catalog circuit is, gives exact states
+(see `_apply_circuit`).  `apply_gate` is the one-gate run.  On 3 qubits or
+fewer the first `run` or `unitary_of` keeps the unitary (8x8 float64 at most,
+512 B) to copy.
 """
 
 from __future__ import annotations
@@ -38,12 +38,13 @@ from .errors import (
     InvalidTargetError,
     NotNormalizedError,
     ValidationError,
-    as_real,
+    as_doubles,
     check_finite,
     check_int,
 )
 
 GATE_KINDS = frozenset({"h", "x", "z", "cx", "cz", "phaseflip"})
+MAX_QUBITS = 10  # the widest register, whose state is 2**10 float64 entries, 8 KiB
 # The double nearest 1/sqrt(2); 1 / math.sqrt(2) is one ulp below it.
 _SQRT_HALF = math.sqrt(0.5)
 # The widest circuit that keeps its unitary (see `run`): 8x8 float64, 512 B.
@@ -59,7 +60,7 @@ class Gate:
     flips: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in GATE_KINDS:
             raise InvalidTargetError(f"unknown gate kind {self.kind!r}")
         if not (np.iterable(self.targets) and np.iterable(self.flips)):
             raise InvalidTargetError(f"{self.kind} targets and flips must be sequences of integers")
@@ -111,8 +112,7 @@ class Circuit:
     ops: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        if check_int(self.n_qubits, "n_qubits") < 1:
-            raise ValidationError("a circuit needs at least one qubit")
+        _check_width(self.n_qubits)
         if not np.iterable(self.ops):
             raise InvalidTargetError(f"circuit ops must be a sequence of gates, got {self.ops!r}")
         object.__setattr__(self, "ops", tuple(self.ops))
@@ -161,6 +161,15 @@ def _check_gate(gate: Gate, n_qubits: int) -> None:
         raise InvalidTargetError(f"target {gate.targets} out of range for {n_qubits} qubits")
 
 
+def _check_width(n_qubits: int) -> int:
+    """n_qubits as an int from 1 to MAX_QUBITS, checked before any 2**n_qubits is formed."""
+    if check_int(n_qubits, "n_qubits") < 1:
+        raise ValidationError("a circuit needs at least one qubit")
+    if n_qubits > MAX_QUBITS:
+        raise ValidationError(f"n_qubits must be at most {MAX_QUBITS}, got {n_qubits}")
+    return int(n_qubits)
+
+
 def _check_basis_index(n_qubits: int, index: int) -> int:
     if not 0 <= check_int(index, "basis index") < 2**n_qubits:
         raise ValidationError(f"basis index {index} out of range for {n_qubits} qubits")
@@ -168,21 +177,20 @@ def _check_basis_index(n_qubits: int, index: int) -> int:
 
 
 def basis_state(n_qubits: int, index: int) -> np.ndarray:
-    out = np.zeros(2**n_qubits)
+    out = np.zeros(2 ** _check_width(n_qubits))
     out[_check_basis_index(n_qubits, index)] = 1.0
     return out
 
 
 def bitstring(index: int, n_qubits: int) -> str:
     """Render a basis index with the most significant qubit first."""
-    return format(index, f"0{n_qubits}b")
+    return format(_check_basis_index(_check_width(n_qubits), index), f"0{n_qubits}b")
 
 
 def apply_gate(state, gate: Gate) -> np.ndarray:
     """One gate on a (2**n,) state or (2**n, k) block of real finite columns, as a new array: the one-gate `run`."""
-    amps = np.asarray(state)
+    amps = as_doubles(state, "state entries must be real")
     n = _qubit_count(amps, ndims=(1, 2))
-    amps = as_real(amps, "state entries must be real")
     check_finite(amps, "state entries must be finite")
     circuit = Circuit(n, (gate,))
     peak = float(abs(amps).max()) if gate.kind == "h" else 0.0
@@ -287,8 +295,7 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
 
 def probabilities(state) -> np.ndarray:
     """Squared magnitudes of a finite state whose squares do not overflow."""
-    amps = np.asarray(state)
-    amps = amps.astype(float if amps.dtype.kind == "f" else complex, copy=False)  # a real abs is exact
+    amps = as_doubles(state, "state entries must be numbers", complex)
     _qubit_count(amps)
     magnitudes = abs(amps)
     peak = float(magnitudes.max())  # its square is finite exactly when every entry and square is
@@ -302,13 +309,14 @@ def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
     """Multinomial counts of `shots` outcomes from a (d,) vector or (k, d) block.
 
     One generator per call, default_rng(seed); a block's rows are drawn in
-    order from it.  Rules, in the order checked: a real dtype; the shape;
-    shots, an integer from 1 to 2**63 - 1; the seed, a non-negative integer;
-    entries finite, then non-negative; each row sums to 1 within 1e-6.  Each
-    row is divided by its sum for the draw.
+    order from it.  Rules, in the order checked: a real dtype; the shape, a
+    vector or a block of rows of at least one entry; shots, an integer from 1
+    to 2**63 - 1; the seed, a non-negative integer; entries finite, then
+    non-negative; each row sums to 1 within 1e-6.  Each row is divided by its
+    sum for the draw.
     """
-    p = as_real(probs, "probabilities must be real")
-    if p.ndim not in (1, 2):
+    p = as_doubles(probs, "probabilities must be real")
+    if p.ndim not in (1, 2) or p.ndim == 2 and not p.shape[1]:
         raise ValidationError(f"expected a probability vector or a block of rows, got shape {p.shape}")
     if check_int(shots, "shots") < 1:
         raise ValidationError("shots must be at least 1")
@@ -338,6 +346,6 @@ def _bitstrings(n_qubits: int) -> tuple[str, ...]:
 
 
 def sample_distribution(probs, shots: int, seed: int) -> ShotTable:
-    p = as_real(probs, "probabilities must be real")
+    p = as_doubles(probs, "probabilities must be real")
     n = _qubit_count(p)
     return ShotTable(shots, seed, dict(zip(_bitstrings(n), sample_counts(p, shots, seed).tolist())))

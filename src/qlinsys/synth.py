@@ -27,7 +27,7 @@ import numpy as np
 
 from . import sim
 from .errors import ORTHONORMAL_TOL, DimensionMismatchError, NotOrthonormalError, SynthesisNotFoundError
-from .errors import ValidationError, as_real, check_int, is_orthonormal
+from .errors import ValidationError, as_doubles, check_int, is_orthonormal
 
 #: Search vocabulary, in tie-breaking order.
 VOCABULARY: tuple[sim.Gate, ...] = (
@@ -98,7 +98,7 @@ def synthesize(target, max_gates: int = DEFAULT_MAX_GATES) -> SynthesisResult:
     the orthogonality check and a snapped lookup.  Raises SynthesisNotFoundError
     when no circuit of at most `max_gates` gates reaches the target within 1e-10.
     """
-    t = as_real(target, "synthesis target must be real")
+    t = as_doubles(target, "synthesis target must be real")
     if t.shape != (4, 4):
         raise DimensionMismatchError(f"target must be 4x4, got shape {t.shape}")
     hit = _table().get(t.tobytes())

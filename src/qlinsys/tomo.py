@@ -45,7 +45,9 @@ from .errors import (
     DimensionMismatchError,
     InvalidProbabilityError,
     ValidationError,
+    as_doubles,
     check_finite,
+    check_real,
     check_unit_norm,
     check_vector,
     memo_verdict,
@@ -74,6 +76,7 @@ MEASUREMENT_SETTINGS: tuple[str, ...] = tuple(
 )
 
 _TOL = 1e-8  # bound on a physical state's Hermiticity, trace and eigenvalues
+_NOT_PHYSICAL = "input is not a physical density matrix"
 
 #: Depolarizing strength that reproduces the readout fidelity observed when
 #: these circuits were run on a 5-qubit superconducting device.
@@ -92,7 +95,7 @@ class ExpectationTable:
 
 def density_from_state(psi) -> np.ndarray:
     """Outer product |psi><psi| of a normalized state vector."""
-    v = check_vector(np.asarray(psi, dtype=complex), "state")
+    v = check_vector(as_doubles(psi, "state entries must be numbers", complex), "state")
     check_unit_norm(v, "state")
     return v[:, None] * v.conj()  # np.outer's own product
 
@@ -100,10 +103,10 @@ def density_from_state(psi) -> np.ndarray:
 def is_physical(rho) -> bool:
     """Complex doubles, square, non-empty, finite, Hermitian and unit trace within 1e-8, no eigenvalue below -1e-8."""
     try:
-        m = np.asarray(rho, dtype=complex)
-    except (TypeError, ValueError, OverflowError):  # text or 10**400, say, which no complex double holds
+        _check_density(rho)
+    except ValidationError:
         return False
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and m.size > 0 and bool(np.isfinite(m).all()) and _physical(m)
+    return True
 
 
 @memo_verdict
@@ -119,20 +122,21 @@ def _physical(m: np.ndarray) -> bool:
 
 
 def _check_density(rho) -> np.ndarray:
-    if not is_physical(rho):
-        raise ValidationError("input is not a physical density matrix")
-    return np.asarray(rho, dtype=complex)  # is_physical's conversion, which succeeded
+    """rho as a complex128 array if `is_physical(rho)`, else ValidationError."""
+    m = as_doubles(rho, _NOT_PHYSICAL, complex)
+    if m.ndim == 2 and m.shape[0] == m.shape[1] and m.size > 0 and np.isfinite(m).all() and _physical(m):
+        return m
+    raise ValidationError(_NOT_PHYSICAL)
 
 
 def apply_depolarizing(rho, p: float) -> np.ndarray:
     """Mix the state with the maximally mixed one: (1 - p) rho + p I/d, for a real p in [0, 1]."""
-    if isinstance(p, bool) or not isinstance(p, (int, float, np.integer, np.floating)):
-        raise InvalidProbabilityError(f"depolarizing strength must be a real number, got {p!r}")
+    # As a float: a float32 or float16 p would round 1 - p in its own precision and break the trace.
+    p = check_real(p, "depolarizing strength", InvalidProbabilityError)
     if not 0.0 <= p <= 1.0:
         raise InvalidProbabilityError(f"depolarizing strength must lie in [0, 1], got {p}")
     m = _check_density(rho)
     dim = m.shape[0]
-    p = float(p)  # a float32 or float16 p would round 1 - p in its own precision and break the trace
     return (1.0 - p) * m + p * np.eye(dim) / dim
 
 
@@ -176,14 +180,13 @@ def pauli_expectations(
     m = _check_density(rho)
     if m.shape != (4, 4):
         raise DimensionMismatchError(f"expected a 4x4 density matrix, got shape {m.shape}")
+    if not isinstance(mode, str) or mode not in ("analytic", "sampled"):
+        raise ValidationError(f"mode must be 'analytic' or 'sampled', got {mode!r}")
 
     if mode == "analytic":
         values = (m @ _PAULI_MATRICES).trace(axis1=1, axis2=2).real
         values[0] = 1.0  # II
         return ExpectationTable(values=values, mode="analytic")
-
-    if mode != "sampled":
-        raise ValidationError(f"mode must be 'analytic' or 'sampled', got {mode!r}")
 
     probs = (_OUTCOME_TABLE @ m.ravel()).real.reshape(9, 4).clip(0.0)
     freq = sim.sample_counts(probs, shots, seed) / shots
@@ -212,12 +215,7 @@ def reconstruct(table: ExpectationTable) -> np.ndarray:
 
     The table's values must be sixteen finite real numbers, in PAULI_WORDS order.
     """
-    try:
-        values = np.asarray(table.values)
-    except ValueError:  # entries of unequal shapes
-        values = None
-    if values is None or values.dtype.kind not in "biuf":
-        raise ValidationError("expectation values must be real numbers")
+    values = as_doubles(table.values, "expectation values must be real numbers")
     if values.shape != (16,):
         raise ValidationError(f"expectation table must hold 16 values, got shape {values.shape}")
     check_finite(values, "expectation values must be finite")
@@ -233,8 +231,8 @@ def fidelity(rho, psi) -> float:
     non-finite entry, means rho is not a state and raises ValidationError.
     The square-root convention is the CLI's, under --sqrt-fidelity.
     """
-    m = np.asarray(rho, dtype=complex)
-    v = check_vector(np.asarray(psi, dtype=complex), "state")
+    m = as_doubles(rho, "density matrix entries must be numbers", complex)
+    v = check_vector(as_doubles(psi, "state entries must be numbers", complex), "state")
     if m.shape != (v.size, v.size):
         raise DimensionMismatchError(
             f"density matrix {m.shape} does not match state of length {v.size}"

@@ -51,6 +51,18 @@ _NOT_ORTHONORMAL = "^matrix columns are not orthonormal; transpose is not an inv
 _EMPTY = r"^expected a non-empty square matrix, got shape \(0, 0\)$"
 
 
+#: Values that no array of doubles holds, or that the conversion rule refuses.
+_NOT_NUMBERS = {
+    "text": "abc",
+    "numeric_text": ["0.5", "0.5"],
+    "bytes": b"ab",
+    "ragged": [[1.0, 0.0], [0.0]],
+    "set": {1.0, 0.0},
+    "object": np.array([1.0, 0.0], dtype=object),
+    "huge": [10**400, 0],
+}
+
+
 def _table_with(word, value):
     values = [1.0] + [0.0] * 15  # II first
     values[tomo.PAULI_WORDS.index(word)] = value
@@ -455,6 +467,81 @@ CASES = {
             ("tomo.expectations_text", lambda: tomo.pauli_expectations("abc"), "^input is not a physical density matrix$"),
         ]
     },
+    # One width bound, checked before any 2**n_qubits is formed.
+    **{
+        f"sim.{site}_width_{name}": (lambda make=make, n=n: make(n), ValidationError, message)
+        for site, make, names in [
+            ("Circuit", sim.Circuit, "above far_above"),
+            ("basis_state", lambda n: sim.basis_state(n, 0), "above far_above zero negative bool"),
+            ("bitstring", lambda n: sim.bitstring(0, n), "above far_above zero negative bool"),
+        ]
+        for name, n, message in [
+            ("above", 11, "^n_qubits must be at most 10, got 11$"),
+            ("far_above", 200, "^n_qubits must be at most 10, got 200$"),
+            ("zero", 0, "^a circuit needs at least one qubit$"),
+            ("negative", -1, "^a circuit needs at least one qubit$"),
+            ("bool", True, "^n_qubits must be an integer, got True$"),
+        ]
+        if name in names.split()
+    },
+    "sim.bitstring_negative": (lambda: sim.bitstring(-1, 2), ValidationError, "^basis index -1 out of range for 2 qubits$"),
+    "sim.bitstring_range": (lambda: sim.bitstring(5, 2), ValidationError, "^basis index 5 out of range for 2 qubits$"),
+    "sim.bitstring_float": (lambda: sim.bitstring(1.0, 2), ValidationError, "^basis index must be an integer, got 1.0$"),
+    "sim.gate_kind_list": (lambda: sim.Gate(["h"], (0,)), InvalidTargetError, r"^unknown gate kind \['h'\]$"),
+    "sim.sample_empty_block": (
+        lambda: sim.sample_counts(np.zeros((0, 0)), 10, 0),
+        ValidationError,
+        r"^expected a probability vector or a block of rows, got shape \(0, 0\)$",
+    ),
+    "tomo.mode_array": (
+        lambda: tomo.pauli_expectations(np.eye(4) / 4, mode=np.array(["a", "b"])),
+        ValidationError,
+        r"^mode must be 'analytic' or 'sampled', got array\(\['a', 'b'\]",
+    ),
+    # The dtype decides before the shape: a complex state of the wrong length is refused as complex.
+    "sim.apply_complex_length": (
+        lambda: sim.apply_gate(np.zeros(3, dtype=complex), sim.h(0)),
+        ValidationError,
+        "^state entries must be real$",
+    ),
+    # One conversion rule refuses text, numeric text included, bytes, ragged lists, sets, object arrays and
+    # ints that no double holds, at the real sites as at the complex ones.
+    **{
+        f"{site}_not_a_number_{name}": (lambda call=call, value=_NOT_NUMBERS[name]: call(value), ValidationError, message)
+        for site, call, message, names in [
+            ("sim.apply", lambda v: sim.apply_gate(v, sim.h(0)), "^state entries must be real$", _NOT_NUMBERS),
+            ("sim.probabilities", sim.probabilities, "^state entries must be numbers$", _NOT_NUMBERS),
+            ("tomo.state", tomo.density_from_state, "^state entries must be numbers$", _NOT_NUMBERS),
+            ("tomo.fidelity_rho", lambda v: tomo.fidelity(v, [1.0, 0.0]), "^density matrix entries must be numbers$", _NOT_NUMBERS),
+            ("tomo.fidelity_psi", lambda v: tomo.fidelity(np.diag([1.0, 0.0]), v), "^state entries must be numbers$", _NOT_NUMBERS),
+            ("linsys.solve_rhs", lambda v: linsys.solve(np.eye(2), v), "^vector entries must be real$", ["numeric_text", "object"]),
+            ("sim.sample", lambda v: sim.sample_counts(v, 10, 0), "^probabilities must be real$", ["numeric_text", "object"]),
+        ]
+        for name in names
+    },
+    # A real scalar is a bool-free int or float that a double holds.
+    **{
+        f"grover.{name}_angle_not_real_{value_name}": (
+            lambda call=call, value=value: call(value),
+            ValidationError,
+            rf"^theta must be a real number, got {message}$",
+        )
+        for name, call in [
+            ("iterations", grover.optimal_iterations),
+            ("probability", lambda angle: grover.success_probability(angle, 3)),
+        ]
+        for value_name, value, message in [
+            ("text", "0.5", "'0.5'"),
+            ("bool", True, "True"),
+            ("huge", 10**400, "1" + "0" * 400),
+            ("array", np.array([0.5, 0.5]), r"array\(\[0.5, 0.5\]\)"),
+        ]
+    },
+    "tomo.depolarize_huge": (
+        lambda: tomo.apply_depolarizing(np.eye(4) / 4, 10**400),
+        InvalidProbabilityError,
+        "^depolarizing strength must be a real number, got 1" + "0" * 400 + "$",
+    ),
 }
 
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -8,6 +9,7 @@ import pytest
 
 from qlinsys import family, grover, linsys, qasm, sim, synth
 from qlinsys.errors import (
+    InvalidCountsError,
     InvalidProbabilityError,
     InvalidTargetError,
     NotNormalizedError,
@@ -623,6 +625,46 @@ class TestBitstrings:
     )
     def test_msb_first(self, index, n, expected):
         assert sim.bitstring(index, n) == expected
+
+    def test_every_index_of_the_widest_register(self):
+        labels = [sim.bitstring(i, sim.MAX_QUBITS) for i in range(2**sim.MAX_QUBITS)]
+        assert labels[0] == "0" * 10 and labels[-1] == "1" * 10 and len(set(labels)) == 1024
+
+
+class TestWidth:
+    """A register width outside 1..MAX_QUBITS is refused before any 2**n_qubits is formed."""
+
+    MAKERS = {
+        "Circuit": sim.Circuit,
+        "basis_state": lambda n: sim.basis_state(n, 0),
+        "bitstring": lambda n: sim.bitstring(0, n),
+        "run": lambda n: sim.run(sim.Circuit(n)),
+    }
+
+    @pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS)
+    @pytest.mark.parametrize("n_qubits", [10**400, 2**64, 200, 11, np.int64(11), 0, -1, True, 1.5, math.nan])
+    def test_refused_without_allocating(self, make, n_qubits):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError):
+                make(n_qubits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    @pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS)
+    def test_the_widest_register_is_accepted(self, make):
+        make(sim.MAX_QUBITS)
+
+    def test_grover_has_the_same_bound(self):
+        grover.build_grover_circuit(sim.MAX_QUBITS, {0}, 1)
+        with pytest.raises(InvalidCountsError, match="^n_qubits must lie in 1..10, got 11$"):
+            grover.build_grover_circuit(sim.MAX_QUBITS + 1, {0}, 1)
+
+    def test_a_wider_state_is_refused_by_apply_gate(self):
+        with pytest.raises(ValidationError, match="^n_qubits must be at most 10, got 11$"):
+            sim.apply_gate(np.zeros(2**11), sim.x(0))
 
 
 class TestProbabilities:
