@@ -53,10 +53,18 @@ class SynthesisNotFoundError(QlinsysError):
     """No circuit within the gate budget realizes the target."""
 
 
+def shown(value) -> str:
+    """How a message echoes a caller's value (a checked integer as an int): its repr, or its type if that fails."""
+    try:
+        return repr(value)
+    except ValueError:  # an int of more than sys.get_int_max_str_digits() digits, or a container of one
+        return f"<{type(value).__name__} too long to print>"
+
+
 def check_int(value, name: str) -> int:
     """Return `value` as an int; raise ValidationError if it is a bool or not an integer."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {shown(value)}")
     return int(value)
 
 
@@ -67,7 +75,7 @@ def check_real(value, name: str, error: type = ValidationError) -> float:
             return float(value)
     except OverflowError:  # 10**400, say
         pass
-    raise error(f"{name} must be a real number, got {value!r}")
+    raise error(f"{name} must be a real number, got {shown(value)}")
 
 
 def as_doubles(values, message: str, dtype: type = float) -> np.ndarray:
@@ -111,17 +119,10 @@ def check_unit_norm(vector: np.ndarray, name: str) -> None:
 ORTHONORMAL_TOL = 1e-10  # entrywise bound on M^T M - I for a matrix with orthonormal columns
 
 
-def entries_bounded(matrix: np.ndarray) -> bool:
-    """Whether every entry is at most 2 in magnitude, which NaN and inf are not.
-
-    A larger entry puts its column's norm above 2, and smaller ones cannot overflow M^T M.
-    """
-    return bool(abs(matrix).max() <= 2.0)
-
-
 def is_orthonormal(matrix: np.ndarray) -> bool:
-    """Whether the real matrix's columns are orthonormal: `entries_bounded`, and M^T M = I within 1e-10."""
-    return entries_bounded(matrix) and bool(abs(matrix.T @ matrix - np.eye(matrix.shape[1])).max() <= ORTHONORMAL_TOL)
+    """Whether the real matrix's columns are orthonormal, M^T M = I within 1e-10.  Never with NaN, inf or an entry
+    above 2 in magnitude, whose column's norm is above 2: that test comes first, so M^T M cannot overflow."""
+    return bool(abs(matrix).max() <= 2.0 and abs(matrix.T @ matrix - np.eye(matrix.shape[1])).max() <= ORTHONORMAL_TOL)
 
 
 def memo_verdict(check):

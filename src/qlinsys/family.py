@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_int
+from .errors import ValidationError, check_int, shown
 
 # Class A columns: each pair differs in exactly two positions.
 _COLUMNS_A = (
@@ -48,18 +48,18 @@ class FamilyLabel:
 
     def __post_init__(self):
         if self.kind not in ("A", "B"):
-            raise ValidationError(f"column class must be 'A' or 'B', got {self.kind!r}")
+            raise ValidationError(f"column class must be 'A' or 'B', got {shown(self.kind)}")
         if not np.iterable(self.perm):
-            raise ValidationError(f"{self.perm!r} is not a permutation of (1, 2, 3, 4)")
+            raise ValidationError(f"{shown(self.perm)} is not a permutation of (1, 2, 3, 4)")
         object.__setattr__(self, "perm", tuple(check_int(p, "permutation entry") for p in self.perm))
         if sorted(self.perm) != [1, 2, 3, 4]:
-            raise ValidationError(f"{self.perm} is not a permutation of (1, 2, 3, 4)")
+            raise ValidationError(f"{shown(self.perm)} is not a permutation of (1, 2, 3, 4)")
 
     @classmethod
     def parse(cls, text: str) -> "FamilyLabel":
         m = _LABEL_RE.fullmatch(text) if isinstance(text, str) else None
         if m is None:
-            raise ValidationError(f"malformed label {text!r}, expected e.g. 'A_1234'")
+            raise ValidationError(f"malformed label {shown(text)}, expected e.g. 'A_1234'")
         return cls(m.group(1), tuple(int(c) for c in m.group(2)))
 
     @property

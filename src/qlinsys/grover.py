@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from . import sim
-from .errors import InvalidCountsError, ValidationError, check_int, check_real
+from .errors import InvalidCountsError, ValidationError, check_int, check_real, shown
 
 #: Upper bound on `build_grover_circuit`'s iteration count, far above the 25
 #: optimal iterations of one marked state at `sim.MAX_QUBITS`; it keeps a mistyped
@@ -24,9 +24,9 @@ def theta(n_states: int, n_marked: int) -> float:
     """Rotation angle arcsin(sqrt(n_marked / n_states)) of a search, always above 0."""
     check_int(n_marked, "n_marked")
     if check_int(n_states, "n_states") < 2 or n_states & (n_states - 1):
-        raise InvalidCountsError(f"n_states must be a power of two >= 2, got {n_states}")
+        raise InvalidCountsError(f"n_states must be a power of two >= 2, got {shown(int(n_states))}")
     if not 0 < n_marked <= n_states:
-        raise InvalidCountsError(f"n_marked must lie in 1..{n_states}, got {n_marked}")
+        raise InvalidCountsError(f"n_marked must lie in 1..{n_states}, got {shown(int(n_marked))}")
     angle = math.asin(math.sqrt(n_marked / n_states))
     if not angle > 0.0:
         raise InvalidCountsError(f"n_marked / n_states underflows to 0 at n_states = 2**{n_states.bit_length() - 1}")
@@ -55,18 +55,16 @@ def success_probability(theta: float, iterations: int) -> float:
 def build_grover_circuit(n_qubits: int, marked, iterations: int) -> sim.Circuit:
     """Uniform superposition followed by `iterations` amplification rounds, at most MAX_ITERATIONS."""
     if not 1 <= check_int(n_qubits, "n_qubits") <= sim.MAX_QUBITS:
-        raise InvalidCountsError(f"n_qubits must lie in 1..{sim.MAX_QUBITS}, got {n_qubits}")
+        raise InvalidCountsError(f"n_qubits must lie in 1..{sim.MAX_QUBITS}, got {shown(int(n_qubits))}")
     if check_int(iterations, "iterations") < 0:
         raise ValidationError("iterations must be non-negative")
     if iterations > MAX_ITERATIONS:
-        raise ValidationError(f"iterations must be at most {MAX_ITERATIONS}, got {iterations}")
+        raise ValidationError(f"iterations must be at most {MAX_ITERATIONS}, got {shown(int(iterations))}")
     oracle = sim.phase_flip(marked)  # checks that each index is an integer
     if not oracle.flips:
         raise InvalidCountsError("marked set must not be empty")
     if not all(0 <= m < 2**n_qubits for m in oracle.flips):
-        raise InvalidCountsError(
-            f"marked indices {sorted(oracle.flips)} out of range for {n_qubits} qubits"
-        )
+        raise InvalidCountsError(f"marked indices {shown(sorted(oracle.flips))} out of range for {n_qubits} qubits")
 
     layer = [sim.h(q) for q in range(n_qubits)]
     zero_flip = sim.phase_flip({0})

@@ -6,8 +6,8 @@ of y, which is what lets them double as quantum state amplitudes elsewhere
 in the package.  Orthonormality and unit norm are checked to a fixed 1e-10.
 Complex input is refused, never truncated.  The orthonormality verdict is
 memoized per exact input by `errors.memo_verdict`, which has room for the 48
-catalog matrices.  Shape and finiteness are checked on every call, so
-results and errors are those of an uncached check.
+catalog matrices.  Shape is checked on every call, and the verdict covers
+finiteness, so results and errors are those of an uncached check.
 """
 
 from __future__ import annotations
@@ -24,20 +24,9 @@ from .errors import (
     check_finite,
     check_unit_norm,
     check_vector,
-    entries_bounded,
     is_orthonormal,
     memo_verdict,
 )
-
-
-def _as_matrix(matrix) -> np.ndarray:
-    """The matrix as floats: real, square, non-empty and finite."""
-    out = as_doubles(matrix, "matrix entries must be real")
-    if out.ndim != 2 or out.shape[0] != out.shape[1] or not out.size:
-        raise DimensionMismatchError(f"expected a non-empty square matrix, got shape {out.shape}")
-    if not entries_bounded(out):  # a bounded matrix is finite
-        check_finite(out, "matrix entries must be finite")
-    return out
 
 
 @memo_verdict
@@ -46,14 +35,25 @@ def _orthonormal(a: np.ndarray) -> bool:
     return is_orthonormal(a)
 
 
+def _as_matrix(matrix) -> tuple[np.ndarray, bool]:
+    """The matrix as floats, real, square, non-empty and finite, and whether its columns are orthonormal."""
+    out = as_doubles(matrix, "matrix entries must be real")
+    if out.ndim != 2 or out.shape[0] != out.shape[1] or not out.size:
+        raise DimensionMismatchError(f"expected a non-empty square matrix, got shape {out.shape}")
+    orthonormal = _orthonormal(out)
+    if not orthonormal:  # a True verdict is only given to a finite matrix
+        check_finite(out, "matrix entries must be finite")
+    return out, orthonormal
+
+
 def inverse_operator(matrix) -> np.ndarray:
     """Return the left inverse of a column-orthonormal matrix, i.e. its transpose.
 
     The result is a fresh array, so mutating it cannot corrupt the input.
     Applying the operation twice returns the original matrix exactly.
     """
-    a = _as_matrix(matrix)
-    if not _orthonormal(a):
+    a, orthonormal = _as_matrix(matrix)
+    if not orthonormal:
         raise NotOrthonormalError("matrix columns are not orthonormal; transpose is not an inverse")
     return a.T.copy()
 
@@ -65,12 +65,12 @@ def solve(matrix, y) -> np.ndarray:
     x = A^T y.  Because A preserves inner products, x is again a unit vector
     and the residual A x - y vanishes to rounding error.
     """
-    a = _as_matrix(matrix)
+    a, orthonormal = _as_matrix(matrix)
     rhs = check_vector(as_doubles(y, "vector entries must be real"), "right-hand side")
     check_finite(rhs, "vector entries must be finite")
     if rhs.size != a.shape[0]:
         raise DimensionMismatchError(f"right-hand side has length {rhs.size}, matrix is {a.shape[0]}x{a.shape[1]}")
-    if not _orthonormal(a):
+    if not orthonormal:
         raise NotOrthonormalError("matrix columns are not orthonormal")
     check_unit_norm(rhs, "right-hand side")
     return a.T @ rhs

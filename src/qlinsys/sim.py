@@ -41,6 +41,7 @@ from .errors import (
     as_doubles,
     check_finite,
     check_int,
+    shown,
 )
 
 GATE_KINDS = frozenset({"h", "x", "z", "cx", "cz", "phaseflip"})
@@ -61,7 +62,7 @@ class Gate:
 
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in GATE_KINDS:
-            raise InvalidTargetError(f"unknown gate kind {self.kind!r}")
+            raise InvalidTargetError(f"unknown gate kind {shown(self.kind)}")
         if not (np.iterable(self.targets) and np.iterable(self.flips)):
             raise InvalidTargetError(f"{self.kind} targets and flips must be sequences of integers")
         object.__setattr__(self, "targets", tuple(check_int(q, "gate target") for q in self.targets))
@@ -74,7 +75,7 @@ class Gate:
                 raise InvalidTargetError("phaseflip addresses basis indices, not qubits")
             raise InvalidTargetError(f"{self.kind} takes {expected} target(s), got {len(self.targets)}")
         if len(set(self.targets)) != expected:
-            raise InvalidTargetError(f"{self.kind} targets must be distinct, got {self.targets}")
+            raise InvalidTargetError(f"{self.kind} targets must be distinct, got {shown(self.targets)}")
 
     @cached_property
     def _flip_index(self) -> np.ndarray:  # the sorted flips that a run negates; outside eq and hash
@@ -114,7 +115,7 @@ class Circuit:
     def __post_init__(self):
         _check_width(self.n_qubits)
         if not np.iterable(self.ops):
-            raise InvalidTargetError(f"circuit ops must be a sequence of gates, got {self.ops!r}")
+            raise InvalidTargetError(f"circuit ops must be a sequence of gates, got {shown(self.ops)}")
         object.__setattr__(self, "ops", tuple(self.ops))
         # A frozen Gate repeated checks the same; first-occurrence order keeps the first invalid op raising.
         for gate in {id(gate): gate for gate in self.ops}.values():
@@ -153,12 +154,12 @@ def _qubit_count(state: np.ndarray, ndims: tuple[int, ...] = (1,)) -> int:
 
 def _check_gate(gate: Gate, n_qubits: int) -> None:
     if not isinstance(gate, Gate):
-        raise InvalidTargetError(f"expected a Gate, got {gate!r}")
+        raise InvalidTargetError(f"expected a Gate, got {shown(gate)}")
     if gate.kind == "phaseflip":
         if not all(0 <= i < 2**n_qubits for i in gate.flips):
             raise InvalidTargetError(f"phaseflip index out of range for {n_qubits} qubits")
     elif not all(0 <= q < n_qubits for q in gate.targets):
-        raise InvalidTargetError(f"target {gate.targets} out of range for {n_qubits} qubits")
+        raise InvalidTargetError(f"target {shown(gate.targets)} out of range for {n_qubits} qubits")
 
 
 def _check_width(n_qubits: int) -> int:
@@ -166,13 +167,13 @@ def _check_width(n_qubits: int) -> int:
     if check_int(n_qubits, "n_qubits") < 1:
         raise ValidationError("a circuit needs at least one qubit")
     if n_qubits > MAX_QUBITS:
-        raise ValidationError(f"n_qubits must be at most {MAX_QUBITS}, got {n_qubits}")
+        raise ValidationError(f"n_qubits must be at most {MAX_QUBITS}, got {shown(int(n_qubits))}")
     return int(n_qubits)
 
 
 def _check_basis_index(n_qubits: int, index: int) -> int:
     if not 0 <= check_int(index, "basis index") < 2**n_qubits:
-        raise ValidationError(f"basis index {index} out of range for {n_qubits} qubits")
+        raise ValidationError(f"basis index {shown(int(index))} out of range for {n_qubits} qubits")
     return int(index)
 
 
@@ -295,10 +296,11 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
 
 def probabilities(state) -> np.ndarray:
     """Squared magnitudes of a finite state whose squares do not overflow."""
-    amps = as_doubles(state, "state entries must be numbers", complex)
+    real = type(state) is np.ndarray and state.dtype == np.float64  # |x| is |x + 0j| bit for bit: no complex copy
+    amps = state if real else as_doubles(state, "state entries must be numbers", complex)
     _qubit_count(amps)
     magnitudes = abs(amps)
-    peak = float(magnitudes.max())  # its square is finite exactly when every entry and square is
+    peak = float(np.maximum.reduce(magnitudes))  # its square is finite exactly when every entry and square is
     if not peak * peak < math.inf:
         check_finite(amps, "state entries must be finite")
         raise ValidationError(f"state magnitudes must have finite squares, largest is {peak}")
@@ -315,24 +317,30 @@ def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
     non-negative; each row sums to 1 within 1e-6.  Each row is divided by its
     sum for the draw.
     """
-    p = as_doubles(probs, "probabilities must be real")
+    return _draw(as_doubles(probs, "probabilities must be real"), shots, seed)
+
+
+def _draw(p: np.ndarray, shots: int, seed: int) -> np.ndarray:  # `sample_counts` of a float64 array
     if p.ndim not in (1, 2) or p.ndim == 2 and not p.shape[1]:
         raise ValidationError(f"expected a probability vector or a block of rows, got shape {p.shape}")
     if check_int(shots, "shots") < 1:
         raise ValidationError("shots must be at least 1")
     if shots >= 2**63:  # the draw takes a C long
-        raise ValidationError(f"shots must be below 2**63, got {shots}")
+        raise ValidationError(f"shots must be below 2**63, got {shown(int(shots))}")
     if check_int(seed, "seed") < 0:
         raise ValidationError("seed must be non-negative")
     # Rows that pass both tests are finite, so only a failing input pays for the
     # finiteness pass.  The sum waits for the minimum, as inf + -inf warns.
-    lowest = p.min(initial=0.0)
+    lowest = np.minimum.reduce(p, None, initial=0.0)
     if not lowest >= 0:
         check_finite(p, "probabilities must be finite")
         raise InvalidProbabilityError(f"probabilities must be non-negative, min is {lowest}")
-    with np.errstate(over="ignore"):  # a sum that overflows is inf, which the next test rejects
-        sums = p.sum(axis=-1, keepdims=True)
-    deviation = max((abs(total - 1.0) for total in sums.ravel().tolist()), default=0.0)
+    if np.maximum.reduce(p, None, initial=0.0) <= 2.0:  # entries of at most 2 cannot overflow a row's sum
+        sums = np.add.reduce(p, -1, keepdims=True)
+    else:  # nor does a row that sums to 1 hold a larger one, so only a failing input pays for the guard
+        with np.errstate(over="ignore"):  # a sum that overflows is inf, which the next test rejects
+            sums = np.add.reduce(p, -1, keepdims=True)
+    deviation = max([abs(total - 1.0) for total in sums.ravel().tolist()], default=0.0)
     if not deviation <= 1e-6:
         check_finite(p, "probabilities must be finite")
         raise NotNormalizedError(f"probability rows must sum to 1, worst is off by {deviation}")
@@ -347,5 +355,4 @@ def _bitstrings(n_qubits: int) -> tuple[str, ...]:
 
 def sample_distribution(probs, shots: int, seed: int) -> ShotTable:
     p = as_doubles(probs, "probabilities must be real")
-    n = _qubit_count(p)
-    return ShotTable(shots, seed, dict(zip(_bitstrings(n), sample_counts(p, shots, seed).tolist())))
+    return ShotTable(shots, seed, dict(zip(_bitstrings(_qubit_count(p)), _draw(p, shots, seed).tolist())))

@@ -19,8 +19,8 @@ so the output is always a valid state even for noisy tables.
 The physicality that `apply_depolarizing` and `pauli_expectations` require is
 memoized per exact complex input by `errors.memo_verdict`, which has room for
 the 384 densities of the 192 catalog solutions, clean and depolarized at the
-calibrated p.  Shape and finiteness are checked on every call, so verdicts and
-errors are those of an uncached check.
+calibrated p.  Shape is checked on every call, and the verdict covers
+finiteness, so verdicts and errors are those of an uncached check.
 
 The first letter of a Pauli word refers to qubit 1 (the most significant
 bit), matching the bitstring convention in `sim`.
@@ -51,6 +51,7 @@ from .errors import (
     check_unit_norm,
     check_vector,
     memo_verdict,
+    shown,
 )
 
 _PAULI_1Q = {
@@ -111,9 +112,9 @@ def is_physical(rho) -> bool:
 
 @memo_verdict
 def _physical(m: np.ndarray) -> bool:
-    """Whether the finite square complex matrix m is Hermitian, of unit trace and PSD within 1e-8."""
+    """Whether the square complex matrix m is finite, Hermitian, of unit trace and PSD within 1e-8."""
     adjoint = m.conj().T
-    if abs(m - adjoint).max() > _TOL:
+    if not np.isfinite(m).all() or abs(m - adjoint).max() > _TOL:  # finite first: inf - inf warns
         return False
     trace = m.trace()
     if abs(trace.real - 1.0) > _TOL or abs(trace.imag) > _TOL:
@@ -124,7 +125,7 @@ def _physical(m: np.ndarray) -> bool:
 def _check_density(rho) -> np.ndarray:
     """rho as a complex128 array if `is_physical(rho)`, else ValidationError."""
     m = as_doubles(rho, _NOT_PHYSICAL, complex)
-    if m.ndim == 2 and m.shape[0] == m.shape[1] and m.size > 0 and np.isfinite(m).all() and _physical(m):
+    if m.ndim == 2 and m.shape[0] == m.shape[1] and m.size > 0 and _physical(m):
         return m
     raise ValidationError(_NOT_PHYSICAL)
 
@@ -163,12 +164,7 @@ _READS = np.array([[a in "I" + s[0] and b in "I" + s[1] for a, b in PAULI_WORDS]
 _OUTCOME_TABLE = np.einsum("sw,wk,wji->skij", _READS, _PARITY_SIGNS, _PAULI_MATRICES).reshape(36, 16) / 4.0
 
 
-def pauli_expectations(
-    rho,
-    mode: str = "analytic",
-    shots: int = 1024,
-    seed: int = 0,
-) -> ExpectationTable:
+def pauli_expectations(rho, mode: str = "analytic", shots: int = 1024, seed: int = 0) -> ExpectationTable:
     """Measure all sixteen Pauli-word expectations of a 4x4 density matrix.
 
     In "analytic" mode each value is the exact trace of rho * P.  In
@@ -181,7 +177,7 @@ def pauli_expectations(
     if m.shape != (4, 4):
         raise DimensionMismatchError(f"expected a 4x4 density matrix, got shape {m.shape}")
     if not isinstance(mode, str) or mode not in ("analytic", "sampled"):
-        raise ValidationError(f"mode must be 'analytic' or 'sampled', got {mode!r}")
+        raise ValidationError(f"mode must be 'analytic' or 'sampled', got {shown(mode)}")
 
     if mode == "analytic":
         values = (m @ _PAULI_MATRICES).trace(axis1=1, axis2=2).real
@@ -234,9 +230,7 @@ def fidelity(rho, psi) -> float:
     m = as_doubles(rho, "density matrix entries must be numbers", complex)
     v = check_vector(as_doubles(psi, "state entries must be numbers", complex), "state")
     if m.shape != (v.size, v.size):
-        raise DimensionMismatchError(
-            f"density matrix {m.shape} does not match state of length {v.size}"
-        )
+        raise DimensionMismatchError(f"density matrix {m.shape} does not match state of length {v.size}")
     check_unit_norm(v, "state")
     # A non-finite rho gets a NaN overlap instead of a product that would warn;
     # the check is written so that a NaN overlap fails it.

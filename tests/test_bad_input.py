@@ -27,6 +27,7 @@ BAD_VALUES = {
     "ragged": [[1.0, 0.0], [0.0]],
     "huge": 10**400,
     "huge_list": [10**400, 0],
+    "huge_int": 10**5000,  # more digits than Python prints
     "nan": math.nan,
     "inf": math.inf,
     "complex_list": [1j, 0.0],

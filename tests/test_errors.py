@@ -367,6 +367,22 @@ CASES = {
         NotNormalizedError,
         "^probability rows must sum to 1, worst is off by inf$",
     ),
+    # Only a row with an entry above 2 is summed under the overflow guard, and no such row sums to 1.
+    "sim.sample_block_overflow": (
+        lambda: sim.sample_counts([[0.5, 0.5], [1e308, 1e308]], 10, 0),
+        NotNormalizedError,
+        "^probability rows must sum to 1, worst is off by inf$",
+    ),
+    "sim.sample_just_above_two": (
+        lambda: sim.sample_counts([np.nextafter(2.0, 3.0), 0.0], 10, 0),
+        NotNormalizedError,
+        "^probability rows must sum to 1, worst is off by 1.0000000000000004$",
+    ),
+    "sim.sample_at_two": (
+        lambda: sim.sample_counts([[0.5, 0.5], [2.0, 0.0]], 10, 0),
+        NotNormalizedError,
+        "^probability rows must sum to 1, worst is off by 1.0$",
+    ),
     "sim.sample_negative": (
         lambda: sim.sample_counts([-0.5, 1.5], 10, 0),
         InvalidProbabilityError,
@@ -542,6 +558,54 @@ CASES = {
         InvalidProbabilityError,
         "^depolarizing strength must be a real number, got 1" + "0" * 400 + "$",
     ),
+    # A value that holds an int too long for Python to print is echoed by its type.
+    **{
+        f"{site}_unprintable_int": (call, error, f"^{message}$")
+        for site, call, error, message in [
+            (
+                "sim.Circuit",
+                lambda: sim.Circuit(10**5000),
+                ValidationError,
+                "n_qubits must be at most 10, got <int too long to print>",
+            ),
+            (
+                "sim.shots",
+                lambda: sim.sample_counts([0.5, 0.5], 10**5000, 0),
+                ValidationError,
+                r"shots must be below 2\*\*63, got <int too long to print>",
+            ),
+            (
+                "sim.gate_target",
+                lambda: sim.Circuit(1, (sim.h(10**5000),)),
+                InvalidTargetError,
+                "target <tuple too long to print> out of range for 1 qubits",
+            ),
+            (
+                "sim.gate_kind",
+                lambda: sim.Gate([10**5000]),
+                InvalidTargetError,
+                "unknown gate kind <list too long to print>",
+            ),
+            (
+                "grover.iterations",
+                lambda: grover.optimal_iterations(10**5000),
+                ValidationError,
+                "theta must be a real number, got <int too long to print>",
+            ),
+            (
+                "tomo.depolarize",
+                lambda: tomo.apply_depolarizing(np.eye(2) / 2, 10**5000),
+                InvalidProbabilityError,
+                "depolarizing strength must be a real number, got <int too long to print>",
+            ),
+            (
+                "family.perm",
+                lambda: family.FamilyLabel("A", (10**5000, 2, 3, 4)),
+                ValidationError,
+                r"<tuple too long to print> is not a permutation of \(1, 2, 3, 4\)",
+            ),
+        ]
+    },
 }
 
 

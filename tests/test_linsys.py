@@ -252,6 +252,24 @@ class TestVerdictMemo:
             with pytest.raises(ValidationError, match="^matrix entries must be finite$"):
                 linsys.inverse_operator(_with_entry(np.nan))
 
+    @pytest.mark.parametrize("call", _VERDICT_CALLS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_cached_false_verdict_still_says_not_finite(self, value, call):
+        """The verdict covers finiteness: a cached False one still raises the finiteness error."""
+        linsys._orthonormal.cache_clear()
+        for _ in range(3):
+            with pytest.raises(ValidationError, match="^matrix entries must be finite$") as raised:
+                _VERDICT_CALLS[call](_with_entry(value))
+            assert type(raised.value) is ValidationError
+        assert linsys._orthonormal.cache_info()[:2] == (2, 1)  # hits, misses
+
+    @pytest.mark.parametrize("rhs", ["abc", [1j, 0, 0, 0], [[1.0]], [np.nan, 0, 0, 0], [1.0, 0.0], [2.0, 0, 0, 0]])
+    def test_a_non_finite_matrix_is_refused_before_a_bad_right_hand_side(self, rhs):
+        linsys._orthonormal.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="^matrix entries must be finite$"):
+                linsys.solve(_with_entry(np.nan), rhs)
+
     def test_catalog_matrices_take_the_memo(self, monkeypatch):
         specs = family.enumerate_family()
         for spec in specs:

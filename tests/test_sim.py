@@ -686,6 +686,20 @@ class TestProbabilities:
             assert real.tobytes() == sim.probabilities(state.tolist()).tobytes()
         assert sim.probabilities([1, 0]).tobytes() == np.array([1.0, 0.0]).tobytes()
 
+    def test_catalog_states_and_a_wide_search_give_their_complex_casts_bytes(self):
+        """A real float64 state is squared as reals, never cast: the bytes are the complex128 path's."""
+        states = [
+            sim.run(synth.synthesize(linsys.inverse_operator(spec.matrix)).circuit, basis)
+            for spec in family.enumerate_family()
+            for basis in range(4)
+        ]
+        states.append(sim.run(grover.build_grover_circuit(10, {37}, 25)))
+        assert len(states) == 193
+        for state in states:
+            real = sim.probabilities(state)
+            assert state.dtype == real.dtype == np.float64
+            assert real.tobytes() == sim.probabilities(state.astype(complex)).tobytes()
+
 
 class TestSampling:
     def test_deterministic_state_gives_all_counts(self):

@@ -297,6 +297,21 @@ class TestPhysicalityMemo:
             with pytest.raises(ValidationError, match="^input is not a physical density matrix$"):
                 tomo.apply_depolarizing(_with_entry(np.nan), 0.1)
 
+    @pytest.mark.parametrize("call", ["apply_depolarizing", "pauli_expectations"])
+    @pytest.mark.parametrize(
+        "rho",
+        [_with_entry(np.nan), _with_entry(-np.inf), _with_entry(np.inf, (1, 1)), _with_entry(complex(0.25, np.nan), (0, 0))],
+        ids=["nan", "-inf", "inf_diagonal", "nan_imag_diagonal"],
+    )
+    def test_a_cached_false_verdict_still_refuses_a_non_finite_density(self, rho, call):
+        """The verdict covers finiteness: a cached False one raises the same error."""
+        tomo._physical.cache_clear()
+        for _ in range(3):
+            with pytest.raises(ValidationError, match="^input is not a physical density matrix$") as raised:
+                _PHYSICALITY_CALLS[call](rho)
+            assert type(raised.value) is ValidationError
+        assert tomo._physical.cache_info()[:2] == (2, 1)  # hits, misses
+
     def test_catalog_densities_take_the_memo(self, monkeypatch):
         p = tomo.CALIBRATED_DEPOLARIZING_P
         clean = [
