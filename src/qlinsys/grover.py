@@ -18,6 +18,9 @@ from .errors import InvalidCountsError, ValidationError, check_int, check_real, 
 #: optimal iterations of one marked state at `sim.MAX_QUBITS`; it keeps a mistyped
 #: count from building a circuit that never finishes.
 MAX_ITERATIONS = 1024
+# Every circuit shares these gates, built once: H on each qubit of the widest register, and the flip about |0>.
+_H_GATES = tuple(sim.h(q) for q in range(sim.MAX_QUBITS))
+_ZERO_FLIP = sim.phase_flip({0})
 
 
 def theta(n_states: int, n_marked: int) -> float:
@@ -66,12 +69,5 @@ def build_grover_circuit(n_qubits: int, marked, iterations: int) -> sim.Circuit:
     if not all(0 <= m < 2**n_qubits for m in oracle.flips):
         raise InvalidCountsError(f"marked indices {shown(sorted(oracle.flips))} out of range for {n_qubits} qubits")
 
-    layer = [sim.h(q) for q in range(n_qubits)]
-    zero_flip = sim.phase_flip({0})
-    ops = list(layer)
-    for _ in range(iterations):
-        ops.append(oracle)
-        ops.extend(layer)
-        ops.append(zero_flip)
-        ops.extend(layer)
-    return sim.Circuit(n_qubits, tuple(ops))
+    layer = _H_GATES[:n_qubits]
+    return sim.Circuit(n_qubits, layer + ((oracle,) + layer + (_ZERO_FLIP,) + layer) * iterations)

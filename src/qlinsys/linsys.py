@@ -67,13 +67,17 @@ def solve(matrix, y) -> np.ndarray:
     """
     a, orthonormal = _as_matrix(matrix)
     rhs = check_vector(as_doubles(y, "vector entries must be real"), "right-hand side")
+    try:  # only a y that fails a test pays for the finiteness pass, whose error comes before every other
+        if rhs.size != a.shape[0]:
+            raise DimensionMismatchError(f"right-hand side has length {rhs.size}, matrix is {a.shape[0]}x{a.shape[1]}")
+        if not orthonormal:
+            raise NotOrthonormalError("matrix columns are not orthonormal")
+        check_unit_norm(rhs, "right-hand side")
+        return a.T @ rhs
+    except ValidationError as refusal:
+        failed = refusal  # raised below, after the finiteness pass, so that neither error chains the other
     check_finite(rhs, "vector entries must be finite")
-    if rhs.size != a.shape[0]:
-        raise DimensionMismatchError(f"right-hand side has length {rhs.size}, matrix is {a.shape[0]}x{a.shape[1]}")
-    if not orthonormal:
-        raise NotOrthonormalError("matrix columns are not orthonormal")
-    check_unit_norm(rhs, "right-hand side")
-    return a.T @ rhs
+    raise failed
 
 
 def _load_csv(path) -> np.ndarray:

@@ -78,8 +78,8 @@ class Gate:
             raise InvalidTargetError(f"{self.kind} targets must be distinct, got {shown(self.targets)}")
 
     @cached_property
-    def _flip_index(self) -> np.ndarray:  # the sorted flips that a run negates; outside eq and hash
-        return np.array(sorted(self.flips), dtype=np.intp)
+    def _flip_index(self) -> int | np.ndarray:  # what a run negates, one index or the sorted flips; outside eq and hash
+        return next(iter(self.flips)) if len(self.flips) == 1 else np.array(sorted(self.flips), dtype=np.intp)
 
 
 def h(qubit: int) -> Gate:
@@ -214,7 +214,7 @@ def _bit_view(amps: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
 
 def _apply(amps: np.ndarray, gate: Gate, n: int) -> None:
     """One checked gate other than H, in place on a contiguous state or block that the run owns."""
-    if gate.kind == "phaseflip":
+    if gate.kind == "phaseflip":  # one index negates an entry, or a block's row, through a scalar index
         amps[gate._flip_index] *= -1.0
         return
     # Where CX's control or CZ's first qubit is set, X and CX swap the last
@@ -233,40 +233,39 @@ def _rotate(amps: np.ndarray, out: np.ndarray, d: int, n: int) -> None:
     out.reshape((2**d, 2 ** (n - d), *rest))[...] = amps.reshape((2 ** (n - d), 2**d, *rest)).swapaxes(0, 1)
 
 
-def _halves(amps: np.ndarray) -> tuple:
-    """`amps` with views of its even and odd rows (adjacent pairs) and of its low and high halves."""
-    half = len(amps) // 2
-    return amps, amps[0::2], amps[1::2], amps[:half], amps[half:]
-
-
 def _apply_circuit(circuit: Circuit, states: np.ndarray) -> np.ndarray:
     n = circuit.n_qubits
     # Rotating layout, as in a constant-geometry FFT: logical qubit q sits at
-    # physical bit (q - rot) % n.  The run owns two buffers: H and each layout
-    # change write the held one into the spare one, and other gates act in
-    # place.  H on the qubit at bit 0 writes a + b of each adjacent pair to the
-    # low half and a - b to the high half, moving that qubit to the top bit.
-    # One copy brings any other H's qubit to bit 0, or the canonical layout for
-    # other gates.  Each H grows the norm by sqrt(2); every 1024th scales by 2**-512.
-    held, spare = _halves(states.copy()), _halves(np.empty(states.shape))
-    rot = k = 0
+    # physical bit (q - rot) % n, and buffer p of the run's two holds the state.
+    # H on the qubit at bit 0 is two ufunc calls on views built once per run,
+    # butterflies[p]: a + b of each adjacent pair into the other buffer's low
+    # half and a - b into its high half, which moves that qubit to the top bit.
+    # One copy into the other buffer brings any other H's qubit to bit 0, or the
+    # canonical layout for the other gates, which act in place.  Each H grows
+    # the norm by sqrt(2); every 1024th scales by 2**-512.
+    buffers, half = (states.copy(), np.empty(states.shape)), len(states) // 2
+    butterflies = tuple((a[0::2], a[1::2], b[:half], b[half:]) for a, b in (buffers, buffers[::-1]))
+    add, subtract = np.add, np.subtract  # local names spare each H two attribute lookups
+    p = rot = k = 0
     for gate in circuit.ops:
-        bit = gate.targets[0] if gate.kind == "h" else 0
-        if rot != bit:
-            _rotate(held[0], spare[0], (bit - rot) % n, n)
-            held, spare, rot = spare, held, bit
-        if gate.kind == "h":
-            np.add(held[1], held[2], out=spare[3])
-            np.subtract(held[1], held[2], out=spare[4])
-            held, spare, rot, k = spare, held, (rot + 1) % n, k + 1
-            if not k % 1024:
-                np.multiply(held[0], 2.0**-512, out=held[0])
-        else:
-            _apply(held[0], gate, n)
+        if gate.kind != "h" or gate.targets[0] != rot:
+            bit = gate.targets[0] if gate.kind == "h" else 0
+            if rot != bit:
+                _rotate(buffers[p], buffers[1 - p], (bit - rot) % n, n)
+                p, rot = 1 - p, bit
+            if gate.kind != "h":
+                _apply(buffers[p], gate, n)
+                continue
+        even, odd, low, high = butterflies[p]
+        add(even, odd, low)
+        subtract(even, odd, high)
+        p, rot, k = 1 - p, rot + 1 if rot + 1 < n else 0, k + 1
+        if not k % 1024:
+            np.multiply(buffers[p], 2.0**-512, out=buffers[p])
     if rot:
-        _rotate(held[0], spare[0], n - rot, n)
-        held = spare
-    states, m = held[0], k % 1024
+        _rotate(buffers[p], buffers[1 - p], n - rot, n)
+        p = 1 - p
+    states, m = buffers[p], k % 1024
     if m:
         states *= math.ldexp(_SQRT_HALF if m % 2 else 1.0, -(m // 2))
     return states

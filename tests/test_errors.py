@@ -306,6 +306,20 @@ CASES = {
         ValidationError,
         "^matrix entries must be finite$",
     ),
+    # A non-finite y fails the unit-norm, length or orthonormality test, and is refused as non-finite first.
+    **{
+        f"linsys.solve_{rule}_{name}_rhs": (
+            lambda a=a, y=y: linsys.solve(a, y),
+            ValidationError,
+            "^vector entries must be finite$",
+        )
+        for name, bad in (("nan", np.nan), ("inf", np.inf), ("neg_inf", -np.inf))
+        for rule, a, y in (
+            ("unit_norm", np.eye(4), [0.0, bad, 0.0, 0.0]),
+            ("length", np.eye(4), [bad, 0.0]),
+            ("orthonormal", 2.0 * np.eye(4), [0.0, 0.0, 0.0, bad]),
+        )
+    },
     **{
         f"synth.target_{name}": (
             lambda v=v: synth.synthesize(_diag(*v)),

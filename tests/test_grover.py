@@ -131,6 +131,17 @@ class TestCircuits:
         assert len({id(gate) for gate in circuit.ops}) == n_qubits + 2
         assert circuit == sim.Circuit(n_qubits, tuple(sim.Gate(g.kind, g.targets, g.flips) for g in circuit.ops))
 
+    @pytest.mark.parametrize("n_qubits, iterations", [(1, 0), (2, 1), (5, 3), (10, 25)])
+    def test_equals_the_circuit_of_fresh_gates(self, n_qubits, iterations):
+        # The H gates and the zero flip are built once and shared by every circuit.
+        marked = {2**n_qubits - 1}
+        layer = [sim.h(q) for q in range(n_qubits)]
+        ops = layer + ([sim.phase_flip(marked)] + layer + [sim.phase_flip({0})] + layer) * iterations
+        circuit = grover.build_grover_circuit(n_qubits, marked, iterations)
+        assert circuit == sim.Circuit(n_qubits, tuple(ops))
+        again = grover.build_grover_circuit(n_qubits, {0}, 1)
+        assert all(a is b for a, b in zip(circuit.ops, again.ops[:n_qubits]))
+
     @pytest.mark.parametrize("marked", [set(), {8}, {-1}])
     def test_bad_marked_sets(self, marked):
         with pytest.raises(InvalidCountsError):

@@ -584,6 +584,38 @@ class TestRotatingLayout:
         assert block.tobytes() == before
         assert result.tobytes() == oracle(block, circuit).tobytes()
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 10])
+    def test_one_index_and_empty_flips_keep_the_oracle_bits(self, n):
+        # A one-index flip negates one entry or row through a scalar index; an
+        # empty flip negates nothing.  Flipped zeros of both signs must match.
+        rng = np.random.default_rng(190 + n)
+        block = seeded_block(n, rng)
+        block[[0, 1, 2**n - 1]] = [[0.0, -0.0, 1.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]]
+        before = block.tobytes()
+        layer = tuple(sim.h(q) for q in range(n))
+        empty = sim.phase_flip(())
+        for index in (0, 1, 2**n - 1, int(rng.integers(2**n))):
+            flip = sim.phase_flip({index})
+            for ops in ((flip,), (flip, empty, flip), (empty,), layer + (flip,) + layer, (sim.h(0), flip, empty)):
+                circuit = sim.Circuit(n, ops)
+                for states in (block, block[:, 1]):
+                    result = sim._apply_circuit(circuit, states)
+                    assert result.tobytes() == oracle(states, circuit).tobytes(), (index, len(ops))
+                assert block.tobytes() == before
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 10])
+    def test_an_ascending_run_from_a_later_qubit_wraps_with_one_copy_in(self, n):
+        # H on qubit s first rotates it to bit 0; then s, s + 1, ..., n - 1, 0, 1, ...
+        # each find their qubit at bit 0, and only the end rotates back.
+        block = seeded_block(n, np.random.default_rng(200 + n))
+        for start in {1, n - 1}:
+            ops = tuple(sim.h((start + i) % n) for i in range(2 * n + 3))
+            circuit = sim.Circuit(n, ops)
+            with mock.patch.object(sim, "_rotate", wraps=sim._rotate) as rotate:
+                result = sim._apply_circuit(circuit, block)
+            assert rotate.call_count == 1 + bool((start + len(ops)) % n), start
+            assert result.tobytes() == oracle(block, circuit).tobytes(), start
+
     def test_ascending_layers_make_no_layout_copy(self):
         circuit = grover.build_grover_circuit(8, {5}, 3)
         with mock.patch.object(sim, "_rotate", wraps=sim._rotate) as rotate:
@@ -599,6 +631,14 @@ class TestRotatingLayout:
         circuit = sim.Circuit(n, ops + (sim.cz(0, n - 1),) if n > 1 else ops)
         block = seeded_block(n, rng)
         assert sim._apply_circuit(circuit, block).tobytes() == oracle(block, circuit).tobytes()
+
+    def test_a_grover_run_rescaled_inside_a_layer_keeps_the_oracle_bits(self):
+        # 10 + 52 * 20 H gates: the 1024th is the fourth H of the 103rd layer.
+        circuit = grover.build_grover_circuit(10, {37}, 52)
+        assert [i for i, gate in enumerate(circuit.ops) if gate.kind == "h"][1023] == 1024 + 2 * 51 - 1
+        for j in (0, 37, 1023):
+            state = sim.run(circuit, j)
+            assert state.tobytes() == oracle(sim.basis_state(10, j), circuit).tobytes(), j
 
     def test_a_grover_run_at_the_iteration_cap_stays_normalized(self):
         circuit = grover.build_grover_circuit(10, {37}, grover.MAX_ITERATIONS)
