@@ -303,7 +303,7 @@ def probabilities(state) -> np.ndarray:
     if not peak * peak < math.inf:
         check_finite(amps, "state entries must be finite")
         raise ValidationError(f"state magnitudes must have finite squares, largest is {peak}")
-    return magnitudes**2
+    return np.multiply(magnitudes, magnitudes, magnitudes)  # squared in place, the bits of magnitudes**2
 
 
 def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
@@ -328,15 +328,17 @@ def _draw(p: np.ndarray, shots: int, seed: int) -> np.ndarray:  # `sample_counts
         raise ValidationError(f"shots must be below 2**63, got {shown(int(shots))}")
     if check_int(seed, "seed") < 0:
         raise ValidationError("seed must be non-negative")
-    # Rows that pass both tests are finite, so only a failing input pays for the
-    # finiteness pass.  The sum waits for the minimum, as inf + -inf warns.
-    lowest = np.minimum.reduce(p, None, initial=0.0)
-    if not lowest >= 0:
-        check_finite(p, "probabilities must be finite")
-        raise InvalidProbabilityError(f"probabilities must be non-negative, min is {lowest}")
-    if np.maximum.reduce(p, None, initial=0.0) <= 2.0:  # entries of at most 2 cannot overflow a row's sum
+    # Read as uint64, an entry's bits are at most 2.0's just when it lies in [+0, 2], where it cannot overflow a
+    # row's sum; NaN, inf, negatives, -0 and entries above 2 read higher.  Those take the minimum, which the sum
+    # waits for (inf + -inf warns), and a sum under the overflow guard.  No row that sums to 1 holds an entry
+    # above 2, so -0 aside only a failing input pays for them, and for a finiteness pass.
+    if np.maximum.reduce(p.view(np.uint64), None, initial=0) <= 0x4000000000000000:  # 2.0's bits
         sums = np.add.reduce(p, -1, keepdims=True)
-    else:  # nor does a row that sums to 1 hold a larger one, so only a failing input pays for the guard
+    else:
+        lowest = np.minimum.reduce(p, None, initial=0.0)
+        if not lowest >= 0:
+            check_finite(p, "probabilities must be finite")
+            raise InvalidProbabilityError(f"probabilities must be non-negative, min is {lowest}")
         with np.errstate(over="ignore"):  # a sum that overflows is inf, which the next test rejects
             sums = np.add.reduce(p, -1, keepdims=True)
     deviation = max([abs(total - 1.0) for total in sums.ravel().tolist()], default=0.0)

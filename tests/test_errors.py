@@ -451,6 +451,61 @@ CASES = {
         DimensionMismatchError,
         "^state length 0 is not a power of two$",
     ),
+    # Entries outside [+0, 2] by their bits (NaN, -NaN, negatives, -0, above 2) take the minimum and the guarded sum.
+    **{
+        f"sim.sample_bits_{name}": (call, error, message)
+        for name, call, error, message in [
+            ("nan_negative", lambda: sim.sample_counts([np.nan, -1.0], 10, 0), ValidationError, "^probabilities must be finite$"),
+            (
+                "negative_nan",
+                lambda: sim.sample_counts([np.copysign(np.nan, -1.0), 0.5, 0.5], 10, 0),
+                ValidationError,
+                "^probabilities must be finite$",
+            ),
+            (
+                "two_negative",
+                lambda: sim.sample_counts([2.0, -1.0], 10, 0),
+                InvalidProbabilityError,
+                "^probabilities must be non-negative, min is -1.0$",
+            ),
+            (
+                "tiny_negative",
+                lambda: sim.sample_counts([-5e-324, 1.0], 10, 0),
+                InvalidProbabilityError,
+                "^probabilities must be non-negative, min is -5e-324$",
+            ),
+            (
+                "strided_negative",
+                lambda: sim.sample_counts(np.array([0.5, 9.0, -0.5, 9.0, 1.0])[::2], 10, 0),
+                InvalidProbabilityError,
+                "^probabilities must be non-negative, min is -0.5$",
+            ),
+            (
+                "negative_zero_sum",
+                lambda: sim.sample_counts([-0.0, 0.5], 10, 0),
+                NotNormalizedError,
+                "^probability rows must sum to 1, worst is off by 0.5$",
+            ),
+            (
+                "block_negative_zero_sum",
+                lambda: sim.sample_counts([[0.5, 0.5], [-0.0, 0.5]], 10, 0),
+                NotNormalizedError,
+                "^probability rows must sum to 1, worst is off by 0.5$",
+            ),
+            (
+                "one_empty_row",
+                lambda: sim.sample_counts(np.zeros((1, 0)), 10, 0),
+                ValidationError,
+                r"^expected a probability vector or a block of rows, got shape \(1, 0\)$",
+            ),
+            (
+                "distribution_two_negative",
+                lambda: sim.sample_distribution([2.0, -1.0], 10, 0),
+                InvalidProbabilityError,
+                "^probabilities must be non-negative, min is -1.0$",
+            ),
+        ]
+    },
     "tomo.depolarize_nan": (
         lambda: tomo.apply_depolarizing(np.eye(4) / 4, np.nan),
         InvalidProbabilityError,

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from qlinsys import qasm, sim
+from qlinsys import family, linsys, qasm, sim, synth
 from qlinsys.errors import UnsupportedGateError
 
 
@@ -47,3 +48,66 @@ class TestCircuitToQasm:
         circuit = sim.Circuit(2, (sim.phase_flip({3}),))
         with pytest.raises(UnsupportedGateError):
             qasm.circuit_to_qasm(circuit)
+
+
+def plain_qasm(circuit: sim.Circuit) -> str:
+    """A writer with no table: every statement formatted on every call."""
+    n = circuit.n_qubits
+    text = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{n}];\ncreg c[{n}];\n'
+    for gate in circuit.ops:
+        text += f"{gate.kind} " + ",".join(f"q[{q}]" for q in gate.targets) + ";\n"
+    return text + "measure q -> c;\n"
+
+
+def random_circuit(n: int, rng: np.random.Generator) -> sim.Circuit:
+    ops = []
+    for _ in range(int(rng.integers(41))):
+        kind = int(rng.integers(5 if n >= 2 else 3))
+        if kind < 3:
+            ops.append((sim.h, sim.x, sim.z)[kind](int(rng.integers(n))))
+        else:
+            a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+            ops.append((sim.cx, sim.cz)[kind - 3](a, b))
+    return sim.Circuit(n, tuple(ops))
+
+
+class TestLineTable:
+    """Each statement is written once into a table keyed by (kind, targets); the text is the plain writer's."""
+
+    def test_every_catalog_circuit_matches_the_plain_writer(self):
+        for spec in family.enumerate_family():
+            circuit = synth.synthesize(linsys.inverse_operator(spec.matrix)).circuit
+            assert qasm.circuit_to_qasm(circuit) == plain_qasm(circuit), spec.label
+
+    @pytest.mark.parametrize("n", range(1, sim.MAX_QUBITS + 1))
+    def test_random_circuits_match_the_plain_writer(self, n):
+        rng = np.random.default_rng(2900 + n)
+        for _ in range(30):
+            circuit = random_circuit(n, rng)
+            assert qasm.circuit_to_qasm(circuit) == plain_qasm(circuit)
+
+    def test_the_table_holds_statements_not_circuits(self):
+        circuit = sim.Circuit(3, (sim.h(0), sim.cx(2, 1), sim.h(0), sim.cz(1, 0)))
+        qasm.circuit_to_qasm(circuit)
+        for gate in circuit.ops:
+            assert qasm._LINES[gate.kind, gate.targets] == plain_qasm(sim.Circuit(3, (gate,))).splitlines(True)[4]
+        assert all(type(key) is tuple and len(key) == 2 for key in qasm._LINES)
+        assert all(type(line) is str for line in qasm._LINES.values())
+
+    def test_a_phase_flip_raises_on_every_call_and_adds_no_entry(self):
+        circuit = sim.Circuit(2, (sim.h(0), sim.phase_flip({3}), sim.x(1)))
+        for _ in range(3):
+            with pytest.raises(UnsupportedGateError, match="^gate kind 'phaseflip' has no OpenQASM 2.0 form$"):
+                qasm.circuit_to_qasm(circuit)
+            assert all(kind != "phaseflip" for kind, _ in qasm._LINES)
+
+    def test_equal_but_distinct_circuits_give_identical_text(self):
+        first = sim.Circuit(2, (sim.h(0), sim.cx(0, 1), sim.z(1)))
+        second = sim.Circuit(2, (sim.h(0), sim.cx(0, 1), sim.z(1)))
+        assert first == second and first is not second and first.ops[0] is not second.ops[0]
+        assert qasm.circuit_to_qasm(first) == qasm.circuit_to_qasm(second) == plain_qasm(first)
+
+    def test_numpy_integer_targets_write_the_same_statement(self):
+        # Gate converts each target to an int, so a numpy integer keys the same entry.
+        circuit = sim.Circuit(2, (sim.cx(np.int64(1), np.int8(0)),))
+        assert qasm.circuit_to_qasm(circuit) == plain_qasm(sim.Circuit(2, (sim.cx(1, 0),)))

@@ -875,6 +875,22 @@ class TestSampling:
         # Neighbouring seeds share no rows; a generator seeded per row, seed + i, made them share all but one.
         assert not np.array_equal(sim.sample_counts(block, 1000, 31)[:-1], rows[1:])
 
+    @pytest.mark.parametrize("d", [2, 4, 1024])
+    def test_negative_zeros_and_strided_views_draw_as_their_values(self, d):
+        # -0 reads above 2.0 by its bits and takes the guarded path; a view's check reads only the view's entries.
+        rng = np.random.default_rng(d)
+        block = rng.random((3, d))
+        block[:, : d // 2] = 0.0
+        block /= block.sum(axis=1, keepdims=True)
+        want = sim.sample_counts(block, 500, 9)
+        signed = block.copy()
+        signed[:, : d // 2] = -0.0
+        assert sim.sample_counts(signed, 500, 9).tobytes() == want.tobytes()
+        assert sim.sample_counts(signed[1], 500, 9).tobytes() == sim.sample_counts(block[1], 500, 9).tobytes()
+        padded = np.full((3, 2 * d), -7.0)
+        padded[:, ::2] = signed
+        assert sim.sample_counts(padded[:, ::2], 500, 9).tobytes() == want.tobytes()
+
     def test_one_bad_row_rejects_the_block(self):
         block = np.full((3, 4), 0.25)
         block[1, 0] = -0.25
