@@ -86,15 +86,6 @@ def _vector_arg(text: str, expected: int) -> np.ndarray:
     return vec
 
 
-def _basis_index(vec: np.ndarray) -> int:
-    index = int(np.argmax(np.abs(vec)))
-    if np.max(np.abs(vec - np.eye(vec.size)[index])) > 1e-12:
-        raise ValidationError(
-            "running a circuit needs a computational-basis y; use 'solve' for general right-hand sides"
-        )
-    return index
-
-
 def _fmt_vec(vec) -> str:
     return " ".join(f"{v:+.6f}" for v in vec)
 
@@ -152,20 +143,13 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _sampled_run(
-    matrix: np.ndarray,
-    basis: int,
-    shots: int,
-    seed: int,
-    max_gates: int = synth.DEFAULT_MAX_GATES,
-    noise: float = 0.0,
-) -> sim.ShotTable:
+def _sampled_run(matrix: np.ndarray, basis: int, shots: int, seed: int, noise: float = 0.0) -> sim.ShotTable:
     """Synthesize the solution circuit, run it on a basis state, and sample it.
 
     The measured distribution is the diagonal of the depolarized solution
     state; at noise 0 that is exactly the noiseless one.
     """
-    result = synth.synthesize(linsys.inverse_operator(matrix), max_gates)
+    result = synth.synthesize(linsys.inverse_operator(matrix))
     state = sim.run(result.circuit, basis)
     rho = tomo.apply_depolarizing(tomo.density_from_state(state), noise)
     return sim.sample_distribution(np.real(np.diag(rho)), shots, seed)
@@ -188,11 +172,7 @@ def _counts_payload(name: str, table: sim.ShotTable) -> dict:
 
 def cmd_run(args) -> int:
     name, matrix = _resolve_system(args)
-    if args.y is not None:
-        basis = _basis_index(_vector_arg(args.y, matrix.shape[0]))
-    else:
-        basis = 0 if args.basis is None else args.basis
-    table = _sampled_run(matrix, basis, args.shots, args.seed, args.max_gates, args.noise)
+    table = _sampled_run(matrix, args.basis, args.shots, args.seed, args.noise)
     if args.output == "json":
         _print_json(_counts_payload(name, table))
     elif args.output == "csv":
@@ -272,18 +252,17 @@ def _synth_payload(name: str, result: synth.SynthesisResult) -> dict:
 
 def cmd_synth(args) -> int:
     if args.all:
-        if args.output == "qasm":
-            raise ValidationError("--output qasm needs a single system; drop --all")
-        specs = family.enumerate_family()
-        targets = [(str(spec.label), linsys.inverse_operator(spec.matrix)) for spec in specs]
-        _print_json([_synth_payload(name, synth.synthesize(t, args.max_gates)) for name, t in targets])
-        return 0
-    name, matrix = _resolve_system(args)
-    result = synth.synthesize(linsys.inverse_operator(matrix), args.max_gates)
-    if args.output == "qasm":
-        sys.stdout.write(qasm.circuit_to_qasm(result.circuit))
+        systems = [(str(spec.label), spec.matrix) for spec in family.enumerate_family()]
     else:
-        _print_json(_synth_payload(name, result))
+        systems = [_resolve_system(args)]
+    payload = [_synth_payload(name, synth.synthesize(linsys.inverse_operator(m))) for name, m in systems]
+    _print_json(payload if args.all else payload[0])
+    return 0
+
+
+def cmd_qasm(args) -> int:
+    _, matrix = _resolve_system(args)
+    sys.stdout.write(qasm.circuit_to_qasm(synth.synthesize(linsys.inverse_operator(matrix)).circuit))
     return 0
 
 
@@ -327,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     sampling.add_argument("--seed", type=int, default=0, help="sampling seed; table1 row i uses seed + i")
     noisy = argparse.ArgumentParser(add_help=False)
     noisy.add_argument("--noise", type=float, default=0.0, help="depolarizing strength in [0, 1]")
-    budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--max-gates", type=int, default=synth.DEFAULT_MAX_GATES)
 
     p_family = sub.add_parser("family", help="browse the 48-matrix catalog")
     family_sub = p_family.add_subparsers(dest="action", required=True)
@@ -343,14 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--output", choices=("table", "json"), default="table")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_run = sub.add_parser(
-        "run", help="synthesize, simulate, and sample a circuit", parents=[sampling, noisy, budget]
-    )
+    p_run = sub.add_parser("run", help="synthesize, simulate, and sample a circuit", parents=[sampling, noisy])
     _add_system_flags(p_run)
-    # argparse lets a flag given at its default past the group, so --basis defaults to None.
-    initial = p_run.add_mutually_exclusive_group()
-    initial.add_argument("--y", metavar="VEC", help="basis-vector right-hand side (inline CSV or file)")
-    initial.add_argument("--basis", type=int, help="initial basis index (default 0)")
+    p_run.add_argument(
+        "--basis", type=int, default=0, help="initial basis index b, for the right-hand side y = e_b (default 0)"
+    )
     p_run.add_argument("--output", choices=("table", "json", "csv"), default="table")
     p_run.set_defaults(func=cmd_run)
 
@@ -365,14 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_tomo.add_argument("--output", choices=("json", "csv"), default="json")
     p_tomo.set_defaults(func=cmd_tomo)
 
-    p_synth = sub.add_parser("synth", help="find a minimal circuit for the solution operator", parents=[budget])
+    p_synth = sub.add_parser("synth", help="find a minimal circuit for the solution operator, as JSON")
     _add_system_flags(p_synth).add_argument("--all", action="store_true", help="synthesize the whole catalog")
-    p_synth.add_argument("--output", choices=("json", "qasm"), default="json")
     p_synth.set_defaults(func=cmd_synth)
 
-    p_qasm = sub.add_parser("qasm", help="export the synthesized circuit as OpenQASM 2.0", parents=[budget])
+    p_qasm = sub.add_parser("qasm", help="export the synthesized circuit as OpenQASM 2.0")
     _add_system_flags(p_qasm)
-    p_qasm.set_defaults(func=cmd_synth, all=False, output="qasm")
+    p_qasm.set_defaults(func=cmd_qasm)
 
     p_grover = sub.add_parser("grover", help="amplitude-amplification demo")
     p_grover.add_argument("--qubits", type=int, default=2)

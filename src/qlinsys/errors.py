@@ -50,7 +50,7 @@ class UnsupportedGateError(ValidationError):
 
 
 class SynthesisNotFoundError(QlinsysError):
-    """No circuit within the gate budget realizes the target."""
+    """No circuit over the synthesis vocabulary realizes the target."""
 
 
 def shown(value) -> str:

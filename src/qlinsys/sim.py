@@ -129,7 +129,7 @@ class Circuit:
         return u
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ShotTable:
     """Counts from one sampling run, keyed by bitstring; includes the seed used."""
 

@@ -5,8 +5,8 @@ breadth-first order, deduplicating unitaries up to global sign, so the first
 circuit that hits a target is one of minimal gate count (ties broken by
 vocabulary order).  The reachable set is a finite group of 1152 elements up
 to sign, every one within 7 gates.  The table is built once, to closure, and
-shared read-only; a gate budget only filters it.  Each depth applies each gate
-once, through `sim.apply_gate`, to the frontier's unitaries in one block.
+shared read-only.  Each depth applies each gate once, through
+`sim.apply_gate`, to the frontier's unitaries in one block.
 Group entries lie in {0, +-1/2, +-1/sqrt(2), +-1}, so `_snap`, which maps each
 entry m to sign(m) sqrt(round(4 m^2) / 4) and a zero to +0.0, is exact on the
 group.  The table maps the float64 bytes of each snapped +-U to its finished
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import sim
 from .errors import ORTHONORMAL_TOL, DimensionMismatchError, NotOrthonormalError, SynthesisNotFoundError
-from .errors import ValidationError, as_doubles, check_int, is_orthonormal
+from .errors import as_doubles, is_orthonormal
 
 #: Search vocabulary, in tie-breaking order.
 VOCABULARY: tuple[sim.Gate, ...] = (
@@ -41,8 +41,6 @@ VOCABULARY: tuple[sim.Gate, ...] = (
     sim.cx(1, 0),
     sim.cz(0, 1),
 )
-
-DEFAULT_MAX_GATES = 8
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -91,26 +89,24 @@ def _table() -> MappingProxyType:
     return MappingProxyType(table)
 
 
-def synthesize(target, max_gates: int = DEFAULT_MAX_GATES) -> SynthesisResult:
+def synthesize(target) -> SynthesisResult:
     """Find a minimal circuit whose unitary equals the target up to global sign.
 
     A target whose bytes equal a stored +-U takes its finished result, any other
     the orthogonality check and a snapped lookup.  Raises SynthesisNotFoundError
-    when no circuit of at most `max_gates` gates reaches the target within 1e-10.
+    when no element of the group lies within 1e-10 of the target.
     """
     t = as_doubles(target, "synthesis target must be real")
     if t.shape != (4, 4):
         raise DimensionMismatchError(f"target must be 4x4, got shape {t.shape}")
     hit = _table().get(t.tobytes())
-    if hit is None and not is_orthonormal(t):  # every stored +-U passes this check
-        raise NotOrthonormalError("synthesis target must be orthogonal")
-    if check_int(max_gates, "max_gates") < 0:
-        raise ValidationError("max_gates must be non-negative")
-    if hit is not None and hit.gate_count <= max_gates:
+    if hit is not None:  # every stored +-U passes the orthogonality check
         return hit
+    if not is_orthonormal(t):
+        raise NotOrthonormalError("synthesis target must be orthogonal")
     snapped = _snap(t)
     deviation = float(abs(snapped - t).max())
     hit = _table().get(snapped.tobytes())
-    if hit is not None and hit.gate_count <= max_gates and deviation <= ORTHONORMAL_TOL:  # the orthogonality bound
+    if hit is not None and deviation <= ORTHONORMAL_TOL:  # the orthogonality bound
         return dataclasses.replace(hit, max_deviation=deviation)
-    raise SynthesisNotFoundError(f"no circuit with at most {max_gates} gates reaches the target")
+    raise SynthesisNotFoundError("no circuit reaches the target within 1e-10")

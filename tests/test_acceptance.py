@@ -71,7 +71,7 @@ def test_worked_example():
 def test_synthesis_coverage():
     start = time.perf_counter()
     specs = family.enumerate_family()
-    results = {spec.label: synth.synthesize(linsys.inverse_operator(spec.matrix), max_gates=8) for spec in specs}
+    results = {spec.label: synth.synthesize(linsys.inverse_operator(spec.matrix)) for spec in specs}
     elapsed = time.perf_counter() - start
     assert len(results) == 48
     for label, result in results.items():

@@ -80,8 +80,7 @@ ROWS = [
     (linsys.inverse_operator, 0, (np.eye(2),)),
     (linsys.solve, 0, (np.eye(2), [1.0, 0.0])),
     (linsys.solve, 1, (np.eye(2), [1.0, 0.0])),
-    (synth.synthesize, 0, (np.eye(4), 8)),
-    (synth.synthesize, 1, (np.eye(4), 8)),
+    (synth.synthesize, 0, (np.eye(4),)),
     (grover.theta, 0, (4, 1)),
     (grover.theta, 1, (4, 1)),
     (grover.optimal_iterations, 0, (0.5,)),

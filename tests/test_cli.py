@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qlinsys import cli, family, linsys, sim, synth
+from qlinsys import cli, family, linsys, qasm, sim, synth
 
 from make_golden import MORE_TARGETS, TARGETS
 
@@ -29,6 +29,7 @@ def test_output_matches_its_golden_file(capsys, golden):
 
 
 _HUGE = "99999999999999999999"  # past 2**63, so no C long holds it
+_DIGITS = "1" * 5000  # past the 4,300 digits that Python converts from text
 
 #: Bad input and how the CLI refuses it: argparse's usage exit 2 or the
 #: validation exit 3, and the last stderr line.
@@ -41,6 +42,31 @@ REFUSED = {
     "zero shots": (["run", "--label", "A_1324", "--shots", "0"], 2, "argument --shots: must be at least 1"),
     "unparsable y": (["solve", "--label", "A_1234", "--y", "abc"], 3, "could not parse 'abc' as a vector or file path"),
     "short y": (["solve", "--label", "A_1234", "--y", "1,0"], 3, "y has length 2, expected 4"),
+    **{
+        f"non-finite y {y}": (["solve", "--label", "A_1234", "--y", y], 3, f"y must be finite, got {y!r}")
+        for y in ("nan,0,0,0", "1,inf,0,0")
+    },
+    **{
+        f"5000-digit {flag}": (argv + [flag, _DIGITS], 2, f"argument {flag}: invalid int value: '{_DIGITS}'")
+        for argv, flag in ((["run", "--label", "A_1234"], "--basis"), (["grover"], "--iterations"))
+    },
+    "basis past the register": (["run", "--label", "A_1234", "--basis", "4"], 3, "basis index 4 out of range for 2 qubits"),
+    "negative basis": (["run", "--label", "A_1234", "--basis", "-1"], 3, "basis index -1 out of range for 2 qubits"),
+    "fractional basis": (["run", "--label", "A_1234", "--basis", "1.5"], 2, "argument --basis: invalid int value: '1.5'"),
+    # Removed routes: run takes its right-hand side as --basis, synth prints JSON only, and no command has a budget.
+    "run y": (["run", "--label", "A_1234", "--y", "0,1,0,0"], 2, "unrecognized arguments: --y 0,1,0,0"),
+    **{
+        f"synth {output} output{' of all' if argv[-1] == '--all' else ''}": (
+            argv + ["--output", output],
+            2,
+            f"unrecognized arguments: --output {output}",
+        )
+        for argv, output in ((["synth", "--label", "A_1234"], "qasm"), (["synth", "--all"], "qasm"), (["synth", "--all"], "json"))
+    },
+    **{
+        f"{argv[0]} gate budget": (argv + ["--max-gates", "3"], 2, "unrecognized arguments: --max-gates 3")
+        for argv in (["run", "--label", "A_1234"], ["synth", "--label", "A_1234"], ["qasm", "--label", "A_1234"])
+    },
     **{
         f"{argv[0]} shots past 2**63": (argv + ["--shots", _HUGE], 3, f"shots must be below 2**63, got {_HUGE}")
         for argv in (["run", "--label", "A_1324"], ["tomo", "--label", "A_1234"], ["table1"])
@@ -220,29 +246,17 @@ class TestRun:
         for index, bits in enumerate(("00", "01", "10", "11")):
             assert freqs[bits] == pytest.approx(x[index] ** 2, abs=0.01)
 
-    def test_y_basis_vector_equivalent(self, capsys):
-        _, out_basis, _ = run_cli(capsys, "run", "--label", "A_1234", "--basis", "2", "--output", "json")
-        _, out_y, _ = run_cli(capsys, "run", "--label", "A_1234", "--y", "0,0,1,0", "--output", "json")
-        assert json.loads(out_basis)["counts"] == json.loads(out_y)["counts"]
-
-    @pytest.mark.parametrize("basis", ["0", "2"])
-    def test_y_and_basis_together_are_a_usage_error(self, capsys, basis):
-        # --basis 0 is the default value, which argparse would let past the group.
-        with pytest.raises(SystemExit) as raised:
-            cli.main(["run", "--label", "A_1234", "--basis", basis, "--y", "1,0,0,0"])
-        assert raised.value.code == 2
-        assert "not allowed with argument" in capsys.readouterr().err
-
-    def test_non_basis_y_exits_3(self, capsys):
-        code, _, err = run_cli(capsys, "run", "--label", "A_1234", "--y", "0.5,0.5,0.5,0.5")
-        assert code == 3
-        assert "basis" in err
-
-    @pytest.mark.parametrize("y", ["nan,0,0,0", "1,inf,0,0"])
-    def test_non_finite_y_exits_3(self, capsys, y):
-        code, _, err = run_cli(capsys, "run", "--label", "A_1234", "--y", y)
-        assert code == 3
-        assert "finite" in err
+    @pytest.mark.parametrize("basis", range(4))
+    def test_basis_samples_what_solve_predicts_for_that_column(self, capsys, basis):
+        # --basis b is run's route to the right-hand side e_b that solve takes as --y.
+        y = ",".join("1" if i == basis else "0" for i in range(4))
+        _, out_solve, _ = run_cli(capsys, "solve", "--label", "B_3142", "--y", y, "--output", "json")
+        _, out_run, _ = run_cli(
+            capsys, "run", "--label", "B_3142", "--basis", str(basis), "--shots", "100000", "--output", "json"
+        )
+        freqs = json.loads(out_run)["frequencies"]
+        for bits, p in zip(("00", "01", "10", "11"), json.loads(out_solve)["probabilities"]):
+            assert freqs[bits] == pytest.approx(p, abs=0.01)
 
     def test_full_noise_still_sums(self, capsys):
         _, out, _ = run_cli(capsys, "run", "--label", "A_1234", "--noise", "1.0", "--shots", "256", "--output", "json")
@@ -256,7 +270,7 @@ class TestRun:
     def test_unsynthesizable_matrix_exits_4(self, capsys, rotation_csv):
         code, _, err = run_cli(capsys, "run", "--matrix", rotation_csv)
         assert code == 4
-        assert "8 gates" in err
+        assert err == "error: no circuit reaches the target within 1e-10\n"
 
     def test_frequencies_converge_to_solve_probabilities(self):
         # CLI-level invariant checked through the same modules it composes.
@@ -350,14 +364,26 @@ class TestSynthCommand:
         assert len(rows) == 48
         assert max(row["gate_count"] for row in rows) <= 8
 
-    def test_all_with_qasm_output_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "synth", "--all", "--output", "qasm")
-        assert code == 3
-        assert "single system" in err
+    @pytest.mark.parametrize("label", cli.REFERENCE_PERCENT)
+    def test_label_prints_the_library_result(self, capsys, label):
+        result = synth.synthesize(linsys.inverse_operator(family.matrix_for(family.FamilyLabel.parse(label))))
+        code, out, _ = run_cli(capsys, "synth", "--label", label)
+        assert code == 0
+        assert json.loads(out) == {
+            "label": label,
+            "gate_count": result.gate_count,
+            "matched_sign": result.matched_sign,
+            "max_deviation": result.max_deviation,
+            "gates": [{"kind": g.kind, "targets": list(g.targets)} for g in result.circuit.ops],
+        }
 
-    def test_budget_too_small_exits_4(self, capsys):
-        code, _, err = run_cli(capsys, "synth", "--label", "A_1234", "--max-gates", "3")
-        assert code == 4
+    def test_all_rows_are_the_single_label_outputs(self, capsys):
+        _, out, _ = run_cli(capsys, "synth", "--all")
+        rows = json.loads(out)
+        assert [row["label"] for row in rows] == [str(spec.label) for spec in family.enumerate_family()]
+        for row in rows:
+            _, single, _ = run_cli(capsys, "synth", "--label", row["label"])
+            assert json.loads(single) == row
 
     def test_target_within_rounding_of_the_group_is_found(self, capsys, tmp_path):
         h0 = sim.unitary_of(sim.Circuit(2, (sim.h(0),)))
@@ -368,13 +394,24 @@ class TestSynthCommand:
         assert code == 0
         assert json.loads(out)["gate_count"] == 1
 
-    def test_qasm_output_matches_export(self, capsys):
-        _, from_synth, _ = run_cli(capsys, "synth", "--label", "A_1342", "--output", "qasm")
-        _, from_qasm, _ = run_cli(capsys, "qasm", "--label", "A_1342")
-        assert from_synth == from_qasm
-
 
 class TestQasmCommand:
+    @pytest.mark.parametrize("label", cli.REFERENCE_PERCENT)
+    def test_label_prints_the_library_export(self, capsys, label):
+        result = synth.synthesize(linsys.inverse_operator(family.matrix_for(family.FamilyLabel.parse(label))))
+        code, out, _ = run_cli(capsys, "qasm", "--label", label)
+        assert code == 0
+        assert out == qasm.circuit_to_qasm(result.circuit)
+
+    def test_matrix_file_prints_what_its_label_prints(self, capsys, tmp_path):
+        path = tmp_path / "a1342.csv"
+        matrix = family.matrix_for(family.FamilyLabel.parse("A_1342"))
+        path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in matrix) + "\n")
+        _, from_file, _ = run_cli(capsys, "qasm", "--matrix", str(path))
+        _, from_label, _ = run_cli(capsys, "qasm", "--label", "A_1342")
+        assert from_file == from_label
+        assert len(from_label.splitlines()) == 5 + 2  # A_1342's circuit has two gates
+
     def test_identity_matrix_has_no_gate_lines(self, capsys, identity_csv):
         _, out, _ = run_cli(capsys, "qasm", "--matrix", identity_csv)
         assert out == (
@@ -441,12 +478,10 @@ PARSED_DEFAULTS = {
         "command": "run",
         "label": A_1234,
         "matrix": None,
-        "y": None,
-        "basis": None,
+        "basis": 0,
         "shots": 1024,
         "seed": 0,
         "noise": 0.0,
-        "max_gates": 8,
         "output": "table",
         "func": "cmd_run",
     },
@@ -468,18 +503,13 @@ PARSED_DEFAULTS = {
         "label": None,
         "matrix": None,
         "all": True,
-        "max_gates": 8,
-        "output": "json",
         "func": "cmd_synth",
     },
     ("qasm", "--label", "A_1234"): {
         "command": "qasm",
         "label": A_1234,
         "matrix": None,
-        "max_gates": 8,
-        "all": False,
-        "output": "qasm",
-        "func": "cmd_synth",
+        "func": "cmd_qasm",
     },
     ("grover",): {"command": "grover", "qubits": 2, "marked": "3", "iterations": None, "func": "cmd_grover"},
 }

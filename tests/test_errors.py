@@ -17,7 +17,6 @@ from qlinsys.errors import (
     InvalidTargetError,
     NotNormalizedError,
     NotOrthonormalError,
-    SynthesisNotFoundError,
     UnsupportedGateError,
     ValidationError,
 )
@@ -67,14 +66,6 @@ def _table_with(word, value):
     values = [1.0] + [0.0] * 15  # II first
     values[tomo.PAULI_WORDS.index(word)] = value
     return tomo.ExpectationTable(values, "analytic")
-
-
-#: Targets equal, byte for byte, to a stored +-U: I, -I and a catalog A^T as a transposed view.
-_EXACT_TARGETS = {
-    "eye": np.eye(4),
-    "minus_eye": -np.eye(4),
-    "a2341_t": family.matrix_for(family.FamilyLabel.parse("A_2341")).T,
-}
 
 CASES = {
     "sim.Circuit": (lambda: sim.Circuit(0), ValidationError, "at least one qubit"),
@@ -258,21 +249,6 @@ CASES = {
             ("text", "1,a\n", "is not a CSV of numbers: "),
         ]
     },
-    "synth.max_gates": (lambda: synth.synthesize(np.eye(4), max_gates=-1), ValidationError, "non-negative"),
-    # A target the exact index holds checks its budget as any other target does.
-    **{
-        f"synth.exact_{name}_budget_{budget_name}": (
-            lambda target=target, budget=budget: synth.synthesize(target, budget),
-            ValidationError,
-            message,
-        )
-        for name, target in _EXACT_TARGETS.items()
-        for budget_name, budget, message in [
-            ("negative", -1, "^max_gates must be non-negative$"),
-            ("bool", True, "^max_gates must be an integer, got True$"),
-            ("float", 1.5, "^max_gates must be an integer, got 1.5$"),
-        ]
-    },
     # The one-system path: linsys, synth, sim.probabilities and sampling.
     **{
         f"linsys.inverse_{name}": (
@@ -330,12 +306,6 @@ CASES = {
     },
     "synth.target_full_huge": (
         lambda: synth.synthesize(np.full((4, 4), 1e200)),
-        NotOrthonormalError,
-        "^synthesis target must be orthogonal$",
-    ),
-    # Orthogonality comes before the budget's type.
-    "synth.target_before_budget": (
-        lambda: synth.synthesize(3 * np.eye(4), 2.5),
         NotOrthonormalError,
         "^synthesis target must be orthogonal$",
     ),
@@ -690,13 +660,6 @@ def test_raises_a_validation_error(site):
     with pytest.raises(error, match=message) as raised:
         call()
     assert type(raised.value) is error
-
-
-@pytest.mark.parametrize("budget", range(6))
-def test_exact_target_below_its_gate_count_is_not_found(budget):
-    """A_2341's A^T needs 6 gates; a smaller budget fails as a near-group target's does."""
-    with pytest.raises(SynthesisNotFoundError, match=f"^no circuit with at most {budget} gates reaches the target$"):
-        synth.synthesize(_EXACT_TARGETS["a2341_t"], budget)
 
 
 def _raised_in_src() -> set[str]:

@@ -10,7 +10,6 @@ from qlinsys.errors import (
     DimensionMismatchError,
     NotOrthonormalError,
     SynthesisNotFoundError,
-    ValidationError,
     is_orthonormal,
 )
 
@@ -79,31 +78,14 @@ class TestSynthesize:
         rot = np.eye(4)
         rot[0, 0] = rot[1, 1] = c
         rot[0, 1], rot[1, 0] = -s, s
-        with pytest.raises(SynthesisNotFoundError):
+        with pytest.raises(SynthesisNotFoundError, match="^no circuit reaches the target within 1e-10$"):
             synth.synthesize(rot)
 
-    def test_budget_zero_only_fits_identity(self):
-        assert synth.synthesize(np.eye(4), max_gates=0).gate_count == 0
-        h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-        with pytest.raises(SynthesisNotFoundError):
-            synth.synthesize(np.kron(h, h), max_gates=0)
-
-
-    @pytest.mark.parametrize("budget", [2.5, 3.0, True, None, "8"])
-    def test_non_integer_budget_rejected(self, budget):
-        with pytest.raises(ValidationError, match="integer"):
-            synth.synthesize(np.eye(4), budget)
-
-    def test_numpy_integer_budget_accepted(self):
-        assert synth.synthesize(np.eye(4), np.int64(0)).gate_count == 0
-
-    def test_huge_budget_only_filters_the_table(self):
-        target = linsys.inverse_operator(family.matrix_for(family.FamilyLabel.parse("B_4213")))
-        expected = synth.synthesize(target, max_gates=8)
-        start = time.perf_counter()
-        result = synth.synthesize(target, max_gates=10**9)
-        assert time.perf_counter() - start < 1.0
-        assert result == expected
+    @pytest.mark.parametrize("extra", [((8,), {}), ((), {"max_gates": 8})], ids=["positional", "keyword"])
+    def test_takes_no_gate_budget(self, extra):
+        args, kwargs = extra
+        with pytest.raises(TypeError):
+            synth.synthesize(np.eye(4), *args, **kwargs)
 
 
 class TestWholeGroup:
@@ -204,12 +186,6 @@ class TestExactIndex:
             assert repr(exact.max_deviation) == "0.0"
             assert (moved.circuit, moved.gate_count, moved.matched_sign) == (circuit, len(circuit.ops), sign)
             assert 0.0 < moved.max_deviation < 1e-12
-            if circuit.ops:
-                budget = len(circuit.ops) - 1
-                message = f"^no circuit with at most {budget} gates reaches the target$"
-                for t in (target, near):
-                    with pytest.raises(SynthesisNotFoundError, match=message):
-                        synth.synthesize(t, budget)
 
 
 class TestNearGroupTargets:
@@ -235,6 +211,18 @@ class TestNearGroupTargets:
     def test_rotation_beyond_the_bound_is_not_found(self):
         with pytest.raises(SynthesisNotFoundError):
             synth.synthesize(self._rotation(1e-9))
+
+    @pytest.mark.parametrize("angle, found", [(5e-11, True), (9.9e-11, True), (1.01e-10, False), (2e-10, False)])
+    def test_the_1e_10_bound_is_the_only_limit(self, angle, found):
+        # An orthogonal target's one limit is its distance from the group; no gate count refuses it.
+        target = self._rotation(angle)
+        assert is_orthonormal(target)
+        if found:
+            result = synth.synthesize(target)
+            assert (result.gate_count, result.max_deviation) == (0, pytest.approx(angle, rel=1e-6))
+        else:
+            with pytest.raises(SynthesisNotFoundError, match="^no circuit reaches the target within 1e-10$"):
+                synth.synthesize(target)
 
 
 @pytest.fixture(scope="module")
@@ -270,18 +258,6 @@ class TestSynthesizeFamily:
         assert max(counts) <= 8
         assert results[family.FamilyLabel.parse("A_1234")].gate_count <= 4
         assert results[family.FamilyLabel.parse("A_1342")].gate_count == 2
-
-    def test_minimality_spot_check(self, results):
-        # Shortening the budget below the returned length must fail.
-        spot = ["A_1234", "A_1342", "A_2143", "A_4321", "B_1234", "B_1342", "B_3142", "B_4321"]
-        for name in spot:
-            label = family.FamilyLabel.parse(name)
-            result = results[label]
-            target = linsys.inverse_operator(family.matrix_for(label))
-            if result.gate_count == 0:
-                continue
-            with pytest.raises(SynthesisNotFoundError):
-                synth.synthesize(target, max_gates=result.gate_count - 1)
 
     def test_circuit_probabilities_match_solutions(self, results):
         # Up to the matched sign, running each circuit from |00> must land on
