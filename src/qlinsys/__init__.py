@@ -3,8 +3,8 @@
 The pipeline: `family` catalogs the 48 solvable matrices, `linsys` solves
 them by the transpose, `synth` finds a minimal circuit realizing the solve
 operator, `sim` executes and samples it, and `tomo` recovers the solution
-signs that plain readout loses.  `grover` covers the amplitude-amplification
-background, `qasm` exports circuits, and `cli` prints what they return.
+signs that plain readout loses.  `grover` builds the search whose operators the
+catalog permutes, `qasm` exports circuits, and `cli` prints what they return.
 """
 
 from . import errors, family, grover, linsys, qasm, sim, synth, tomo

@@ -106,14 +106,14 @@ def cmd_family_list(args) -> int:
                     "subset": spec.label.subset,
                     "matrix": spec.matrix.tolist(),
                     "y": spec.y.tolist(),
-                    "equations": spec.equations,
+                    "equations": family.equations_for(spec.label),
                 }
                 for spec in specs
             ]
         )
     else:
         for spec in specs:
-            print(f"{spec.label}  {spec.label.subset}  {' | '.join(spec.equations)}")
+            print(f"{spec.label}  {spec.label.subset}  {' | '.join(family.equations_for(spec.label))}")
     return 0
 
 
@@ -143,16 +143,16 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _sampled_run(matrix: np.ndarray, basis: int, shots: int, seed: int, noise: float = 0.0) -> sim.ShotTable:
-    """Synthesize the solution circuit, run it on a basis state, and sample it.
+def _distribution(matrix: np.ndarray, basis: int, noise: float = 0.0) -> np.ndarray:
+    """Synthesize the solution circuit, run it on a basis state, and return the measured distribution.
 
-    The measured distribution is the diagonal of the depolarized solution
-    state; at noise 0 that is exactly the noiseless one.
+    That is the diagonal of the depolarized solution state; at noise 0 it is
+    exactly the noiseless one.
     """
     result = synth.synthesize(linsys.inverse_operator(matrix))
     state = sim.run(result.circuit, basis)
     rho = tomo.apply_depolarizing(tomo.density_from_state(state), noise)
-    return sim.sample_distribution(np.real(np.diag(rho)), shots, seed)
+    return np.real(np.diag(rho))
 
 
 def _percent_row(table: sim.ShotTable, field: str = "{:.3f}", sep: str = ",") -> str:
@@ -172,7 +172,7 @@ def _counts_payload(name: str, table: sim.ShotTable) -> dict:
 
 def cmd_run(args) -> int:
     name, matrix = _resolve_system(args)
-    table = _sampled_run(matrix, args.basis, args.shots, args.seed, args.noise)
+    table = sim.sample_distribution(_distribution(matrix, args.basis, args.noise), args.shots, args.seed)
     if args.output == "json":
         _print_json(_counts_payload(name, table))
     elif args.output == "csv":
@@ -185,21 +185,21 @@ def cmd_run(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    rows = []
-    for offset, name in enumerate(REFERENCE_PERCENT):
-        matrix = family.matrix_for(family.FamilyLabel.parse(name))
-        # Per-row seeds stay distinct but reproducible from the single flag.
-        rows.append((name, _sampled_run(matrix, 0, args.shots, args.seed + offset)))
+    labels = [family.FamilyLabel.parse(name) for name in REFERENCE_PERCENT]
+    block = np.stack([_distribution(family.matrix_for(label), 0) for label in labels])
+    keys = [sim.bitstring(i, 2) for i in range(4)]
+    counts = sim.sample_counts(block, args.shots, args.seed).tolist()
+    tables = [sim.ShotTable(args.shots, args.seed, dict(zip(keys, row))) for row in counts]
     if args.output == "json":
         _print_json(
             [
                 {**_counts_payload(name, table), "reference_percent": REFERENCE_PERCENT[name]}
-                for name, table in rows
+                for name, table in zip(REFERENCE_PERCENT, tables)
             ]
         )
     else:
         print("circuit," + ",".join(_PADDED) + "," + ",".join(f"ref_{p}" for p in _PADDED))
-        for name, table in rows:
+        for name, table in zip(REFERENCE_PERCENT, tables):
             reference = ",".join(f"{v:g}" for v in REFERENCE_PERCENT[name])
             print(f"{name},{_percent_row(table)},{reference}")
     return 0
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     # through `parents`.
     sampling = argparse.ArgumentParser(add_help=False)
     sampling.add_argument("--shots", type=_positive_int, default=1024)
-    sampling.add_argument("--seed", type=int, default=0, help="sampling seed; table1 row i uses seed + i")
+    sampling.add_argument("--seed", type=int, default=0, help="sampling seed")
     noisy = argparse.ArgumentParser(add_help=False)
     noisy.add_argument("--noise", type=float, default=0.0, help="depolarizing strength in [0, 1]")
 

@@ -5,6 +5,12 @@ positive split into exactly two sets of four mutually orthogonal columns.
 Ordering each set's columns in all 4! ways gives 2 * 24 = 48 distinct
 matrices, labelled A_1234 ... B_4321 by column order.  Labels group into
 subsets A1..A4 and B1..B4 according to which column comes first.
+
+The classes are two operators of 2-qubit Grover search, columns permuted:
+class A is H (x) H (A_1342 itself), and class B is the iterate D O0 (B_4321
+itself), where O0 negates |00> and D = 2|s><s| - I inverts about the mean.
+So a class-B solve x = A^T y inverts y about the mean, negates its first
+entry, and reorders the unknowns.
 """
 
 from __future__ import annotations
@@ -73,12 +79,11 @@ class FamilyLabel:
 
 @dataclass(frozen=True, eq=False)
 class LinearSystemSpec:
-    """One catalog entry: the matrix, its canonical right-hand side, and a rendering."""
+    """One catalog entry: the matrix and its canonical right-hand side; `equations_for` renders it."""
 
     label: FamilyLabel
     matrix: np.ndarray
     y: np.ndarray
-    equations: tuple[str, ...]
 
 
 def matrix_for(label: FamilyLabel) -> np.ndarray:
@@ -108,12 +113,5 @@ def enumerate_family() -> list[LinearSystemSpec]:
     for kind in ("A", "B"):
         for perm in itertools.permutations((1, 2, 3, 4)):
             label = FamilyLabel(kind, perm)
-            out.append(
-                LinearSystemSpec(
-                    label=label,
-                    matrix=matrix_for(label),
-                    y=e1,
-                    equations=tuple(equations_for(label)),
-                )
-            )
+            out.append(LinearSystemSpec(label=label, matrix=matrix_for(label), y=e1))
     return out

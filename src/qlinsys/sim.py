@@ -131,7 +131,7 @@ class Circuit:
 
 @dataclass(slots=True)
 class ShotTable:
-    """Counts from one sampling run, keyed by bitstring; includes the seed used."""
+    """Counts from one sampling run, keyed by bitstring, and its seed; a row of a block draw has the block's seed."""
 
     shots: int
     seed: int

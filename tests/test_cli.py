@@ -28,6 +28,10 @@ def test_output_matches_its_golden_file(capsys, golden):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
+def test_every_golden_file_has_a_target():
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(PINNED)
+
+
 _HUGE = "99999999999999999999"  # past 2**63, so no C long holds it
 _DIGITS = "1" * 5000  # past the 4,300 digits that Python converts from text
 
@@ -298,10 +302,19 @@ class TestTable1:
             for freq in row["frequencies"].values():
                 assert abs(freq - 0.25) <= 0.0406
 
-    def test_rows_use_derived_seeds(self, capsys):
+    def test_every_row_carries_the_flag_seed(self, capsys):
         _, out, _ = run_cli(capsys, "table1", "--seed", "100", "--output", "json")
-        rows = json.loads(out)
-        assert [row["seed"] for row in rows] == list(range(100, 108))
+        assert [row["seed"] for row in json.loads(out)] == [100] * 8
+
+    @pytest.mark.parametrize("seed", [0, 100])
+    def test_neighbouring_seeds_share_no_rows(self, capsys, seed):
+        # The eight rows are one block from one generator, so seed + 1 does not replay seed's later rows.
+        counts = {}
+        for s in (seed, seed + 1):
+            _, out, _ = run_cli(capsys, "table1", "--seed", str(s), "--output", "json")
+            counts[s] = [row["counts"] for row in json.loads(out)]
+        for i in range(7):
+            assert counts[seed + 1][i] != counts[seed][i + 1]
 
     def test_reference_column_is_verbatim(self, capsys):
         _, out, _ = run_cli(capsys, "table1", "--output", "json")

@@ -1,12 +1,13 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qlinsys import family
+from qlinsys import family, grover, sim
 
-from oracles import dot, mat_mul, max_abs_diff, transpose
+from oracles import dot, mat_mul, max_abs_diff, run_by_index, transpose
 
 EXPECTED_A = [
     [0.5, 0.5, 0.5, 0.5],
@@ -170,3 +171,54 @@ class TestEquations:
         eqs = family.equations_for(family.FamilyLabel.parse("B_1234"))
         assert eqs[0] == "x1 + x2 + x3 + x4 = 2"
         assert eqs[3] == "-x1 + x2 + x3 - x4 = 0"
+
+
+
+def _gate(kind, *targets, flips=()):
+    """A stand-in gate for `oracles.run_by_index`, which reads only kind, targets and flips."""
+    return SimpleNamespace(kind=kind, targets=targets, flips=frozenset(flips))
+
+
+_LAYER = (_gate("h", 0), _gate("h", 1))
+# One Grover round for marked {0}: O0, then H (x) H, the flip about |00>, H (x) H, which is -D O0.
+_ROUND = (_gate("phaseflip", flips={0}), *_LAYER, _gate("phaseflip", flips={0}), *_LAYER)
+
+
+def _operators_by_index():
+    """H (x) H and D O0 folded over the identity by `oracles.run_by_index`, without the package."""
+    return {"A": run_by_index(np.eye(4), _LAYER), "B": -run_by_index(np.eye(4), _ROUND)}
+
+
+def _operators_by_simulator():
+    """The same two from `sim.unitary_of` of `grover`'s circuit for marked {0}: its H layer, then its round."""
+    ops = grover.build_grover_circuit(2, {0}, 1).ops
+    return {"A": sim.unitary_of(sim.Circuit(2, ops[:2])), "B": -sim.unitary_of(sim.Circuit(2, ops[2:]))}
+
+
+def _column_order(matrix, operator):
+    """For each column of `matrix`, the index of the column of `operator` with the same bytes, or -1."""
+    columns = [column.tobytes() for column in operator.T]
+    return [columns.index(col.tobytes()) if col.tobytes() in columns else -1 for col in matrix.T]
+
+
+@pytest.mark.parametrize("build", [_operators_by_index, _operators_by_simulator], ids=["by_index", "by_simulator"])
+class TestGroverOperators:
+    """Class A is H (x) H and class B the 2-qubit Grover iterate D O0, each with its columns permuted."""
+
+    def test_operators_are_the_textbook_ones(self, build):
+        s = np.full(4, 0.5)
+        h = np.array([[1.0, 1.0], [1.0, -1.0]])
+        textbook = {"A": np.kron(h, h) / 2.0, "B": (2.0 * np.outer(s, s) - np.eye(4)) @ np.diag([-1.0, 1, 1, 1])}
+        built = build()
+        for kind in "AB":
+            assert built[kind].tobytes() == textbook[kind].tobytes()
+
+    def test_every_catalog_matrix_permutes_its_class_operator(self, build):
+        operators = build()
+        unpermuted = []
+        for spec in family.enumerate_family():
+            order = _column_order(spec.matrix, operators[spec.label.kind])
+            assert sorted(order) == [0, 1, 2, 3], spec.label  # so the matrix is operator[:, order], bit for bit
+            if order == [0, 1, 2, 3]:
+                unpermuted.append(str(spec.label))
+        assert unpermuted == ["A_1342", "B_4321"]
