@@ -314,20 +314,41 @@ def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
     vector or a block of rows of at least one entry; shots, an integer from 1
     to 2**63 - 1; the seed, a non-negative integer; entries finite, then
     non-negative; each row sums to 1 within 1e-6.  Each row is divided by its
-    sum for the draw.
+    sum for the draw, which is `draw_rows`.
     """
     return _draw(as_doubles(probs, "probabilities must be real"), shots, seed)
 
 
-def _draw(p: np.ndarray, shots: int, seed: int) -> np.ndarray:  # `sample_counts` of a float64 array
-    if p.ndim not in (1, 2) or p.ndim == 2 and not p.shape[1]:
-        raise ValidationError(f"expected a probability vector or a block of rows, got shape {p.shape}")
+def draw_rows(p: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """`sample_counts` of probabilities that its rules on entries need not check again.
+
+    Precondition: p is a float64 vector or block of rows, at least one entry
+    each, whose entries are finite and non-negative and whose rows each sum to
+    1 within 1e-6, as a caller that built p from a checked input can know.
+    Shots and seed are checked by `sample_counts`' rules, in its order.
+    """
+    _check_shots_and_seed(shots, seed)
+    return _multinomial(p, np.add.reduce(p, -1, keepdims=True), shots, seed)
+
+
+def _check_shots_and_seed(shots: int, seed: int) -> None:
     if check_int(shots, "shots") < 1:
         raise ValidationError("shots must be at least 1")
     if shots >= 2**63:  # the draw takes a C long
         raise ValidationError(f"shots must be below 2**63, got {shown(int(shots))}")
     if check_int(seed, "seed") < 0:
         raise ValidationError("seed must be non-negative")
+
+
+def _multinomial(p: np.ndarray, sums: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """The one draw: each row of p divided by its sum, drawn in order from default_rng(seed)."""
+    return np.random.default_rng(seed).multinomial(shots, p / sums)
+
+
+def _draw(p: np.ndarray, shots: int, seed: int) -> np.ndarray:  # `sample_counts` of a float64 array
+    if p.ndim not in (1, 2) or p.ndim == 2 and not p.shape[1]:
+        raise ValidationError(f"expected a probability vector or a block of rows, got shape {p.shape}")
+    _check_shots_and_seed(shots, seed)
     # Read as uint64, an entry's bits are at most 2.0's just when it lies in [+0, 2], where it cannot overflow a
     # row's sum; NaN, inf, negatives, -0 and entries above 2 read higher.  Those take the minimum, which the sum
     # waits for (inf + -inf warns), and a sum under the overflow guard.  No row that sums to 1 holds an entry
@@ -345,7 +366,7 @@ def _draw(p: np.ndarray, shots: int, seed: int) -> np.ndarray:  # `sample_counts
     if not deviation <= 1e-6:
         check_finite(p, "probabilities must be finite")
         raise NotNormalizedError(f"probability rows must sum to 1, worst is off by {deviation}")
-    return np.random.default_rng(seed).multinomial(shots, p / sums)
+    return _multinomial(p, sums, shots, seed)
 
 
 @lru_cache(maxsize=1)

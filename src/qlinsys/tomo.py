@@ -9,18 +9,21 @@ each word signed by the parity it gives k.  So the 36 outcome probabilities are
 one fixed (36, 16) table times rho's entries; no measurement circuit is
 simulated.  The fixed algebra is computed once at import: the sixteen word
 matrices as one stacked basis, the parity sign of every (word, outcome) pair,
-and that table.  The nine settings are sampled as one block, its rows drawn in
-order from one generator.  Reconstruction is one ordered accumulation: the
-sixteen value * matrix products are summed over the stack's first axis from +0
-in PAULI_WORDS order, the order and start of a word-by-word loop, so it matches
-that loop byte for byte.  It then clips negative eigenvalues and renormalizes,
-so the output is always a valid state even for noisy tables.
+and that table.  The nine settings are sampled as one block by `sim.draw_rows`,
+its rows drawn in order from one generator; the block comes from a density
+already checked as physical, so its entries are not checked a second time.
+Reconstruction is one ordered accumulation: the sixteen value * matrix products
+are summed over the stack's first axis from +0 in PAULI_WORDS order, the order
+and start of a word-by-word loop, so it matches that loop byte for byte.  It
+then clips negative eigenvalues and renormalizes, so the output is always a
+valid state even for noisy tables.
 
 The physicality that `apply_depolarizing` and `pauli_expectations` require is
 memoized per exact complex input by `errors.memo_verdict`, which has room for
 the 384 densities of the 192 catalog solutions, clean and depolarized at the
 calibrated p.  Shape is checked on every call, and the verdict covers
-finiteness, so verdicts and errors are those of an uncached check.
+finiteness and the bound on entries, so verdicts and errors are those of an
+uncached check.
 
 The first letter of a Pauli word refers to qubit 1 (the most significant
 bit), matching the bitstring convention in `sim`.
@@ -37,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,7 +106,8 @@ def density_from_state(psi) -> np.ndarray:
 
 
 def is_physical(rho) -> bool:
-    """Complex doubles, square, non-empty, finite, Hermitian and unit trace within 1e-8, no eigenvalue below -1e-8."""
+    """Complex doubles, square, non-empty, finite, no entry above 2 in magnitude (no state has one above 1),
+    Hermitian and unit trace within 1e-8, no eigenvalue below -1e-8."""
     try:
         _check_density(rho)
     except ValidationError:
@@ -112,9 +117,11 @@ def is_physical(rho) -> bool:
 
 @memo_verdict
 def _physical(m: np.ndarray) -> bool:
-    """Whether the square complex matrix m is finite, Hermitian, of unit trace and PSD within 1e-8."""
+    """Whether the square complex matrix m has no entry above 2 in magnitude and is Hermitian, of unit trace and
+    PSD within 1e-8."""
     adjoint = m.conj().T
-    if not np.isfinite(m).all() or abs(m - adjoint).max() > _TOL:  # finite first: inf - inf warns
+    # The bound comes first, so no difference or sum can overflow; NaN fails it, and |inf| exceeds it.
+    if not np.maximum.reduce(abs(m), None) <= 2.0 or np.maximum.reduce(abs(m - adjoint), None) > _TOL:
         return False
     trace = m.trace()
     if abs(trace.real - 1.0) > _TOL or abs(trace.imag) > _TOL:
@@ -138,7 +145,15 @@ def apply_depolarizing(rho, p: float) -> np.ndarray:
         raise InvalidProbabilityError(f"depolarizing strength must lie in [0, 1], got {p}")
     m = _check_density(rho)
     dim = m.shape[0]
-    return (1.0 - p) * m + p * np.eye(dim) / dim
+    return (1.0 - p) * m + p * _identity(dim) / dim
+
+
+@lru_cache(maxsize=1)
+def _identity(dim: int) -> np.ndarray:
+    """np.eye(dim), read-only, for the dimension depolarized last."""
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
 
 
 #: For each Pauli word, the setting whose counts estimate it: I is read as Z.
@@ -169,9 +184,13 @@ def pauli_expectations(rho, mode: str = "analytic", shots: int = 1024, seed: int
 
     In "analytic" mode each value is the exact trace of rho * P.  In
     "sampled" mode the nine settings are sampled `shots` times each in one
-    block call to the simulator's multinomial sampler, one generator seeded
-    with `seed` drawing them in order, and expectations of words containing I
-    come from marginals of the matching Z-filled setting.
+    block call to `sim.draw_rows`, the simulator's multinomial draw, one
+    generator seeded with `seed` drawing them in order, and expectations of
+    words containing I come from marginals of the matching Z-filled setting.
+    The block needs no second check of its entries: rho is physical within
+    1e-8, so each row is finite and non-negative once clipped at zero and sums
+    to 1 within 1e-6.  Shots and seed are checked as `sim.sample_counts`
+    checks them.
     """
     m = _check_density(rho)
     if m.shape != (4, 4):
@@ -184,9 +203,9 @@ def pauli_expectations(rho, mode: str = "analytic", shots: int = 1024, seed: int
         values[0] = 1.0  # II
         return ExpectationTable(values=values, mode="analytic")
 
-    probs = (_OUTCOME_TABLE @ m.ravel()).real.reshape(9, 4).clip(0.0)
-    freq = sim.sample_counts(probs, shots, seed) / shots
-    values = (_PARITY_SIGNS * freq[_WORD_SETTING]).sum(axis=1)
+    probs = np.maximum((_OUTCOME_TABLE @ m.ravel()).real.reshape(9, 4), 0.0)
+    freq = sim.draw_rows(probs, shots, seed) / shots
+    values = np.add.reduce(_PARITY_SIGNS * freq[_WORD_SETTING], 1)
     values[0] = 1.0  # II
     return ExpectationTable(values=values, mode="sampled", shots=shots, seed=seed)
 
@@ -199,8 +218,8 @@ def _project(m: np.ndarray) -> np.ndarray:
     """
     hermitian = (m + m.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(hermitian)
-    vals = vals.clip(0.0)
-    total = float(vals.sum())
+    vals = np.maximum(vals, 0.0)
+    total = float(np.add.reduce(vals))
     if total <= 0.0:
         return np.eye(m.shape[0], dtype=complex) / m.shape[0]
     return (vecs * (vals / total)) @ vecs.conj().T
@@ -209,12 +228,17 @@ def _project(m: np.ndarray) -> np.ndarray:
 def reconstruct(table: ExpectationTable) -> np.ndarray:
     """Linear inversion rho = (1/4) sum <P> P, projected back to a valid state.
 
-    The table's values must be sixteen finite real numbers, in PAULI_WORDS order.
+    The table's values must be sixteen real numbers, in PAULI_WORDS order,
+    each at most 2 in magnitude (no Pauli expectation exceeds 1), so that no
+    sum overflows.
     """
     values = as_doubles(table.values, "expectation values must be real numbers")
     if values.shape != (16,):
         raise ValidationError(f"expectation table must hold 16 values, got shape {values.shape}")
-    check_finite(values, "expectation values must be finite")
+    peak = np.maximum.reduce(abs(values))
+    if not peak <= 2.0:  # NaN fails this too
+        check_finite(values, "expectation values must be finite")
+        raise ValidationError(f"expectation values must lie in [-2, 2], largest magnitude is {peak}")
     linear = np.add.reduce(values[:, None, None] * _PAULI_MATRICES, axis=0, initial=0j)
     return _project(linear / 4.0)
 
@@ -224,17 +248,21 @@ def fidelity(rho, psi) -> float:
 
     psi must have unit norm within 1e-10.  A value within 1e-9 of [0, 1] is
     clipped into it against rounding; one further out, or a rho with a
-    non-finite entry, means rho is not a state and raises ValidationError.
-    The square-root convention is the CLI's, under --sqrt-fidelity.
+    non-finite entry or one above 2 in magnitude (no state has one above 1),
+    means rho is not a state and raises ValidationError.  The square-root
+    convention is the CLI's, under --sqrt-fidelity.
     """
     m = as_doubles(rho, "density matrix entries must be numbers", complex)
     v = check_vector(as_doubles(psi, "state entries must be numbers", complex), "state")
     if m.shape != (v.size, v.size):
         raise DimensionMismatchError(f"density matrix {m.shape} does not match state of length {v.size}")
     check_unit_norm(v, "state")
+    peak = np.maximum.reduce(abs(m), None)  # NaN if an entry is
+    if 2.0 < peak < math.inf:  # before the product, which could overflow
+        raise ValidationError(f"rho has an entry of magnitude {peak}; rho is not a state")
     # A non-finite rho gets a NaN overlap instead of a product that would warn;
     # the check is written so that a NaN overlap fails it.
-    value = float(np.real(v.conj() @ m @ v)) if np.isfinite(m).all() else math.nan
+    value = float((v.conj() @ m @ v).real) if peak <= 2.0 else math.nan
     if not -1e-9 <= value <= 1.0 + 1e-9:
         raise ValidationError(f"overlap {value} lies outside [0, 1]; rho is not a state")
     return min(max(value, 0.0), 1.0)

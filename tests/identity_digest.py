@@ -1,7 +1,10 @@
 """Print one sha256 over a fixed, seeded set of qlinsys outputs.
 
 A change meant to keep every output bit for bit should print the same
-digest as its parent.  Run it from the root of each checkout:
+digest lines as its parent.  A header line above them names the Python,
+numpy, BLAS and LAPACK that computed them, since numpy's generator and
+LAPACK's eigh feed the bits and only one build has been checked.  Run it
+from the root of each checkout:
 
     python3 tests/identity_digest.py
 
@@ -290,7 +293,18 @@ def feed_off_catalog(digest: Digest, rng) -> None:
             digest.feed(outcome(qasm.circuit_to_qasm, qasm_circuit(n, rng)))
 
 
+def build() -> str:
+    """The header line: the Python, numpy, BLAS and LAPACK versions of this process."""
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+        libraries = [f"{kind} {deps[kind]['name']} {deps[kind]['version']}" for kind in ("blas", "lapack")]
+    except (TypeError, KeyError):  # a numpy whose show_config returns no dicts
+        libraries = ["blas unknown", "lapack unknown"]
+    return ", ".join([f"# python {sys.version.split()[0]}", f"numpy {np.__version__}", *libraries])
+
+
 def main() -> None:
+    print(build())
     digest = Digest()
     feed_circuits(digest, np.random.default_rng(2018))
     feed_wide_circuits(digest, np.random.default_rng(1968))

@@ -1,4 +1,4 @@
-"""Print best-of-N per-call times, in microseconds, of the solve -> sample -> QASM chain and its layers.
+"""Print best-of-N per-call times, in microseconds, of the solve -> sample -> QASM and tomography chains and layers.
 
 Run it from anywhere:
 
@@ -23,7 +23,12 @@ The calls, on catalog label index 5 and basis input 1, 1024 shots, seed 7:
   workload;
 * `solve_sample_catalog`: the chain over all 48 labels times 4 basis inputs,
   per (label, basis) pair, the workload's mix;
-* `circuit_to_qasm_catalog`: the 48 catalog circuits, per circuit.
+* `circuit_to_qasm_catalog`: the 48 catalog circuits, per circuit;
+* `solve`, `density_from_state`, `apply_depolarizing` at the calibrated p,
+  sampled `pauli_expectations`, `reconstruct` and `fidelity`, each on the
+  previous one's output, the solution for basis input 0 as the target;
+* `tomography_catalog`: those six calls over all 48 labels, per label, one
+  op of the `tomography` workload each, shot seed the label's index.
 
 It prints one JSON object in the shape of a BENCH file's `per_call_us`:
 `method`, then `change_best_us` and `change_us` (per process) for this tree,
@@ -48,7 +53,8 @@ LABEL, BASIS, SHOTS, SEED = 5, 1, 1024, 7
 
 def calls() -> dict:
     """The timed calls, each a no-argument function, on the package imported from `sys.path`."""
-    from qlinsys import family, linsys, qasm, sim, synth
+    import numpy as np
+    from qlinsys import family, linsys, qasm, sim, synth, tomo
 
     matrices = [spec.matrix for spec in family.enumerate_family()]
     matrix = matrices[LABEL]
@@ -57,6 +63,12 @@ def calls() -> dict:
     state = sim.run(circuit, BASIS)
     probs = sim.probabilities(state)
     circuits = [synth.synthesize(linsys.inverse_operator(m)).circuit for m in matrices]
+    first, p = np.eye(4)[0], tomo.CALIBRATED_DEPOLARIZING_P
+    solution = linsys.solve(matrix, first)
+    pure = tomo.density_from_state(solution)
+    noisy = tomo.apply_depolarizing(pure, p)
+    table = tomo.pauli_expectations(noisy, "sampled", SHOTS, SEED)
+    rebuilt = tomo.reconstruct(table)
 
     def chain(m, basis, seed):
         result = synth.synthesize(linsys.inverse_operator(m))
@@ -73,6 +85,16 @@ def calls() -> dict:
         for c in circuits:
             qasm.circuit_to_qasm(c)
 
+    def tomography(m, seed):
+        x = linsys.solve(m, first)
+        noisy = tomo.apply_depolarizing(tomo.density_from_state(x), p)
+        rho = tomo.reconstruct(tomo.pauli_expectations(noisy, "sampled", SHOTS, seed))
+        return rho, tomo.fidelity(rho, x)
+
+    def tomography_catalog():
+        for i, m in enumerate(matrices):
+            tomography(m, i)
+
     return {
         "inverse_operator": (lambda: linsys.inverse_operator(matrix), 1),
         "synthesize": (lambda: synth.synthesize(operator), 1),
@@ -83,6 +105,13 @@ def calls() -> dict:
         "solve_sample_chain": (lambda: chain(matrix, BASIS, SEED), 1),
         "solve_sample_catalog": (catalog, 4 * len(matrices)),
         "circuit_to_qasm_catalog": (all_qasm, len(circuits)),
+        "solve": (lambda: linsys.solve(matrix, first), 1),
+        "density_from_state": (lambda: tomo.density_from_state(solution), 1),
+        "apply_depolarizing": (lambda: tomo.apply_depolarizing(pure, p), 1),
+        "pauli_expectations": (lambda: tomo.pauli_expectations(noisy, "sampled", SHOTS, SEED), 1),
+        "reconstruct": (lambda: tomo.reconstruct(table), 1),
+        "fidelity": (lambda: tomo.fidelity(rebuilt, solution), 1),
+        "tomography_catalog": (tomography_catalog, len(matrices)),
     }
 
 

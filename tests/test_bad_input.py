@@ -7,7 +7,11 @@ slot replaced, with every warning an error.  A bare numpy or Python error, or a
 warning, is an escape.  Object-typed parameters (a `Circuit`, a `Gate`, an
 `ExpectationTable`) and file paths are outside the conversion rules and get no
 row of their own; `tomo.reconstruct`'s row puts the bad value into the table's
-values.
+values, and `tomo.fidelity` has a second rho row against a psi of two non-zero
+entries.  `sim.draw_rows` takes its probabilities under a stated precondition,
+not as a checked value, so that slot gets no row either: the blocks of its
+one caller, sampled tomography, are checked against that precondition in
+tests/test_tomo.py and tests/test_properties.py.
 """
 
 import inspect
@@ -40,11 +44,18 @@ BAD_VALUES = {
     "fraction": 1.5,
     "bool": True,
     "array": np.array([0.5, 0.5]),
+    "huge_matrix": np.full((2, 2), 1e308),  # finite, but its trace or a product overflows
+    "huge_values": np.full(16, 1e308),
 }
 
 
 def _reconstruct(values):
     return tomo.reconstruct(tomo.ExpectationTable(values, "analytic"))
+
+
+def _fidelity_spread(rho):
+    """`tomo.fidelity` against a psi whose two non-zero entries meet every entry of rho."""
+    return tomo.fidelity(rho, [0.6, 0.8])
 
 
 _MIXED_1Q = np.eye(2) / 2
@@ -69,6 +80,7 @@ ROWS = [
     (sim.run, 1, (sim.Circuit(1), 0)),
     (sim.probabilities, 0, ([1.0, 0.0],)),
     *[(sample, slot, _SAMPLING) for sample in (sim.sample_counts, sim.sample_distribution) for slot in (0, 1, 2)],
+    *[(sim.draw_rows, slot, (np.array([0.5, 0.5]), 10, 0)) for slot in (1, 2)],
     (tomo.density_from_state, 0, ([1.0, 0.0],)),
     (tomo.is_physical, 0, (_MIXED_1Q,)),
     (tomo.apply_depolarizing, 0, (_MIXED_1Q, 0.1)),
@@ -77,6 +89,7 @@ ROWS = [
     (_reconstruct, 0, ([1.0] + [0.0] * 15,)),
     (tomo.fidelity, 0, (np.diag([1.0, 0.0]), [1.0, 0.0])),
     (tomo.fidelity, 1, (np.diag([1.0, 0.0]), [1.0, 0.0])),
+    (_fidelity_spread, 0, (np.diag([1.0, 0.0]),)),
     (linsys.inverse_operator, 0, (np.eye(2),)),
     (linsys.solve, 0, (np.eye(2), [1.0, 0.0])),
     (linsys.solve, 1, (np.eye(2), [1.0, 0.0])),
@@ -92,10 +105,14 @@ ROWS = [
 #: Annotations of parameters that take an object, not a value.
 OBJECT_TYPES = {"Circuit", "sim.Circuit", "Gate", "ExpectationTable"}
 
+#: (function name, parameter) taken under a documented precondition instead of checked.
+PRECONDITIONS = {("draw_rows", "p")}
+
 
 def _row_id(row) -> str:
     call, slot, good = row
-    name = f"{call.__module__.rsplit('.', 1)[-1]}.{call.__qualname__}" if call is not _reconstruct else "tomo.reconstruct"
+    wrapped = {_reconstruct: "tomo.reconstruct", _fidelity_spread: "tomo.fidelity_spread"}
+    name = wrapped.get(call) or f"{call.__module__.rsplit('.', 1)[-1]}.{call.__qualname__}"
     return f"{name}[{slot}]"
 
 
@@ -138,7 +155,8 @@ def _value_parameters():
         for name, function in inspect.getmembers(module, inspect.isfunction):
             if function.__module__ == module.__name__ and not name.startswith("_"):
                 for param in inspect.signature(function).parameters.values():
-                    if param.annotation not in OBJECT_TYPES and param.name != "path":
+                    taken = param.annotation in OBJECT_TYPES or (name, param.name) in PRECONDITIONS
+                    if not taken and param.name != "path":
                         yield function, param.name
 
 

@@ -16,6 +16,13 @@ CALLS = {
     "solve_sample_chain",
     "solve_sample_catalog",
     "circuit_to_qasm_catalog",
+    "solve",
+    "density_from_state",
+    "apply_depolarizing",
+    "pauli_expectations",
+    "reconstruct",
+    "fidelity",
+    "tomography_catalog",
 }
 
 

@@ -7,13 +7,14 @@ database), so a failure reproduces on every run.
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -72,6 +73,19 @@ def circuits_with_blocks(draw):
 def test_analytic_round_trip_recovers_the_state(rho):
     rebuilt = tomo.reconstruct(tomo.pauli_expectations(rho))
     assert np.max(np.abs(rebuilt - rho)) <= 1e-12
+
+
+@FIXED
+@given(mixed_states(), st.floats(0.0, 1.0), st.integers(1, 5000), st.integers(0, 2**32))
+@example(np.diag([0.5 + 0.99e-8, 0.5 + 0.99e-8, -0.99e-8, 0.0]).astype(complex), 0.0, 64, 3)  # at the 1e-8 tolerance
+def test_a_physical_density_samples_a_block_that_sample_counts_accepts(rho, p, shots, seed):
+    # Sampled tomography draws with sim.draw_rows, which does not check the block again.
+    rho = tomo.apply_depolarizing(rho, p)
+    with mock.patch.object(sim, "draw_rows", wraps=sim.draw_rows) as draw:
+        tomo.pauli_expectations(rho, mode="sampled", shots=shots, seed=seed)
+    block = draw.call_args.args[0]
+    counts = sim.sample_counts(block, shots, seed)  # raises if a rule on entries fails
+    assert counts.tobytes() == sim.draw_rows(block, shots, seed).tobytes()
 
 
 @FIXED

@@ -3,11 +3,12 @@ import itertools
 import re
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from qlinsys import family, linsys, tomo
+from qlinsys import family, linsys, sim, tomo
 from qlinsys.errors import (
     DimensionMismatchError,
     InvalidProbabilityError,
@@ -106,14 +107,14 @@ class TestOutcomeTable:
             assert np.max(np.abs(probs.clip(0.0) - setting_probabilities(rho))) <= 4.4e-16
 
     def test_import_simulates_no_measurement_circuit(self):
-        # sim serves tomo only as the sampler; the table stands in for rotation circuits.
+        # sim serves tomo only as the sampler's draw; the table stands in for rotation circuits.
         tree = ast.parse(Path(tomo.__file__).read_text())
         used = {
             node.attr
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "sim"
         }
-        assert used == {"sample_counts"}
+        assert used == {"draw_rows"}
 
 
 class TestDensityFromState:
@@ -178,6 +179,16 @@ class TestPhysicality:
         one_entry = np.eye(4) / 4
         one_entry[1, 1] = bad
         assert not tomo.is_physical(one_entry)
+
+    @pytest.mark.parametrize("huge", [1e308, -1e308, 1e308j, 3.0])
+    def test_an_entry_above_two_is_not_physical_and_nothing_warns(self, huge):
+        # No state has an entry above 1 in magnitude; the bound comes before any sum that could overflow.
+        for rho in (np.full((2, 2), huge), np.full((4, 4), huge), np.diag([huge, 1.0 - huge, 0.0, 0.0])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert not tomo.is_physical(rho)
+                with pytest.raises(ValidationError, match="physical"):
+                    tomo.pauli_expectations(rho, "sampled")
 
     def test_non_finite_input_raises_validation_error(self):
         nan_rho = np.full((4, 4), np.nan)
@@ -469,6 +480,72 @@ class TestExpectations:
         assert table.values[WORD_INDEX["XX"]] == pytest.approx(0.0, abs=0.5)
 
 
+def sampled_block(rho, shots, seed):
+    """The block that sampled `pauli_expectations` hands to `sim.draw_rows`, which leaves its entries unchecked."""
+    with mock.patch.object(sim, "draw_rows", wraps=sim.draw_rows) as draw:
+        tomo.pauli_expectations(rho, mode="sampled", shots=shots, seed=seed)
+    assert draw.call_count == 1
+    return draw.call_args.args[0]
+
+
+def outcome(fn, *args):
+    """fn(*args), or the class and message of the error it raised."""
+    try:
+        return fn(*args)
+    except Exception as error:
+        return type(error).__name__, str(error)
+
+
+#: Densities that `is_physical` accepts at the edge of its 1e-8 tolerance, each bound nearly met.
+EDGE_DENSITIES = {
+    "eigenvalue_and_trace_high": np.diag([0.5 + 0.99e-8, 0.5 + 0.99e-8, -0.99e-8, 0.0]),
+    "trace_low": np.diag([0.25 - 0.24e-8, 0.25 - 0.24e-8, 0.25 - 0.24e-8, 0.25 - 0.24e-8]),
+    "not_hermitian": np.full((4, 4), 0.25) + 0.99e-8 * np.eye(4, k=1),
+    "eigenvalue_low_off_diagonal": np.array(
+        [[0.5, 0.5 + 0.99e-8, 0, 0], [0.5 + 0.99e-8, 0.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    ),
+    "imaginary_trace": np.diag([0.5 + 0.49e-8j, 0.5, 0.0, 0.0]),
+}
+
+
+class TestSampledBlock:
+    """The sampled block meets `sim.sample_counts`' rules, so drawing it unchecked gives sample_counts' counts."""
+
+    @staticmethod
+    def _assert_meets_the_rules(block, shots, seed):
+        assert block.dtype == np.float64 and block.shape == (9, 4)
+        assert np.isfinite(block).all() and (block >= 0.0).all()
+        assert np.max(np.abs(block.sum(axis=1) - 1.0)) <= 1e-6
+        assert sim.sample_counts(block, shots, seed).tobytes() == sim.draw_rows(block, shots, seed).tobytes()
+
+    def test_every_catalog_density_clean_and_depolarized(self):
+        for i, spec in enumerate(family.enumerate_family()):
+            for b in range(4):
+                pure = tomo.density_from_state(linsys.solve(spec.matrix, np.eye(4)[b]))
+                for rho in (pure, tomo.apply_depolarizing(pure, tomo.CALIBRATED_DEPOLARIZING_P)):
+                    self._assert_meets_the_rules(sampled_block(rho, 1024, 4 * i + b), 1024, 4 * i + b)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_DENSITIES))
+    def test_densities_at_the_physicality_tolerance(self, name):
+        rho = EDGE_DENSITIES[name].astype(complex)
+        assert tomo.is_physical(rho)
+        for shots, seed in [(1, 0), (64, 3), (2**40, 11)]:
+            self._assert_meets_the_rules(sampled_block(rho, shots, seed), shots, seed)
+
+    @pytest.mark.parametrize(
+        "shots, seed",
+        [(0, 0), (-1, 0), (1.5, 0), (True, 0), (None, 0), (2**63, 0), (10**5000, 0), (np.int64(5), -1)]
+        + [(10, 1.5), (10, None), (10, True), (10, -1), (0, -1), (2**63, None)],
+        ids=lambda value: "huge" if isinstance(value, int) and value > 2**64 else None,
+    )
+    def test_bad_shots_and_seeds_raise_as_sample_counts_does(self, shots, seed):
+        rho = tomo.density_from_state(UNIFORM_STATE)
+        block = _outcome_probabilities(rho)
+        got = outcome(tomo.pauli_expectations, rho, "sampled", shots, seed)
+        assert got == outcome(sim.sample_counts, block, shots, seed)
+        assert got[0] == "ValidationError"
+
+
 class TestAgainstOracle:
     """The package must reproduce the numpy-only oracle bit for bit."""
 
@@ -486,6 +563,15 @@ class TestAgainstOracle:
 
 
 class TestReconstruct:
+    def test_values_beyond_two_in_magnitude_are_refused_and_nothing_warns(self):
+        for value in (np.nextafter(2.0, 3.0), -3.0, 1e308, -1e308):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError, match=r"^expectation values must lie in \[-2, 2\], largest"):
+                    tomo.reconstruct(tomo.ExpectationTable(np.full(16, value), "analytic"))
+        for value in (2.0, -2.0):
+            assert tomo.is_physical(tomo.reconstruct(tomo.ExpectationTable(np.full(16, value), "analytic")))
+
     def test_analytic_roundtrip_uniform(self):
         rho = tomo.density_from_state(UNIFORM_STATE)
         rebuilt = tomo.reconstruct(tomo.pauli_expectations(rho))
@@ -629,6 +715,16 @@ class TestFidelity:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="outside"):
                 tomo.fidelity(rho, [1.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("entry", [1e308, -1e308, 1e308 + 1e308j, np.nextafter(2.0, 3.0)])
+    def test_an_entry_above_any_states_is_refused_before_the_product(self, entry):
+        # psi's two non-zero entries meet every entry of rho, so a product of 1e308s would overflow.
+        rho = np.full((2, 2), 0.5, dtype=complex)
+        rho[0, 1] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^rho has an entry of magnitude .*; rho is not a state$"):
+                tomo.fidelity(rho, [0.6, 0.8])
 
     @pytest.mark.parametrize("scale", [1.5, -0.5, np.nan])
     def test_overlap_outside_unit_interval_rejected(self, scale):
