@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: family list, solve, run, table1, tomo, synth, qasm, grover.
-Every command is deterministic given its full flag set; sampling commands
-take --seed explicitly and default to 0.
+Each computes one answer, deterministic given its full flag set (sampling
+commands take --seed, default 0), and `main` prints it: `--output json`
+prints the answer itself, and `table` or `csv` are views of it.
 
-Exit codes: 0 success, 2 usage error, 3 validation error, 4 synthesis
-failure.
+Exit codes: 0 success, 2 usage error, 3 validation error (an out-of-range
+--shots among them), 4 synthesis failure.
 """
 
 from __future__ import annotations
@@ -49,13 +50,6 @@ def _label_arg(text: str) -> family.FamilyLabel:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
-
-
 def _add_system_flags(parser: argparse.ArgumentParser):
     """Add the required --label | --matrix choice and return its group."""
     group = parser.add_mutually_exclusive_group(required=True)
@@ -90,57 +84,51 @@ def _fmt_vec(vec) -> str:
     return " ".join(f"{v:+.6f}" for v in vec)
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+def _json(answer) -> str:
+    return json.dumps(answer, indent=2) + "\n"
 
 
-def cmd_family_list(args) -> int:
-    specs = family.enumerate_family()
-    if args.klass is not None:
-        specs = [spec for spec in specs if spec.label.kind == args.klass]
-    if args.output == "json":
-        _print_json(
-            [
-                {
-                    "label": str(spec.label),
-                    "subset": spec.label.subset,
-                    "matrix": spec.matrix.tolist(),
-                    "y": spec.y.tolist(),
-                    "equations": family.equations_for(spec.label),
-                }
-                for spec in specs
-            ]
-        )
-    else:
-        for spec in specs:
-            print(f"{spec.label}  {spec.label.subset}  {' | '.join(family.equations_for(spec.label))}")
-    return 0
+def cmd_family_list(args) -> list[dict]:
+    return [
+        {
+            "label": str(spec.label),
+            "subset": spec.label.subset,
+            "matrix": spec.matrix.tolist(),
+            "y": spec.y.tolist(),
+            "equations": family.equations_for(spec.label),
+        }
+        for spec in family.enumerate_family()
+        if args.klass in (None, spec.label.kind)
+    ]
 
 
-def cmd_solve(args) -> int:
+def _family_table(rows: list[dict]) -> str:
+    return "".join(f"{row['label']}  {row['subset']}  {' | '.join(row['equations'])}\n" for row in rows)
+
+
+def cmd_solve(args) -> dict:
     name, matrix = _resolve_system(args)
     y = np.eye(matrix.shape[0])[0] if args.y is None else _vector_arg(args.y, matrix.shape[0])
     x = linsys.solve(matrix, y)
     probs = np.abs(x) ** 2
-    readout = np.sqrt(probs)
-    if args.output == "json":
-        _print_json(
-            {
-                "label": name,
-                "y": y.tolist(),
-                "x": x.tolist(),
-                "probabilities": probs.tolist(),
-                "readout_magnitudes": readout.tolist(),
-                "note": "readout magnitudes are square roots of probabilities; solution signs are not observable",
-            }
-        )
-    else:
-        print(f"label: {name}")
-        print(f"y:             {_fmt_vec(y)}")
-        print(f"x:             {_fmt_vec(x)}")
-        print(f"probabilities: {_fmt_vec(probs)}")
-        print(f"sqrt readout:  {_fmt_vec(readout)}   (signs lost)")
-    return 0
+    return {
+        "label": name,
+        "y": y.tolist(),
+        "x": x.tolist(),
+        "probabilities": probs.tolist(),
+        "readout_magnitudes": np.sqrt(probs).tolist(),
+        "note": "readout magnitudes are square roots of probabilities; solution signs are not observable",
+    }
+
+
+def _solve_table(answer: dict) -> str:
+    return (
+        f"label: {answer['label']}\n"
+        f"y:             {_fmt_vec(answer['y'])}\n"
+        f"x:             {_fmt_vec(answer['x'])}\n"
+        f"probabilities: {_fmt_vec(answer['probabilities'])}\n"
+        f"sqrt readout:  {_fmt_vec(answer['readout_magnitudes'])}   (signs lost)\n"
+    )
 
 
 def _distribution(matrix: np.ndarray, basis: int, noise: float = 0.0) -> np.ndarray:
@@ -155,11 +143,6 @@ def _distribution(matrix: np.ndarray, basis: int, noise: float = 0.0) -> np.ndar
     return np.real(np.diag(rho))
 
 
-def _percent_row(table: sim.ShotTable, field: str = "{:.3f}", sep: str = ",") -> str:
-    """The table's outcome percentages, each formatted by `field`, joined by `sep`."""
-    return sep.join(field.format(100.0 * f) for f in table.frequencies.values())
-
-
 def _counts_payload(name: str, table: sim.ShotTable) -> dict:
     return {
         "label": name,
@@ -170,42 +153,47 @@ def _counts_payload(name: str, table: sim.ShotTable) -> dict:
     }
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> dict:
     name, matrix = _resolve_system(args)
     table = sim.sample_distribution(_distribution(matrix, args.basis, args.noise), args.shots, args.seed)
-    if args.output == "json":
-        _print_json(_counts_payload(name, table))
-    elif args.output == "csv":
-        print("circuit," + ",".join(_PADDED))
-        print(f"{name},{_percent_row(table)}")
-    else:
-        print(f"{'circuit':<10}" + "".join(f"{p[2:] + '/' + p:>12}" for p in _PADDED))
-        print(f"{name:<10}" + _percent_row(table, "{:>11.3f}%", ""))
-    return 0
+    return _counts_payload(name, table)
 
 
-def cmd_table1(args) -> int:
+def _percent_row(answer: dict, field: str = "{:.3f}", sep: str = ",") -> str:
+    """The answer's outcome percentages, each formatted by `field`, joined by `sep`."""
+    return sep.join(field.format(100.0 * f) for f in answer["frequencies"].values())
+
+
+def _run_table(answer: dict) -> str:
+    header = f"{'circuit':<10}" + "".join(f"{p[2:] + '/' + p:>12}" for p in _PADDED)
+    return f"{header}\n{answer['label']:<10}{_percent_row(answer, '{:>11.3f}%', '')}\n"
+
+
+def _run_csv(answer: dict) -> str:
+    return f"circuit,{','.join(_PADDED)}\n{answer['label']},{_percent_row(answer)}\n"
+
+
+def cmd_table1(args) -> list[dict]:
     labels = [family.FamilyLabel.parse(name) for name in REFERENCE_PERCENT]
     block = np.stack([_distribution(family.matrix_for(label), 0) for label in labels])
     keys = [sim.bitstring(i, 2) for i in range(4)]
     counts = sim.sample_counts(block, args.shots, args.seed).tolist()
     tables = [sim.ShotTable(args.shots, args.seed, dict(zip(keys, row))) for row in counts]
-    if args.output == "json":
-        _print_json(
-            [
-                {**_counts_payload(name, table), "reference_percent": REFERENCE_PERCENT[name]}
-                for name, table in zip(REFERENCE_PERCENT, tables)
-            ]
-        )
-    else:
-        print("circuit," + ",".join(_PADDED) + "," + ",".join(f"ref_{p}" for p in _PADDED))
-        for name, table in zip(REFERENCE_PERCENT, tables):
-            reference = ",".join(f"{v:g}" for v in REFERENCE_PERCENT[name])
-            print(f"{name},{_percent_row(table)},{reference}")
-    return 0
+    return [
+        {**_counts_payload(name, table), "reference_percent": REFERENCE_PERCENT[name]}
+        for name, table in zip(REFERENCE_PERCENT, tables)
+    ]
 
 
-def cmd_tomo(args) -> int:
+def _table1_csv(rows: list[dict]) -> str:
+    lines = ["circuit," + ",".join(_PADDED) + "," + ",".join(f"ref_{p}" for p in _PADDED)]
+    for row in rows:
+        reference = ",".join(f"{v:g}" for v in row["reference_percent"])
+        lines.append(f"{row['label']},{_percent_row(row)},{reference}")
+    return "\n".join(lines) + "\n"
+
+
+def cmd_tomo(args) -> dict:
     name, matrix = _resolve_system(args)
     x = linsys.solve(matrix, np.eye(matrix.shape[0])[0])
     rho = tomo.apply_depolarizing(tomo.density_from_state(x), args.noise)
@@ -215,32 +203,38 @@ def cmd_tomo(args) -> int:
     fid = tomo.fidelity(reconstructed, x)
     if args.sqrt_fidelity:
         fid = math.sqrt(fid)
-    if args.output == "csv":
-        print(f"# label={name} mode={mode} fidelity={fid:.6f}")
-        print("row,col,re,im")
-        for (i, j), v in np.ndenumerate(reconstructed):
-            print(f"{i},{j},{v.real:.12f},{v.imag:.12f}")
-    else:
-        payload = {
-            "label": name,
-            "mode": mode,
-            "noise_p": args.noise,
-            "fidelity": fid,
-            "fidelity_convention": "sqrt_overlap" if args.sqrt_fidelity else "overlap",
-            "density": {
-                "dim": reconstructed.shape[0],
-                "re": reconstructed.real.tolist(),
-                "im": reconstructed.imag.tolist(),
-            },
-        }
-        if mode == "sampled":
-            payload["shots"] = args.shots
-            payload["seed"] = args.seed
-        _print_json(payload)
-    return 0
+    answer = {
+        "label": name,
+        "mode": mode,
+        "noise_p": args.noise,
+        "fidelity": fid,
+        "fidelity_convention": "sqrt_overlap" if args.sqrt_fidelity else "overlap",
+        "density": {
+            "dim": reconstructed.shape[0],
+            "re": reconstructed.real.tolist(),
+            "im": reconstructed.imag.tolist(),
+        },
+    }
+    if mode == "sampled":
+        answer["shots"] = args.shots
+        answer["seed"] = args.seed
+    return answer
 
 
-def _synth_payload(name: str, result: synth.SynthesisResult) -> dict:
+def _tomo_csv(answer: dict) -> str:
+    header = f"# label={answer['label']} mode={answer['mode']} fidelity={answer['fidelity']:.6f}"
+    if answer["mode"] == "sampled":
+        header += f" shots={answer['shots']} seed={answer['seed']}"
+    cells = [
+        f"{i},{j},{re:.12f},{im:.12f}"
+        for i, (re_row, im_row) in enumerate(zip(answer["density"]["re"], answer["density"]["im"]))
+        for j, (re, im) in enumerate(zip(re_row, im_row))
+    ]
+    return "\n".join([header, "row,col,re,im", *cells]) + "\n"
+
+
+def _synth_payload(name: str, matrix: np.ndarray) -> dict:
+    result = synth.synthesize(linsys.inverse_operator(matrix))
     return {
         "label": name,
         "gate_count": result.gate_count,
@@ -250,23 +244,18 @@ def _synth_payload(name: str, result: synth.SynthesisResult) -> dict:
     }
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> dict | list[dict]:
     if args.all:
-        systems = [(str(spec.label), spec.matrix) for spec in family.enumerate_family()]
-    else:
-        systems = [_resolve_system(args)]
-    payload = [_synth_payload(name, synth.synthesize(linsys.inverse_operator(m))) for name, m in systems]
-    _print_json(payload if args.all else payload[0])
-    return 0
+        return [_synth_payload(str(spec.label), spec.matrix) for spec in family.enumerate_family()]
+    return _synth_payload(*_resolve_system(args))
 
 
-def cmd_qasm(args) -> int:
+def cmd_qasm(args) -> str:
     _, matrix = _resolve_system(args)
-    sys.stdout.write(qasm.circuit_to_qasm(synth.synthesize(linsys.inverse_operator(matrix)).circuit))
-    return 0
+    return qasm.circuit_to_qasm(synth.synthesize(linsys.inverse_operator(matrix)).circuit)
 
 
-def cmd_grover(args) -> int:
+def cmd_grover(args) -> dict:
     try:
         marked = sorted({int(part) for part in args.marked.split(",")})
     except ValueError:
@@ -279,17 +268,21 @@ def cmd_grover(args) -> int:
     circuit = grover.build_grover_circuit(args.qubits, marked, iterations)
     probs = sim.probabilities(sim.run(circuit, 0))
     simulated = float(sum(probs[m] for m in marked))
-    _print_json(
-        {
-            "n": args.qubits,
-            "marked": marked,
-            "k": iterations,
-            "theta": theta,
-            "predicted": grover.success_probability(theta, iterations),
-            "simulated": simulated,
-        }
-    )
-    return 0
+    return {
+        "n": args.qubits,
+        "marked": marked,
+        "k": iterations,
+        "theta": theta,
+        "predicted": grover.success_probability(theta, iterations),
+        "simulated": simulated,
+    }
+
+
+def _answers(parser: argparse.ArgumentParser, func, **views) -> None:
+    """Bind `func` and the views of its answer; with two or more, --output picks one, the first by default."""
+    parser.set_defaults(func=func, views=views, output=next(iter(views)))
+    if len(views) > 1:
+        parser.add_argument("--output", choices=tuple(views))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Flags shared by several subcommands, each declared once and attached
     # through `parents`.
     sampling = argparse.ArgumentParser(add_help=False)
-    sampling.add_argument("--shots", type=_positive_int, default=1024)
+    sampling.add_argument("--shots", type=int, default=1024)
     sampling.add_argument("--seed", type=int, default=0, help="sampling seed")
     noisy = argparse.ArgumentParser(add_help=False)
     noisy.add_argument("--noise", type=float, default=0.0, help="depolarizing strength in [0, 1]")
@@ -311,59 +304,54 @@ def build_parser() -> argparse.ArgumentParser:
     family_sub = p_family.add_subparsers(dest="action", required=True)
     p_list = family_sub.add_parser("list", help="list catalog entries")
     p_list.add_argument("--class", dest="klass", choices=("A", "B"), help="restrict to one column class")
-    p_list.add_argument("--output", choices=("table", "json"), default="table")
-    p_list.set_defaults(func=cmd_family_list)
+    _answers(p_list, cmd_family_list, table=_family_table, json=_json)
 
     p_solve = sub.add_parser("solve", help="solve A x = y by the transpose")
     _add_system_flags(p_solve)
     p_solve.add_argument("--y", metavar="VEC", help="right-hand side: inline CSV or a file (default e1)")
-    p_solve.add_argument("--output", choices=("table", "json"), default="table")
-    p_solve.set_defaults(func=cmd_solve)
+    _answers(p_solve, cmd_solve, table=_solve_table, json=_json)
 
     p_run = sub.add_parser("run", help="synthesize, simulate, and sample a circuit", parents=[sampling, noisy])
     _add_system_flags(p_run)
     p_run.add_argument(
         "--basis", type=int, default=0, help="initial basis index b, for the right-hand side y = e_b (default 0)"
     )
-    p_run.add_argument("--output", choices=("table", "json", "csv"), default="table")
-    p_run.set_defaults(func=cmd_run)
+    _answers(p_run, cmd_run, table=_run_table, json=_json, csv=_run_csv)
 
     p_table1 = sub.add_parser("table1", help="reproduce the published 8-circuit table", parents=[sampling])
-    p_table1.add_argument("--output", choices=("csv", "json"), default="csv")
-    p_table1.set_defaults(func=cmd_table1)
+    _answers(p_table1, cmd_table1, csv=_table1_csv, json=_json)
 
     p_tomo = sub.add_parser("tomo", help="tomography report for a solution state", parents=[sampling, noisy])
     _add_system_flags(p_tomo)
     p_tomo.add_argument("--analytic", action="store_true", help="exact expectations instead of sampling")
     p_tomo.add_argument("--sqrt-fidelity", action="store_true", help="report sqrt(<psi|rho|psi>)")
-    p_tomo.add_argument("--output", choices=("json", "csv"), default="json")
-    p_tomo.set_defaults(func=cmd_tomo)
+    _answers(p_tomo, cmd_tomo, json=_json, csv=_tomo_csv)
 
     p_synth = sub.add_parser("synth", help="find a minimal circuit for the solution operator, as JSON")
     _add_system_flags(p_synth).add_argument("--all", action="store_true", help="synthesize the whole catalog")
-    p_synth.set_defaults(func=cmd_synth)
+    _answers(p_synth, cmd_synth, json=_json)
 
     p_qasm = sub.add_parser("qasm", help="export the synthesized circuit as OpenQASM 2.0")
     _add_system_flags(p_qasm)
-    p_qasm.set_defaults(func=cmd_qasm)
+    _answers(p_qasm, cmd_qasm, qasm=str)
 
     p_grover = sub.add_parser("grover", help="amplitude-amplification demo")
     p_grover.add_argument("--qubits", type=int, default=2)
     p_grover.add_argument("--marked", default="3", help="comma-separated basis indices")
     p_grover.add_argument("--iterations", type=int, default=None, help="default: the optimal count")
-    p_grover.set_defaults(func=cmd_grover)
+    _answers(p_grover, cmd_grover, json=_json)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        sys.stdout.write(args.views[args.output](args.func(args)))
     except (QlinsysError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4 if isinstance(exc, SynthesisNotFoundError) else 3
+    return 0
 
 
 def entry_point() -> None:

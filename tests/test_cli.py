@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,7 +45,7 @@ REFUSED = {
         2,
         "argument --label: malformed label 'A_9999', expected e.g. 'A_1234'",
     ),
-    "zero shots": (["run", "--label", "A_1324", "--shots", "0"], 2, "argument --shots: must be at least 1"),
+    "zero shots": (["run", "--label", "A_1324", "--shots", "0"], 3, "shots must be at least 1"),
     "unparsable y": (["solve", "--label", "A_1234", "--y", "abc"], 3, "could not parse 'abc' as a vector or file path"),
     "short y": (["solve", "--label", "A_1234", "--y", "1,0"], 3, "y has length 2, expected 4"),
     **{
@@ -75,6 +77,10 @@ REFUSED = {
         f"{argv[0]} shots past 2**63": (argv + ["--shots", _HUGE], 3, f"shots must be below 2**63, got {_HUGE}")
         for argv in (["run", "--label", "A_1324"], ["tomo", "--label", "A_1234"], ["table1"])
     },
+    **{
+        f"{argv[0]} negative shots": (argv + ["--shots", "-3"], 3, "shots must be at least 1")
+        for argv in (["run", "--label", "A_1324"], ["tomo", "--label", "A_1234"], ["table1"])
+    },
 }
 
 
@@ -84,7 +90,8 @@ def test_bad_input_is_refused_with_one_error_line(capsys, argv, code, message):
         got = cli.main(argv)
     except SystemExit as raised:
         got = raised.code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert got == code
     assert err.endswith(f"error: {message}\n")
     assert err.count("error:") == 1
@@ -354,10 +361,18 @@ class TestTomo:
         assert payload["fidelity_convention"] == "sqrt_overlap"
         assert payload["fidelity"] == pytest.approx(math.sqrt(1.0 - 0.375), abs=1e-10)
 
-    def test_csv_output(self, capsys):
-        _, out, _ = run_cli(capsys, "tomo", "--label", "A_1234", "--analytic", "--output", "csv")
+    @pytest.mark.parametrize(
+        "flags, header",
+        [
+            (["--analytic"], "# label=A_1234 mode=analytic fidelity=1.000000"),
+            (["--seed", "3"], "# label=A_1234 mode=sampled fidelity=0.965709 shots=1024 seed=3"),
+        ],
+        ids=["analytic", "sampled"],
+    )
+    def test_csv_output(self, capsys, flags, header):
+        _, out, _ = run_cli(capsys, "tomo", "--label", "A_1234", *flags, "--output", "csv")
         lines = out.splitlines()
-        assert lines[0].startswith("# label=A_1234 mode=analytic fidelity=1.000000")
+        assert lines[0] == header
         assert lines[1] == "row,col,re,im"
         assert len(lines) == 18
 
@@ -473,12 +488,105 @@ class TestGrover:
         assert err == "error: marked indices [0, 1, 2] out of range for 1 qubits\n"
 
 
+
+def _percents(answer: dict) -> list[float]:
+    return [100.0 * f for f in answer["frequencies"].values()]
+
+
+def _read_family_table(out: str, rows: list[dict]):
+    for line, row in zip(out.splitlines(), rows, strict=True):
+        label, subset, equations = line.split("  ", 2)
+        yield from [(label, row["label"]), (subset, row["subset"])]
+        yield from zip(equations.split(" | "), row["equations"], strict=True)
+
+
+def _read_solve_table(out: str, answer: dict):
+    head, *lines = out.splitlines()
+    yield head.removeprefix("label: "), answer["label"]
+    for line, key in zip(lines, ["y", "x", "probabilities", "readout_magnitudes"], strict=True):
+        yield from zip(re.findall(r"[-+]\d+\.\d+", line), answer[key], strict=True)
+
+
+def _read_run_table(out: str, answer: dict):
+    header, row = (line.split() for line in out.splitlines())
+    yield from zip([column.partition("/")[0] for column in header[1:]], answer["frequencies"], strict=True)
+    yield row[0], answer["label"]
+    yield from zip([cell.removesuffix("%") for cell in row[1:]], _percents(answer), strict=True)
+
+
+def _read_run_csv(out: str, answer: dict):
+    header, row = (line.split(",") for line in out.splitlines())
+    yield from zip([column[2:] for column in header[1:]], answer["frequencies"], strict=True)
+    yield row[0], answer["label"]
+    yield from zip(row[1:], _percents(answer), strict=True)
+
+
+def _read_table1_csv(out: str, rows: list[dict]):
+    _, *lines = (line.split(",") for line in out.splitlines())
+    for line, row in zip(lines, rows, strict=True):
+        yield line[0], row["label"]
+        yield from zip(line[1:], [*_percents(row), *row["reference_percent"]], strict=True)
+
+
+def _read_tomo_csv(out: str, answer: dict):
+    header, columns, *cells = out.splitlines()
+    fields = dict(token.split("=") for token in header.removeprefix("# ").split())
+    expected = {key: answer[key] for key in ("label", "mode", "fidelity", "shots", "seed") if key in answer}
+    assert fields.keys() == expected.keys()
+    yield from ((fields[key], expected[key]) for key in expected)
+    assert columns == "row,col,re,im"
+    density = answer["density"]
+    for cell, (i, j) in zip(cells, itertools.product(range(density["dim"]), repeat=2), strict=True):
+        row, col, real, imag = cell.split(",")
+        yield from [(row, i), (col, j), (real, density["re"][i][j]), (imag, density["im"][i][j])]
+
+
+def _agrees(printed: str, expected) -> bool:
+    """Whether a token that a view printed is the JSON value `expected`, to the decimals printed."""
+    if isinstance(expected, float):
+        return abs(float(printed) - expected) <= 0.51 * 10.0 ** -len(printed.partition(".")[2])
+    return printed == str(expected)
+
+
+_NOISY_RUN = ["run", "--label", "A_1342", "--seed", "5", "--noise", "0.1"]
+
+#: Each text view, the argv it prints, and a reader that pairs each token it
+#: printed with the value that the JSON answer of the same argv holds there.
+TEXT_VIEWS = {
+    "family list table": (["family", "list"], "table", _read_family_table),
+    "solve table": (["solve", "--label", "A_1234"], "table", _read_solve_table),
+    "solve table y": (["solve", "--label", "A_1234", "--y", "0,1,0,0"], "table", _read_solve_table),
+    "run table": (_NOISY_RUN, "table", _read_run_table),
+    "run csv": (_NOISY_RUN, "csv", _read_run_csv),
+    "table1 csv": (["table1"], "csv", _read_table1_csv),
+    "tomo csv analytic": (["tomo", "--label", "A_1234", "--analytic"], "csv", _read_tomo_csv),
+    "tomo csv sampled": (["tomo", "--label", "A_1234", "--seed", "3"], "csv", _read_tomo_csv),
+}
+
+
+@pytest.mark.parametrize("argv, output, read", TEXT_VIEWS.values(), ids=TEXT_VIEWS)
+def test_every_text_view_agrees_with_its_json_answer(capsys, argv, output, read):
+    _, view, _ = run_cli(capsys, *argv, "--output", output)
+    _, answer, _ = run_cli(capsys, *argv, "--output", "json")
+    pairs = list(read(view, json.loads(answer)))
+    assert len(pairs) > 1
+    assert [(printed, expected) for printed, expected in pairs if not _agrees(printed, expected)] == []
+
+
 A_1234 = family.FamilyLabel.parse("A_1234")
 
 #: Each subcommand's parsed defaults, pinned so that sharing flag
-#: declarations between subcommands cannot change them.
+#: declarations between subcommands cannot change them.  `views` maps each
+#: --output choice to the name of the function that prints the answer so.
 PARSED_DEFAULTS = {
-    ("family", "list"): {"command": "family", "action": "list", "klass": None, "output": "table", "func": "cmd_family_list"},
+    ("family", "list"): {
+        "command": "family",
+        "action": "list",
+        "klass": None,
+        "output": "table",
+        "func": "cmd_family_list",
+        "views": {"table": "_family_table", "json": "_json"},
+    },
     ("solve", "--label", "A_1234"): {
         "command": "solve",
         "label": A_1234,
@@ -486,6 +594,7 @@ PARSED_DEFAULTS = {
         "y": None,
         "output": "table",
         "func": "cmd_solve",
+        "views": {"table": "_solve_table", "json": "_json"},
     },
     ("run", "--label", "A_1234"): {
         "command": "run",
@@ -497,8 +606,16 @@ PARSED_DEFAULTS = {
         "noise": 0.0,
         "output": "table",
         "func": "cmd_run",
+        "views": {"table": "_run_table", "json": "_json", "csv": "_run_csv"},
     },
-    ("table1",): {"command": "table1", "shots": 1024, "seed": 0, "output": "csv", "func": "cmd_table1"},
+    ("table1",): {
+        "command": "table1",
+        "shots": 1024,
+        "seed": 0,
+        "output": "csv",
+        "func": "cmd_table1",
+        "views": {"csv": "_table1_csv", "json": "_json"},
+    },
     ("tomo", "--matrix", "m.csv"): {
         "command": "tomo",
         "label": None,
@@ -510,21 +627,34 @@ PARSED_DEFAULTS = {
         "sqrt_fidelity": False,
         "output": "json",
         "func": "cmd_tomo",
+        "views": {"json": "_json", "csv": "_tomo_csv"},
     },
     ("synth", "--all"): {
         "command": "synth",
         "label": None,
         "matrix": None,
         "all": True,
+        "output": "json",
         "func": "cmd_synth",
+        "views": {"json": "_json"},
     },
     ("qasm", "--label", "A_1234"): {
         "command": "qasm",
         "label": A_1234,
         "matrix": None,
+        "output": "qasm",
         "func": "cmd_qasm",
+        "views": {"qasm": "str"},
     },
-    ("grover",): {"command": "grover", "qubits": 2, "marked": "3", "iterations": None, "func": "cmd_grover"},
+    ("grover",): {
+        "command": "grover",
+        "qubits": 2,
+        "marked": "3",
+        "iterations": None,
+        "output": "json",
+        "func": "cmd_grover",
+        "views": {"json": "_json"},
+    },
 }
 
 
@@ -532,6 +662,7 @@ PARSED_DEFAULTS = {
 def test_parsed_defaults(argv):
     parsed = vars(cli.build_parser().parse_args(list(argv)))
     parsed["func"] = parsed["func"].__name__
+    parsed["views"] = {output: view.__name__ for output, view in parsed["views"].items()}
     expected = PARSED_DEFAULTS[argv]
     assert parsed == expected
     # Equal is not enough: JSON output tells 0 from 0.0.

@@ -9,9 +9,11 @@ each flag's good values and half from one hostile pool: a 5,000-digit
 integer, NaN, infinities, -0, an empty string, bad labels, and CSV files
 empty, ragged, non-orthogonal, outside the synthesis group or missing.
 Every call must exit 0, 2, 3 or 4, raise nothing but argparse's SystemExit,
-warn nothing, and print at most one `error:` line.
+warn nothing, and print at most one `error:` line.  A second test keeps
+`GRAMMAR` and `GOOD["--output"]` in step with `cli.build_parser()`.
 """
 
+import argparse
 import contextlib
 import io
 import warnings
@@ -135,3 +137,24 @@ def test_drawn_argv_exit_with_a_documented_code_and_one_error_line(paths):
 
     check()
 
+
+def subparsers(parser: argparse.ArgumentParser, command: tuple = ()):
+    """Each command path of `parser` and the parser that reads its flags, the top level as ()."""
+    yield command, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from subparsers(sub, (*command, name))
+
+
+def test_grammar_lists_the_flags_that_each_parser_declares():
+    parsers = dict(subparsers(cli.build_parser()))
+    declared = {
+        command: sorted({flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"})
+        for command, parser in parsers.items()
+    }
+    assert declared == {command: sorted(flags.split()) for command, flags in GRAMMAR.items()}
+    actions = [action for parser in parsers.values() for action in parser._actions]
+    outputs = {choice for action in actions if "--output" in action.option_strings for choice in action.choices}
+    assert outputs
+    assert outputs <= set(GOOD["--output"])
